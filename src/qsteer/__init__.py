@@ -1,7 +1,6 @@
 """Two-qubit state toolkit: concurrence, three-setting steerability, purity,
 first-order coherence, and the constraint bounds tying them together."""
 
-from ._accel import DEFAULT_LANE, NUMBA_AVAILABLE
 from .errors import (
     ChannelIncomplete,
     DimensionUnsupported,

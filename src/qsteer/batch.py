@@ -1,17 +1,14 @@
-"""Batched evaluation of every per-state scalar, lane-dispatched.
+"""Batched evaluation of every per-state scalar.
 
-measure_rows() is the single hot path shared by measures.report and the
-harness.  It returns an (n, 16) float64 table with the column layout below;
-the numba lane loops per state in compiled code, the numpy lane vectorizes
-over the whole stack with LAPACK.
+measure_rows() is the single route to every per-state scalar, shared by the
+scalar functions in measures and by the harness.  It returns an (n, 16)
+float64 table with the column layout below, vectorized over the whole stack
+with LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import _kernels
-from ._accel import resolve_lane
 
 # column layout of the measure table
 COL_PURITY = 0
@@ -46,7 +43,19 @@ def spin_flip_matrices(rhos: np.ndarray) -> np.ndarray:
     return signs * rhos[..., ::-1, ::-1].conj()
 
 
-def _measure_rows_numpy(rhos: np.ndarray) -> np.ndarray:
+def measure_rows(rhos: np.ndarray) -> np.ndarray:
+    """Measure table for a stack of density matrices.
+
+    Parameters
+    ----------
+    rhos : (n, 4, 4) or (4, 4) complex array
+        Density matrices; assumed already validated.
+    """
+    rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
+    if rhos.ndim == 2:
+        rhos = rhos[None]
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (n, 4, 4) stack, got {rhos.shape}")
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
@@ -81,31 +90,3 @@ def _measure_rows_numpy(rhos: np.ndarray) -> np.ndarray:
     out[:, COL_L1 : COL_L4 + 1] = lam
     return out
 
-
-def measure_rows(rhos: np.ndarray, lane: str | None = None) -> np.ndarray:
-    """Measure table for a stack of density matrices.
-
-    Parameters
-    ----------
-    rhos : (n, 4, 4) or (4, 4) complex array
-        Density matrices; assumed already validated.
-    lane : 'numba', 'numpy' or None
-        None picks the process default (see _accel).
-    """
-    rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise ValueError(f"expected a (n, 4, 4) stack, got {rhos.shape}")
-    lane = resolve_lane(lane)
-    if lane == "numba":
-        out = np.empty((rhos.shape[0], N_COLS))
-        _kernels.measure_rows_numba(rhos, PAULI_PAIRS, out)
-        return out
-    return _measure_rows_numpy(rhos)
-
-
-def warmup(lane: str | None = None) -> None:
-    """Trigger kernel compilation so timed runs measure the algorithm only."""
-    rho = np.eye(4, dtype=np.complex128) / 4.0
-    measure_rows(rho, lane=lane)

@@ -126,7 +126,7 @@ class FalsificationSummary:
         }
 
 
-def scatter_table(cfg: SamplerConfig, workers: int = 1, lane: str | None = None):
+def scatter_table(cfg: SamplerConfig, workers: int = 1):
     """(ranks, rows) for all records of the plan, merged in index order."""
     if workers < 1:
         raise ParameterOutOfRange(f"workers must be >= 1, got {workers}")
@@ -135,7 +135,7 @@ def scatter_table(cfg: SamplerConfig, workers: int = 1, lane: str | None = None)
     def one(start: int):
         stop = min(start + CHUNK, cfg.count)
         rhos, ranks = draw_matrices(cfg, start, stop)
-        return ranks, batch.measure_rows(rhos, lane=lane)
+        return ranks, batch.measure_rows(rhos)
 
     if workers == 1 or len(starts) <= 1:
         parts = [one(s) for s in starts]
@@ -149,37 +149,45 @@ def scatter_table(cfg: SamplerConfig, workers: int = 1, lane: str | None = None)
     return ranks, rows
 
 
-def _record_from_row(index: int, rank: int, row: np.ndarray) -> SampleRecord:
-    s = row[batch.COL_S]
+def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row flags (S < lower - SLACK, S > upper + SLACK) of a measure table."""
+    s = rows[:, batch.COL_S]
+    return s < rows[:, batch.COL_LOWER] - SLACK, s > rows[:, batch.COL_UPPER] + SLACK
+
+
+def _record_from_row(index: int, rank: int, row: np.ndarray, lower: bool,
+                     upper: bool) -> SampleRecord:
     return SampleRecord(
         index=index,
         rank_k=int(rank),
         purity=float(row[batch.COL_PURITY]),
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),
-        steerability=float(s),
+        steerability=float(row[batch.COL_S]),
         q_value=float(row[batch.COL_Q]),
         coherence_a=float(row[batch.COL_DA]),
         coherence_b=float(row[batch.COL_DB]),
         lower_bound=float(row[batch.COL_LOWER]),
         upper_bound=float(row[batch.COL_UPPER]),
-        violation_lower=bool(s < row[batch.COL_LOWER] - SLACK),
-        violation_upper=bool(s > row[batch.COL_UPPER] + SLACK),
+        violation_lower=bool(lower),
+        violation_upper=bool(upper),
     )
 
 
-def run_scatter(cfg: SamplerConfig, workers: int = 1, lane: str | None = None) -> list:
+def run_scatter(cfg: SamplerConfig, workers: int = 1) -> list:
     """One SampleRecord per plan index; fields recomputable from
     states.random_state(cfg, index)."""
-    ranks, rows = scatter_table(cfg, workers=workers, lane=lane)
-    return [_record_from_row(i, ranks[i], rows[i]) for i in range(cfg.count)]
+    ranks, rows = scatter_table(cfg, workers=workers)
+    lower, upper = bound_violations(rows)
+    return [_record_from_row(i, ranks[i], rows[i], lower[i], upper[i])
+            for i in range(cfg.count)]
 
 
 def scatter_csv_lines(ranks: np.ndarray, rows: np.ndarray):
     yield SCATTER_HEADER
+    lower, upper = bound_violations(rows)
     for i in range(len(ranks)):
         r = rows[i]
-        s = r[batch.COL_S]
         yield ",".join(
             (
                 str(i),
@@ -193,8 +201,8 @@ def scatter_csv_lines(ranks: np.ndarray, rows: np.ndarray):
                 _fmt(r[batch.COL_DB]),
                 _fmt(r[batch.COL_LOWER]),
                 _fmt(r[batch.COL_UPPER]),
-                _fmt(bool(s < r[batch.COL_LOWER] - SLACK)),
-                _fmt(bool(s > r[batch.COL_UPPER] + SLACK)),
+                _fmt(lower[i]),
+                _fmt(upper[i]),
             )
         )
 
@@ -235,7 +243,6 @@ def run_family_sweep(
     eta_steps: int = 50,
     p_steps: int = 1000,
     seed: int = 0,
-    lane: str | None = None,
 ) -> list:
     """Numerical pipeline vs closed forms for one channel family.
 
@@ -257,7 +264,7 @@ def run_family_sweep(
                 mats[k] = apply_channel(base, make(eta)).matrix
                 params.append((th, eta))
                 k += 1
-        rows = batch.measure_rows(mats, lane=lane)
+        rows = batch.measure_rows(mats)
         records = []
         for k, (th, eta) in enumerate(params):
             if family == "ad":
@@ -285,7 +292,7 @@ def run_family_sweep(
             phi = PureState(u @ bell_like(theta).amplitudes)
             mats[i] = werner_like(p, phi).matrix
             params.append((theta, p, i, phi))
-        rows = batch.measure_rows(mats, lane=lane)
+        rows = batch.measure_rows(mats)
         records = []
         for i, (theta, p, useed, phi) in enumerate(params):
             cf = measures.wu_closed_forms(p, phi)
@@ -386,35 +393,28 @@ def run_falsification(
     cfg: SamplerConfig,
     theorems: tuple = ("theorem1", "theorem2"),
     workers: int = 1,
-    lane: str | None = None,
 ) -> FalsificationSummary:
     """Hunt for violations of the steerability bounds over the sampling plan.
 
     Margins are signed distances: S - lower for theorem1, upper - S for
-    theorem2; a violation is a margin below -1e-9.
+    theorem2; violations are the rows bound_violations flags.
     """
     for t in theorems:
         if t not in ("theorem1", "theorem2"):
             raise ParameterOutOfRange(f"unknown theorem {t!r}")
     if not theorems:
         raise ParameterOutOfRange("at least one theorem must be selected")
-    ranks, rows = scatter_table(cfg, workers=workers, lane=lane)
+    _, rows = scatter_table(cfg, workers=workers)
     s = rows[:, batch.COL_S]
     margin_lower = s - rows[:, batch.COL_LOWER]
     margin_upper = rows[:, batch.COL_UPPER] - s
     violations = []
-    if cfg.count:
-        if "theorem1" in theorems:
-            for i in np.nonzero(margin_lower < -SLACK)[0]:
-                violations.append(
-                    {"index": int(i), "theorem": "theorem1", "margin": float(margin_lower[i])}
-                )
-        if "theorem2" in theorems:
-            for i in np.nonzero(margin_upper < -SLACK)[0]:
-                violations.append(
-                    {"index": int(i), "theorem": "theorem2", "margin": float(margin_upper[i])}
-                )
-        violations.sort(key=lambda v: v["index"])
+    for theorem, flags, margin in zip(("theorem1", "theorem2"), bound_violations(rows),
+                                      (margin_lower, margin_upper)):
+        if theorem in theorems:
+            violations += [{"index": int(i), "theorem": theorem, "margin": float(margin[i])}
+                           for i in np.nonzero(flags)[0]]
+    violations.sort(key=lambda v: v["index"])
     return FalsificationSummary(
         checked=int(cfg.count),
         theorems=tuple(theorems),

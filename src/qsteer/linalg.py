@@ -2,16 +2,13 @@
 partial traces.
 
 Dimensions are capped at 4 on purpose; everything in this package is a qubit
-pair.  The numba lane runs the cyclic Jacobi kernel, the numpy lane defers to
-LAPACK behind the same contract.
+pair.  The eigensolves defer to LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from ._accel import resolve_lane
 from .errors import DimensionUnsupported, NotHermitian, NotPSD
 
 HERMITIAN_RTOL = 1e-9
@@ -38,44 +35,32 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def hermitian_eigenvalues(m: np.ndarray, vectors: bool = False, lane: str | None = None):
+def hermitian_eigenvalues(m: np.ndarray, vectors: bool = False):
     """Descending real eigenvalues of a Hermitian matrix (dim 2..4).
 
     With ``vectors=True`` also returns the unitary whose columns are the
     matching eigenvectors.
     """
     m = _as_square(m, (2, 3, 4))
-    h = _check_hermitian(m)
-    if resolve_lane(lane) == "numba":
-        w, v = _kernels.jacobi_eigh(h.copy())
-    else:
-        w, v = np.linalg.eigh(h)
-        w = w[::-1].copy()
-        v = v[:, ::-1].copy()
+    w, v = np.linalg.eigh(_check_hermitian(m))
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
     if vectors:
         return w, v
     return w
 
 
-def psd_sqrt(m: np.ndarray, lane: str | None = None) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below raises
     NotPSD.
     """
-    w, v = hermitian_eigenvalues(m, vectors=True, lane=lane)
+    w, v = hermitian_eigenvalues(m, vectors=True)
     if w.min() < -PSD_CLAMP:
         raise NotPSD(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
     r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (r + r.conj().T) / 2.0
-
-
-def singular_values(m: np.ndarray, lane: str | None = None) -> np.ndarray:
-    """Descending singular values of a complex matrix (dim 2..4)."""
-    m = _as_square(m, (2, 3, 4))
-    if resolve_lane(lane) == "numba":
-        return _kernels.jacobi_svdvals(m.copy())
-    return np.linalg.svd(m, compute_uv=False)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,7 +84,7 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def sym3_eigenvalues(m: np.ndarray, lane: str | None = None) -> np.ndarray:
+def sym3_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a real symmetric 3x3 matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
@@ -108,4 +93,4 @@ def sym3_eigenvalues(m: np.ndarray, lane: str | None = None) -> np.ndarray:
     if not dev <= 1e-12 * max(1.0, float(np.abs(m).max())):
         raise NotHermitian(f"matrix is not symmetric (deviation {dev:.3e})")
     sym = (m + m.T) / 2.0
-    return hermitian_eigenvalues(sym.astype(np.complex128), lane=lane)
+    return hermitian_eigenvalues(sym.astype(np.complex128))

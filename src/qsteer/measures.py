@@ -4,6 +4,11 @@ Concurrence follows the spin-flip construction; the mixed-state eigenvalues
 are taken from the Hermitian product sqrt(rho) * flip(rho) * sqrt(rho), never
 from the non-Hermitian product directly.  Steerability is the three-setting
 correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
+
+Every per-state scalar is read from one row of batch.measure_rows, so the
+scalar functions, report() and the harness share a single route.  Raw arrays
+are validated as a DensityMatrix first; an invalid one raises the
+ValidationError that names the failed invariant.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import batch, linalg
+from . import batch
 from .errors import NotNormalized, NotRealizable, ParameterOutOfRange
 from .states import DensityMatrix, PureState
 
@@ -22,9 +27,14 @@ CLASS_STEERABLE = "steerable"
 
 
 def _mat(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.matrix, dtype=np.complex128)
-    return np.asarray(rho, dtype=np.complex128)
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    return rho.matrix
+
+
+def _row(rho) -> np.ndarray:
+    """The batch.measure_rows row of one state."""
+    return batch.measure_rows(_mat(rho))[0]
 
 
 def _vec(psi) -> np.ndarray:
@@ -50,21 +60,10 @@ def concurrence_pure(psi) -> float:
     return float(abs(np.vdot(a, tilde)))
 
 
-def concurrence(rho, lane: str | None = None) -> float:
-    """max(0, 2 sqrt(lam_1) - sum_n sqrt(lam_n)), lam descending.
-
-    The lam are the eigenvalues of rho * flip(rho), taken through the
-    Hermitian product sqrt(rho) flip(rho) sqrt(rho) = W W^dag; the needed
-    sqrt(lam_n) are computed as the singular values of
-    W = sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)) so they keep full
-    absolute accuracy at zero.
-    """
-    m = _mat(rho)
-    root = linalg.psd_sqrt(m, lane=lane)
-    signs = np.array([-1.0, 1.0, 1.0, -1.0])
-    w = root @ (signs[:, None] * root[::-1, :].conj())
-    sig = linalg.singular_values(w, lane=lane)
-    return float(max(0.0, 2.0 * sig[0] - sig.sum()))
+def concurrence(rho) -> float:
+    """max(0, 2 sqrt(lam_1) - sum_n sqrt(lam_n)), with lam the descending
+    eigenvalues of rho * flip(rho)."""
+    return float(_row(rho)[batch.COL_C])
 
 
 def correlation_matrix(rho) -> np.ndarray:
@@ -73,28 +72,24 @@ def correlation_matrix(rho) -> np.ndarray:
     return np.einsum("ab,pba->p", m, batch.PAULI_PAIRS).real.reshape(3, 3)
 
 
-def correlation_singular_values(rho, lane: str | None = None) -> np.ndarray:
+def correlation_singular_values(rho) -> np.ndarray:
     """Descending singular values of the correlation matrix."""
-    t = correlation_matrix(rho)
-    w = linalg.sym3_eigenvalues(t.T @ t, lane=lane)
-    return np.sqrt(np.clip(w, 0.0, None))
+    return _row(rho)[batch.COL_T1 : batch.COL_T3 + 1]
 
 
 def f_value(rho) -> float:
     """Frobenius norm of the correlation matrix (= sqrt(t1^2+t2^2+t3^2))."""
-    t = correlation_matrix(rho)
-    return float(np.sqrt((t * t).sum()))
+    return float(_row(rho)[batch.COL_F])
 
 
 def steerability(rho) -> float:
     """sqrt(max(0, F^2 - 1) / 2); positive iff the three-setting test fires."""
-    f = f_value(rho)
-    return float(np.sqrt(0.5 * max(0.0, f * f - 1.0)))
+    return float(_row(rho)[batch.COL_S])
 
 
 def purity(rho) -> float:
-    m = _mat(rho)
-    return float((m * m.conj()).real.sum())
+    """tr(rho^2)."""
+    return float(_row(rho)[batch.COL_PURITY])
 
 
 def first_order_coherence(rho_qubit) -> float:
@@ -108,14 +103,12 @@ def first_order_coherence(rho_qubit) -> float:
 
 def bound_lower(rho) -> float:
     """sqrt(max(0, C^2 + tr(rho^2) - 1)), a steerability lower bound."""
-    c = concurrence(rho)
-    return float(np.sqrt(max(0.0, c * c + purity(rho) - 1.0)))
+    return float(_row(rho)[batch.COL_LOWER])
 
 
 def bound_upper(rho) -> float:
     """min(C, sqrt(max(0, 2 tr(rho^2) - 1))), a steerability upper bound."""
-    c = concurrence(rho)
-    return float(min(c, np.sqrt(max(0.0, 2.0 * purity(rho) - 1.0))))
+    return float(_row(rho)[batch.COL_UPPER])
 
 
 class MeasureReport(NamedTuple):
@@ -147,9 +140,9 @@ def _classify_from(conc: float, steer: float) -> str:
     return CLASS_SEPARABLE
 
 
-def report(rho, lane: str | None = None) -> MeasureReport:
-    """Every scalar quantity for one state, computed through the batch lane."""
-    row = batch.measure_rows(_mat(rho), lane=lane)[0]
+def report(rho) -> MeasureReport:
+    """Every scalar quantity for one state, from one batch.measure_rows row."""
+    row = _row(rho)
     return MeasureReport(
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),
@@ -166,11 +159,10 @@ def report(rho, lane: str | None = None) -> MeasureReport:
     )
 
 
-def classify(rho, lane: str | None = None) -> str:
+def classify(rho) -> str:
     """'steerable' (S > 0), 'entangled-unsteerable-by-F' (C > 0, S = 0) or
     'separable-candidate' (C = 0)."""
-    r = report(rho, lane=lane)
-    return r.classification
+    return report(rho).classification
 
 
 class AdForms(NamedTuple):

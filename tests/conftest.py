@@ -1,13 +1,11 @@
-import pytest
+import numpy as np
 
-from qsteer import batch
-from qsteer._accel import NUMBA_AVAILABLE
+from qsteer.states import DensityMatrix
 
-LANES = ("numba", "numpy") if NUMBA_AVAILABLE else ("numpy",)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile/caches the kernels once so per-test timings stay honest
-    for lane in LANES:
-        batch.warmup(lane=lane)
+# Forms in which a matrix reaches the public entry points; a test that takes
+# ``form`` runs once per form it lists, on the same data.
+FORMS = {
+    "numpy": np.asarray,
+    "list": lambda m: np.asarray(m).tolist(),
+    "DensityMatrix": DensityMatrix,
+}

@@ -57,6 +57,21 @@ def test_scatter_csv_layout():
         float(token)
 
 
+def test_bound_violations_set_the_csv_flags():
+    # S beyond, on and inside each bound, by twice the slack
+    rows = np.zeros((4, batch.N_COLS))
+    rows[:, batch.COL_LOWER] = 0.5
+    rows[:, batch.COL_UPPER] = 0.6
+    rows[:, batch.COL_S] = [0.5 - 2 * harness.SLACK, 0.5, 0.6, 0.6 + 2 * harness.SLACK]
+    lower, upper = harness.bound_violations(rows)
+    assert lower.tolist() == [True, False, False, False]
+    assert upper.tolist() == [False, False, False, True]
+    lines = list(harness.scatter_csv_lines(np.ones(4, np.int64), rows))[1:]
+    assert [line.split(",")[11:] for line in lines] == [
+        ["true", "false"], ["false", "false"], ["false", "false"], ["false", "true"]
+    ]
+
+
 def test_run_scatter_records_recompute():
     cfg = SamplerConfig("ginibre", "uniform", seed=42, count=30)
     records = harness.run_scatter(cfg)

@@ -1,16 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from qsteer import batch
-from qsteer._accel import NUMBA_AVAILABLE, resolve_lane
 
-from conftest import LANES
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
+from conftest import FORMS
 
 
 def random_rhos(seed, n):
@@ -24,58 +17,10 @@ def random_rhos(seed, n):
     return rhos
 
 
-@needs_numba
-def test_jacobi_eigh_matches_lapack():
-    from qsteer._kernels import jacobi_eigh
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(200):
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (z + z.conj().T) / 2.0
-        w, v = jacobi_eigh(h.copy())
-        worst = max(worst, np.abs(w - np.linalg.eigvalsh(h)[::-1]).max())
-        assert np.abs((v * w) @ v.conj().T - h).max() < 1e-12
-    assert worst < 1e-13
-
-
-@needs_numba
-def test_jacobi_svdvals_matches_lapack():
-    from qsteer._kernels import jacobi_svdvals
-
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        sv = jacobi_svdvals(z.copy())
-        assert np.abs(sv - np.linalg.svd(z, compute_uv=False)).max() < 1e-12
-
-
-@needs_numba
-def test_jacobi_svdvals_rank_deficient():
-    from qsteer._kernels import jacobi_svdvals
-
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    z = (g @ g.conj().T).astype(np.complex128)
-    sv = jacobi_svdvals(z.copy())
-    assert sv[2] < 1e-13 and sv[3] < 1e-13
-
-
-@needs_numba
-def test_measure_rows_lane_parity():
-    rhos = random_rhos(99, 500)
-    a = batch.measure_rows(rhos, lane="numba")
-    b = batch.measure_rows(rhos, lane="numpy")
-    assert np.abs(a[:, : batch.COL_T1] - b[:, : batch.COL_T1]).max() < 1e-10
-    assert np.abs(a[:, batch.COL_T1 : batch.COL_T3 + 1]
-                  - b[:, batch.COL_T1 : batch.COL_T3 + 1]).max() < 1e-9
-    assert np.abs(a[:, batch.COL_L1 :] - b[:, batch.COL_L1 :]).max() < 1e-12
-
-
-@pytest.mark.parametrize("lane", LANES)
-def test_measure_rows_accepts_single_matrix(lane):
-    rho = np.eye(4, dtype=np.complex128) / 4.0
-    rows = batch.measure_rows(rho, lane=lane)
+@pytest.mark.parametrize("form", ["numpy", "list"])
+def test_measure_rows_accepts_single_matrix(form):
+    rho = FORMS[form](np.eye(4, dtype=np.complex128) / 4.0)
+    rows = batch.measure_rows(rho)
     assert rows.shape == (1, batch.N_COLS)
     assert rows[0, batch.COL_PURITY] == pytest.approx(0.25, abs=1e-15)
     assert rows[0, batch.COL_C] == 0.0
@@ -91,12 +36,6 @@ def test_measure_rows_rejects_bad_shapes():
         batch.measure_rows("not a matrix")
 
 
-def test_resolve_lane():
-    assert resolve_lane("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_lane("fortran")
-
-
 def test_spin_flip_matrices_matches_kron_form():
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     y = np.kron(sy, sy)
@@ -104,15 +43,3 @@ def test_spin_flip_matrices_matches_kron_form():
     flipped = batch.spin_flip_matrices(rhos)
     for i in range(8):
         assert np.array_equal(flipped[i], y @ rhos[i].conj() @ y)
-
-
-def test_env_flag_forces_numpy_lane():
-    env = dict(os.environ, QSTEER_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from qsteer._accel import DEFAULT_LANE; print(DEFAULT_LANE)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from qsteer import linalg, measures, states
-from qsteer.errors import NotNormalized, NotRealizable, ParameterOutOfRange
+from qsteer.errors import (
+    NotHermitian,
+    NotNormalized,
+    NotPSD,
+    NotRealizable,
+    ParameterOutOfRange,
+    TraceNotOne,
+    ValidationError,
+)
 
-from conftest import LANES
+from conftest import FORMS
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 YY = np.kron(SY, SY)
@@ -66,12 +74,12 @@ def test_concurrence_pure_matches_density_route():
         )
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_concurrence_against_non_hermitian_oracle(lane):
+@pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
+def test_concurrence_against_non_hermitian_oracle(form):
     rng = np.random.default_rng(2)
     for _ in range(30):
         rho = random_mixed(rng)
-        c = measures.concurrence(rho, lane=lane)
+        c = measures.concurrence(FORMS[form](rho))
         assert c == pytest.approx(concurrence_oracle(rho), abs=1e-7)
 
 
@@ -107,12 +115,12 @@ def test_correlation_matrix_of_product_state():
     assert measures.steerability(rho) == 0.0
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_f_value_equals_singular_value_route(lane):
+@pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
+def test_f_value_equals_singular_value_route(form):
     rng = np.random.default_rng(4)
     for _ in range(25):
-        rho = random_mixed(rng)
-        sv = measures.correlation_singular_values(rho, lane=lane)
+        rho = FORMS[form](random_mixed(rng))
+        sv = measures.correlation_singular_values(rho)
         assert np.all(np.diff(sv) <= 1e-12)
         assert measures.f_value(rho) == pytest.approx(
             float(np.sqrt((sv * sv).sum())), abs=1e-10
@@ -140,26 +148,26 @@ def test_coherence_matches_bloch_vector_length():
     )
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_pure_state_identities(lane):
+@pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
+def test_pure_state_identities(form):
     # S = C, F^2 = 1 + 2C^2, C^2 + D^2 = 1, D_A = D_B
     rng = np.random.default_rng(6)
     for _ in range(20):
         psi = haar_pure(rng)
-        rep = measures.report(np.outer(psi, psi.conj()), lane=lane)
+        rep = measures.report(FORMS[form](np.outer(psi, psi.conj())))
         assert rep.steerability == pytest.approx(rep.concurrence, abs=1e-12)
         assert rep.f_value**2 == pytest.approx(1.0 + 2.0 * rep.concurrence**2, abs=1e-12)
         assert rep.concurrence**2 + rep.coherence_a**2 == pytest.approx(1.0, abs=1e-12)
         assert rep.coherence_a == pytest.approx(rep.coherence_b, abs=1e-12)
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_mixed_state_identities(lane):
+@pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
+def test_mixed_state_identities(form):
     # (1 + D_A^2 + D_B^2 + F^2)/4 = purity, (D_A^2 + D_B^2)/2 + C^2 <= purity,
     # F^2 <= 4 purity - 1
     rng = np.random.default_rng(7)
     for _ in range(40):
-        rep = measures.report(random_mixed(rng), lane=lane)
+        rep = measures.report(FORMS[form](random_mixed(rng)))
         lhs = (1.0 + rep.coherence_a**2 + rep.coherence_b**2 + rep.f_value**2) / 4.0
         assert lhs == pytest.approx(rep.purity, abs=1e-12)
         assert (rep.coherence_a**2 + rep.coherence_b**2) / 2.0 + rep.concurrence**2 \
@@ -225,6 +233,24 @@ def test_classification_of_unsteerable_entangled_state():
     assert rep.steerability == 0.0
     assert rep.classification == "entangled-unsteerable-by-F"
     assert measures.classify(np.eye(4) / 4.0) == "separable-candidate"
+
+
+INVALID_MATRICES = [
+    (np.triu(np.ones((4, 4))) / 4.0, NotHermitian),
+    (np.eye(4) / 2.0, TraceNotOne),
+    (np.diag([0.5, 0.5, 0.5, -0.5]), NotPSD),
+    (np.full((4, 4), np.nan), ValidationError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn", [measures.report, measures.classify, measures.concurrence, measures.f_value,
+           measures.steerability, measures.purity, measures.bound_lower]
+)
+def test_raw_arrays_name_the_failed_invariant(fn):
+    for m, error in INVALID_MATRICES:
+        with pytest.raises(error):
+            fn(m)
 
 
 def test_bounds_match_report_columns():
