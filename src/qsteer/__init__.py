@@ -48,6 +48,7 @@ from .measures import (
     wu_steering_margin,
 )
 from .states import (
+    STREAM_VERSION,
     DensityMatrix,
     KrausChannel,
     PureState,

@@ -12,7 +12,7 @@ import sys
 
 from . import harness, measures
 from .errors import QSteerError
-from .states import SamplerConfig, state_from_json
+from .states import STREAM_VERSION, SamplerConfig, state_from_json
 
 TABLE_FIELDS = (
     "concurrence",
@@ -160,6 +160,7 @@ def _verify(args) -> int:
     payload["seed"] = args.seed
     payload["measure"] = args.measure
     payload["ranks"] = str(args.ranks)
+    payload["stream"] = STREAM_VERSION
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out is not None:

@@ -20,14 +20,15 @@ from .states import (
     DOMAIN_SWEEP,
     PureState,
     SamplerConfig,
-    _rng_for,
     apply_channel,
     bell_like,
     density_from_pure,
     draw_matrices,
     make_ad_channel,
     make_pd_channel,
-    random_unitary,
+    open_uniforms,
+    random_unitaries,
+    stream_block,
     werner_like,
 )
 
@@ -186,25 +187,19 @@ def run_scatter(cfg: SamplerConfig, workers: int = 1) -> list:
 def scatter_csv_lines(ranks: np.ndarray, rows: np.ndarray):
     yield SCATTER_HEADER
     lower, upper = bound_violations(rows)
-    for i in range(len(ranks)):
-        r = rows[i]
-        yield ",".join(
-            (
-                str(i),
-                str(int(ranks[i])),
-                _fmt(r[batch.COL_PURITY]),
-                _fmt(r[batch.COL_C]),
-                _fmt(r[batch.COL_F]),
-                _fmt(r[batch.COL_S]),
-                _fmt(r[batch.COL_Q]),
-                _fmt(r[batch.COL_DA]),
-                _fmt(r[batch.COL_DB]),
-                _fmt(r[batch.COL_LOWER]),
-                _fmt(r[batch.COL_UPPER]),
-                _fmt(lower[i]),
-                _fmt(upper[i]),
-            )
-        )
+    flag = ("false", "true")
+    # purity..upper_bound are adjacent measure-table columns in CSV order;
+    # rows are converted to Python floats one chunk at a time
+    for start in range(0, len(ranks), CHUNK):
+        stop = start + CHUNK
+        for i, k, values, lo, up in zip(
+            range(start, stop),
+            ranks[start:stop].tolist(),
+            rows[start:stop, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
+            lower[start:stop].tolist(),
+            upper[start:stop].tolist(),
+        ):
+            yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
 
 
 def write_scatter_csv(path, ranks: np.ndarray, rows: np.ndarray) -> None:
@@ -282,13 +277,13 @@ def run_family_sweep(
     if family == "wu":
         if p_steps < 2:
             raise ParameterOutOfRange("p-steps must be >= 2")
+        u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
+        ps = u01[:, 0].tolist()
+        thetas = (0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]).tolist()
+        unitaries = random_unitaries(seed, 0, p_steps)
         mats = np.empty((p_steps, 4, 4), np.complex128)
         params = []
-        for i in range(p_steps):
-            rng = _rng_for(seed, i, DOMAIN_SWEEP)
-            p = float(rng.random())
-            theta = float(0.05 + (math.pi / 2.0 - 0.1) * rng.random())
-            u = random_unitary(seed, i)
+        for i, (p, theta, u) in enumerate(zip(ps, thetas, unitaries)):
             phi = PureState(u @ bell_like(theta).amplitudes)
             mats[i] = werner_like(p, phi).matrix
             params.append((theta, p, i, phi))

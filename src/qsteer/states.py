@@ -1,10 +1,11 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based: every record index gets its own Philox stream
-keyed by (seed, index), with a domain tag in the counter so state draws,
-Haar unitaries and sweep parameters never share a stream.  Record i is
-therefore reproducible without generating records 0..i-1, and identical
-configs give bit-identical sequences regardless of call order.
+Sampling is counter-based (stream version 2).  Each (seed, domain) pair keys
+one Philox4x64 generator; domains keep state draws, Haar unitaries and sweep
+parameters apart.  Record i of a domain owns a fixed block of 9 counter steps
+(36 uint64 words) starting at counter step 9 i, so record i is reproducible
+without generating records 0..i-1, and a chunk of records is one
+``random_raw`` call whose output does not depend on how the plan is chunked.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ EIG_TOL = 1e-10
 NORM_TOL = 1e-12
 KRAUS_TOL = 1e-12
 
+STREAM_VERSION = 2
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
+BLOCK_STEPS = 9  # Philox counter steps owned by one record
+BLOCK_WORDS = 4 * BLOCK_STEPS  # uint64 words per record
+N_GAUSS = 16  # complex normals per record: words [0, 16) radii, [16, 32) angles
+RANK_WORD = 32  # its top two bits pick the rank under ranks="uniform"
 
 MEASURES = ("ginibre", "haar-pure")
 MAX_SEED = 2**64
@@ -178,51 +184,73 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _rng_for(seed: int, index: int, domain: int) -> np.random.Generator:
-    counter = np.zeros(4, np.uint64)
-    counter[3] = domain
-    key = np.array([seed, index], np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+def stream_block(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 36) uint64 word blocks of records [start, stop)."""
+    bitgen = np.random.Philox(key=np.array([seed, domain], np.uint64))
+    bitgen.advance(start * BLOCK_STEPS)
+    return bitgen.random_raw((stop - start) * BLOCK_WORDS).reshape(-1, BLOCK_WORDS)
 
 
-def _draw_matrix(cfg: SamplerConfig, index: int) -> tuple[np.ndarray, int]:
-    rng = _rng_for(cfg.seed, index, DOMAIN_STATE)
+def open_uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in (0, 1] from the top 53 bits of each word; never 0."""
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _gaussians(blocks: np.ndarray) -> np.ndarray:
+    """(n, 16) standard complex normals from the first 32 words (Box-Muller)."""
+    u = open_uniforms(blocks[:, : 2 * N_GAUSS])
+    radius = np.sqrt(-2.0 * np.log(u[:, :N_GAUSS]))
+    angle = 2.0 * np.pi * u[:, N_GAUSS:]
+    z = np.empty(radius.shape, np.complex128)
+    z.real = radius * np.cos(angle)
+    z.imag = radius * np.sin(angle)
+    return z
+
+
+def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw matrices and rank draws for records [start, stop), unvalidated.
+
+    Record i is G G^dag / tr(G G^dag) for the 4x4 Ginibre matrix G of its
+    block (row-major) cut to its first k columns; haar-pure keeps column 0.
+    """
+    if not 0 <= start <= stop <= cfg.count:
+        raise IndexOutOfRange(f"records [{start}, {stop}) outside [0, {cfg.count})")
+    blocks = stream_block(cfg.seed, DOMAIN_STATE, start, stop)
+    g = _gaussians(blocks).reshape(-1, 4, 4)
+    n = g.shape[0]
     if cfg.measure == "haar-pure":
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        z /= np.sqrt((z * z.conj()).real.sum())
-        return np.outer(z, z.conj()), 1
-    k = cfg.ranks if isinstance(cfg.ranks, int) else 1 + int(rng.integers(4))
-    g = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    return rho, k
+        z = g[:, :, 0]
+        z /= np.sqrt((z * z.conj()).real.sum(axis=1))[:, None]
+        return z[:, :, None] * z.conj()[:, None, :], np.ones(n, np.int64)
+    if cfg.ranks == "uniform":
+        ranks = 1 + (blocks[:, RANK_WORD] >> np.uint64(62)).astype(np.int64)
+    else:
+        ranks = np.full(n, cfg.ranks, np.int64)
+    g *= (np.arange(4) < ranks[:, None])[:, None, :]
+    rhos = np.einsum("nrc,nsc->nrs", g, g.conj())
+    rhos /= np.einsum("nii->n", rhos).real[:, None, None]
+    return rhos, ranks
 
 
 def random_state(cfg: SamplerConfig, index: int) -> DensityMatrix:
     """Record ``index`` of the sampling plan, deterministic in (seed, index)."""
     if not 0 <= index < cfg.count:
         raise IndexOutOfRange(f"index {index} outside [0, {cfg.count})")
-    rho, _ = _draw_matrix(cfg, index)
-    return DensityMatrix(rho)
+    rhos, _ = draw_matrices(cfg, index, index + 1)
+    return DensityMatrix(rhos[0])
 
 
-def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw matrices and rank draws for records [start, stop), unvalidated."""
-    n = stop - start
-    rhos = np.empty((n, 4, 4), np.complex128)
-    ranks = np.empty(n, np.int64)
-    for i in range(n):
-        rhos[i], ranks[i] = _draw_matrix(cfg, start + i)
-    return rhos, ranks
+def random_unitaries(seed: int, start: int, stop: int) -> np.ndarray:
+    """Haar-distributed 4x4 unitaries for records [start, stop) of ``seed``."""
+    z = _gaussians(stream_block(seed, DOMAIN_UNITARY, start, stop)).reshape(-1, 4, 4)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_unitary(seed: int, index: int) -> np.ndarray:
     """Haar-distributed 4x4 unitary, deterministic in (seed, index)."""
-    rng = _rng_for(seed, index, DOMAIN_UNITARY)
-    z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return random_unitaries(seed, index, index + 1)[0]
 
 
 def state_to_json(rho: DensityMatrix) -> dict:

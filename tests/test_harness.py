@@ -57,6 +57,25 @@ def test_scatter_csv_layout():
         float(token)
 
 
+def test_scatter_csv_rows_match_per_cell_format():
+    # rows across a chunk boundary, against a cell-by-cell repr of each value
+    n = harness.CHUNK + 3
+    rng = np.random.default_rng(3)
+    rows = rng.random((n, batch.N_COLS))
+    rows[::7, batch.COL_C] = 0.0
+    rows[::11, batch.COL_Q] = 1e-300
+    rows[::5, batch.COL_S] = rows[::5, batch.COL_UPPER] + 1.0
+    ranks = rng.integers(1, 5, n)
+    lower, upper = harness.bound_violations(rows)
+    expect = [harness.SCATTER_HEADER] + [
+        ",".join([str(i), str(int(ranks[i]))]
+                 + [repr(float(x)) for x in rows[i, : batch.COL_UPPER + 1]]
+                 + ["true" if lower[i] else "false", "true" if upper[i] else "false"])
+        for i in range(n)
+    ]
+    assert list(harness.scatter_csv_lines(ranks, rows)) == expect
+
+
 def test_bound_violations_set_the_csv_flags():
     # S beyond, on and inside each bound, by twice the slack
     rows = np.zeros((4, batch.N_COLS))

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from qsteer import measures, states
+from qsteer import harness, measures, states
 from qsteer.errors import (
     ChannelIncomplete,
     IndexOutOfRange,
@@ -142,12 +143,96 @@ def test_draws_are_deterministic_and_chunk_independent():
     assert np.array_equal(states.random_state(cfg, 5).matrix, a[5])
 
 
+# sha256 over draw_matrices(cfg, start, stop): the matrix bytes, then the
+# rank bytes.  A change to the stream version 2 layout, the Box-Muller map or
+# the rank bits changes these digests and has to be made on purpose.  The
+# matrices pass through numpy's log/cos/sin; the digests were taken with
+# numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
+# last bit.
+STREAM_GOLDEN = [
+    (("ginibre", "uniform", 7, 0, 64),
+     "45cc9bb7a780cabd46dbf2669a31ae3d35245e67a14d447b7aa1f40ea82dd510"),
+    (("ginibre", 3, 2**64 - 1, 4093, 4101),
+     "6207bfdd9ec45c6c04b0e8689a8f4bbb5b09ef80344db5050b2d6e981b403fe1"),
+    (("haar-pure", "uniform", 0, 100_000, 100_016),
+     "41fe9326b367dbc7b9b7a7e6a8e8d15dc78f345b72a646ce805dededac570e6e"),
+]
+
+
+@pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
+                         ids=["ginibre-uniform", "ginibre-rank3-max-seed", "haar-pure"])
+def test_stream_v2_golden_digests(plan, digest):
+    assert states.STREAM_VERSION == 2
+    measure, ranks, seed, start, stop = plan
+    cfg = states.SamplerConfig(measure, ranks, seed=seed, count=stop)
+    rhos, ks = states.draw_matrices(cfg, start, stop)
+    h = hashlib.sha256(rhos.tobytes())
+    h.update(ks.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_stream_block_layout():
+    # record i owns counter steps [9 i, 9 (i + 1)): 36 consecutive raw words
+    raw = np.random.Philox(key=[7, states.DOMAIN_STATE]).random_raw(40 * 36)
+    assert np.array_equal(states.stream_block(7, states.DOMAIN_STATE, 0, 40),
+                          raw.reshape(40, 36))
+    assert np.array_equal(states.stream_block(7, states.DOMAIN_STATE, 13, 14)[0],
+                          raw[13 * 36 : 14 * 36])
+    assert states.stream_block(7, states.DOMAIN_STATE, 5, 5).shape == (0, 36)
+    # domains key separate generators
+    assert not np.array_equal(states.stream_block(7, states.DOMAIN_UNITARY, 0, 1),
+                              raw[:36].reshape(1, 36))
+    u = states.open_uniforms(np.array([0, 2**11 - 1, 2**64 - 1], np.uint64))
+    assert u[0] == u[1] == 2.0**-54 and u[2] == 1.0
+
+
+@pytest.mark.parametrize("measure", states.MEASURES)
+def test_slices_match_the_whole_draw(measure):
+    chunk = harness.CHUNK
+    count = 2 * chunk + 9
+    cfg = states.SamplerConfig(measure, "uniform", seed=2024, count=count)
+    whole, ranks = states.draw_matrices(cfg, 0, count)
+    for start, stop in ((1, 2), (3, 10), (chunk - 3, chunk + 4), (chunk - 1, 2 * chunk + 1),
+                        (2 * chunk + 1, count)):
+        part, kpart = states.draw_matrices(cfg, start, stop)
+        assert np.array_equal(part, whole[start:stop])
+        assert np.array_equal(kpart, ranks[start:stop])
+    for i in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+        assert np.array_equal(states.random_state(cfg, i).matrix, whole[i])
+    unitaries = states.random_unitaries(2024, chunk - 2, chunk + 3)
+    for j, u in enumerate(unitaries):
+        assert np.array_equal(u, states.random_unitary(2024, chunk - 2 + j))
+
+
+def test_ginibre_rank_and_purity_distribution():
+    # Induced measure on C^4 x C^k: E[purity] = (4 + k) / (4 k + 1);
+    # ranks under "uniform" are equally likely.  5 standard errors each; rank-1
+    # purities are 1 up to rounding, hence the 1e-12 floor.
+    n = 200_000
+    cfg = states.SamplerConfig("ginibre", "uniform", seed=4242, count=n)
+    purity = np.empty(n)
+    ranks = np.empty(n, np.int64)
+    for start in range(0, n, 50_000):
+        rhos, ranks[start : start + 50_000] = states.draw_matrices(cfg, start, start + 50_000)
+        purity[start : start + 50_000] = np.einsum("kij,kij->k", rhos, rhos.conj()).real
+    sigma = np.sqrt(n * 0.25 * 0.75)
+    for k in (1, 2, 3, 4):
+        sel = purity[ranks == k]
+        assert abs(sel.size - n / 4) < 5 * sigma
+        expect = (4 + k) / (4 * k + 1)
+        stderr = sel.std(ddof=1) / np.sqrt(sel.size)
+        assert abs(sel.mean() - expect) < 5 * stderr + 1e-12, (k, sel.mean(), expect)
+
+
 def test_random_state_index_bounds():
     cfg = states.SamplerConfig("ginibre", "uniform", seed=1, count=3)
     with pytest.raises(IndexOutOfRange):
         states.random_state(cfg, 3)
     with pytest.raises(IndexOutOfRange):
         states.random_state(cfg, -1)
+    for start, stop in ((-1, 2), (2, 1), (0, 4)):
+        with pytest.raises(IndexOutOfRange):
+            states.draw_matrices(cfg, start, stop)
 
 
 def test_seeds_give_distinct_streams():
