@@ -16,7 +16,6 @@ from .errors import (
 )
 from .harness import (
     FalsificationSummary,
-    RegionRecord,
     RegionScanResult,
     SampleRecord,
     SweepRecord,
@@ -62,6 +61,7 @@ from .states import (
     random_unitary,
     state_from_json,
     state_to_json,
+    validate_stack,
     werner_like,
 )
 

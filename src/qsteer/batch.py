@@ -3,12 +3,15 @@
 measure_rows() is the single route to every per-state scalar, shared by the
 scalar functions in measures and by the harness.  It returns an (n, 16)
 float64 table with the column layout below, vectorized over the whole stack
-with LAPACK.
+with LAPACK.  It validates the stack with states.validate_stack, taking the
+PSD check from the eigenvalues it computes anyway.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .states import validate_stack
 
 # column layout of the measure table
 COL_PURITY = 0
@@ -49,17 +52,21 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     rhos : (n, 4, 4) or (4, 4) complex array
-        Density matrices; assumed already validated.
+        Density matrices.  The first invalid one raises the ValidationError
+        that names its broken invariant and its index.
     """
     rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
     if rhos.ndim == 2:
         rhos = rhos[None]
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError(f"expected a (n, 4, 4) stack, got {rhos.shape}")
+    if not np.isfinite(rhos.view(np.float64)).all():
+        validate_stack(rhos)  # raises; eigh needs finite input
+    w, v = np.linalg.eigh(rhos)
+    validate_stack(rhos, eigenvalues=w)
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
-    w, v = np.linalg.eigh(rhos)
     np.clip(w, 0.0, None, out=w)
     root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     # sqrt(rho) flip(rho) sqrt(rho) = W W^dag; its sqrt-eigenvalues are the

@@ -18,18 +18,17 @@ from . import batch, measures
 from .errors import ParameterOutOfRange
 from .states import (
     DOMAIN_SWEEP,
-    PureState,
     SamplerConfig,
-    apply_channel,
+    apply_channels,
     bell_like,
-    density_from_pure,
     draw_matrices,
     make_ad_channel,
     make_pd_channel,
     open_uniforms,
+    pure_projectors,
     random_unitaries,
     stream_block,
-    werner_like,
+    werner_mixtures,
 )
 
 SLACK = 1e-9
@@ -49,6 +48,9 @@ REGION_STEERABLE = "steerable"
 REGION_ENTANGLED = "entangled-unknown"
 REGION_SEPARABLE = "separable-boundary"
 REGION_UNREALIZABLE = "unrealizable"
+# RegionScanResult.regions holds indices into this tuple, which lists the
+# regions in the order run_region_scan tests for them
+REGION_LABELS = (REGION_UNREALIZABLE, REGION_STEERABLE, REGION_ENTANGLED, REGION_SEPARABLE)
 
 
 def _fmt(x) -> str:
@@ -95,16 +97,14 @@ class SweepRecord:
     max_abs_discrepancy: float
 
 
-@dataclass(frozen=True)
-class RegionRecord:
-    purity: float
-    concurrence: float
-    region: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionScanResult:
-    records: list
+    """The (purity, C) grid: regions[i, j] indexes REGION_LABELS for
+    purities[i] and concurrences[j]."""
+
+    purities: np.ndarray
+    concurrences: np.ndarray
+    regions: np.ndarray
     criterion_boundary: list
     werner_envelope: list
 
@@ -250,29 +250,25 @@ def run_family_sweep(
         thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
         etas = np.linspace(0.0, 1.0, eta_steps)
         make = make_ad_channel if family == "ad" else make_pd_channel
-        mats = np.empty((theta_steps * eta_steps, 4, 4), np.complex128)
-        params = []
+        bases = pure_projectors([bell_like(th).amplitudes for th in thetas])
+        mats = apply_channels(bases, [make(eta) for eta in etas])
+        rows = batch.measure_rows(mats.reshape(-1, 4, 4))
+        records = []
         k = 0
         for th in thetas:
-            base = density_from_pure(bell_like(th))
             for eta in etas:
-                mats[k] = apply_channel(base, make(eta)).matrix
-                params.append((th, eta))
+                if family == "ad":
+                    cf = measures.bad_closed_forms(th, eta)
+                    closed = (cf.concurrence, cf.steerability,
+                              math.sqrt(2.0 * cf.concurrence**2 + 2.0 * cf.purity - 1.0),
+                              cf.purity)
+                else:
+                    cf = measures.bpd_closed_forms(th, eta)
+                    closed = (cf.concurrence, cf.steerability,
+                              math.sqrt(1.0 + 2.0 * cf.concurrence**2),
+                              cf.purity)
+                records.append(_sweep_record(family, th, eta, None, rows[k], closed))
                 k += 1
-        rows = batch.measure_rows(mats)
-        records = []
-        for k, (th, eta) in enumerate(params):
-            if family == "ad":
-                cf = measures.bad_closed_forms(th, eta)
-                closed = (cf.concurrence, cf.steerability,
-                          math.sqrt(2.0 * cf.concurrence**2 + 2.0 * cf.purity - 1.0),
-                          cf.purity)
-            else:
-                cf = measures.bpd_closed_forms(th, eta)
-                closed = (cf.concurrence, cf.steerability,
-                          math.sqrt(1.0 + 2.0 * cf.concurrence**2),
-                          cf.purity)
-            records.append(_sweep_record(family, th, eta, None, rows[k], closed))
         return records
     if family == "wu":
         if p_steps < 2:
@@ -280,19 +276,14 @@ def run_family_sweep(
         u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
         ps = u01[:, 0].tolist()
         thetas = (0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]).tolist()
-        unitaries = random_unitaries(seed, 0, p_steps)
-        mats = np.empty((p_steps, 4, 4), np.complex128)
-        params = []
-        for i, (p, theta, u) in enumerate(zip(ps, thetas, unitaries)):
-            phi = PureState(u @ bell_like(theta).amplitudes)
-            mats[i] = werner_like(p, phi).matrix
-            params.append((theta, p, i, phi))
-        rows = batch.measure_rows(mats)
+        amps = np.array([bell_like(theta).amplitudes for theta in thetas])
+        phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
+        rows = batch.measure_rows(werner_mixtures(ps, phis))  # checks the phis' norms
         records = []
-        for i, (theta, p, useed, phi) in enumerate(params):
+        for i, (theta, p, phi) in enumerate(zip(thetas, ps, phis)):
             cf = measures.wu_closed_forms(p, phi)
             closed = (cf.concurrence, cf.steerability, cf.f_value, cf.purity)
-            records.append(_sweep_record("wu", theta, p, useed, rows[i], closed))
+            records.append(_sweep_record("wu", theta, p, i, rows[i], closed))
         return records
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
 
@@ -325,10 +316,10 @@ def write_sweep_csv(path, records) -> None:
             fh.write(line + "\n")
 
 
-def _boundary_concurrence(p: float) -> float:
+def _boundary_concurrence(p):
     """Concurrence where the (C, purity) steering criterion crosses zero
     along purity = (1 + 3p^2)/4 (closed-form root of the quadratic)."""
-    return (math.sqrt(2.0 * (1.0 - p * p)) - (1.0 - p)) / 2.0
+    return (np.sqrt(2.0 * (1.0 - p * p)) - (1.0 - p)) / 2.0
 
 
 def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanResult:
@@ -341,40 +332,37 @@ def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanRe
         raise ParameterOutOfRange("grid must be at least 2x2")
     purities = np.linspace(0.25, 1.0, purity_steps)
     concs = np.linspace(0.0, 1.0, c_steps)
-    records = []
-    for u in purities:
-        p = math.sqrt(max(0.0, (4.0 * u - 1.0) / 3.0))
-        cmax = max(0.0, (3.0 * p - 1.0) / 2.0)
-        for c in concs:
-            if c > cmax + SLACK:
-                region = REGION_UNREALIZABLE
-            elif measures.wu_steering_margin(c, u) > 0.0:
-                region = REGION_STEERABLE
-            elif c > 0.0:
-                region = REGION_ENTANGLED
-            else:
-                region = REGION_SEPARABLE
-            records.append(RegionRecord(float(u), float(c), region))
-    boundary = []
-    envelope = []
-    for u in purities:
-        p = math.sqrt(max(0.0, (4.0 * u - 1.0) / 3.0))
-        envelope.append((float(u), max(0.0, (3.0 * p - 1.0) / 2.0)))
-        if p * p >= 1.0 / 3.0:
-            boundary.append((float(u), _boundary_concurrence(p)))
-    return RegionScanResult(records, boundary, envelope)
+    p = np.sqrt(np.maximum(0.0, (4.0 * purities - 1.0) / 3.0))
+    cmax = np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
+    margin = measures.wu_steering_margin(concs[None, :], purities[:, None])
+    # the first condition that holds picks the region
+    regions = np.select(
+        [concs[None, :] > cmax[:, None] + SLACK, margin > 0.0,
+         np.broadcast_to(concs > 0.0, margin.shape)],
+        [0, 1, 2], default=3,
+    ).astype(np.int8)
+    crossed = p * p >= 1.0 / 3.0
+    boundary = list(zip(purities[crossed].tolist(),
+                        _boundary_concurrence(p[crossed]).tolist()))
+    envelope = list(zip(purities.tolist(), cmax.tolist()))
+    return RegionScanResult(purities, concs, regions, boundary, envelope)
 
 
-def region_csv_lines(records):
+def region_csv_lines(result: RegionScanResult):
+    """The header, then the lines of one purity row per item, joined by
+    newlines."""
     yield REGION_HEADER
-    for r in records:
-        yield ",".join((_fmt(r.purity), _fmt(r.concurrence), r.region))
+    cells = [[f"{c!r},{label}" for label in REGION_LABELS]
+             for c in result.concurrences.tolist()]
+    for u, codes in zip(result.purities.tolist(), result.regions.tolist()):
+        head = f"{u!r},"
+        yield "\n".join([head + cell[k] for cell, k in zip(cells, codes)])
 
 
 def write_region_csv(path, result: RegionScanResult) -> None:
     with open(path, "w", newline="") as fh:
-        for line in region_csv_lines(result.records):
-            fh.write(line + "\n")
+        for block in region_csv_lines(result):
+            fh.write(block + "\n")
 
 
 def write_boundary_csv(path, series) -> None:

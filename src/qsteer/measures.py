@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch
-from .errors import NotNormalized, NotRealizable, ParameterOutOfRange
+from .errors import NotRealizable, ParameterOutOfRange
 from .states import DensityMatrix, PureState
 
 CLASS_SEPARABLE = "separable-candidate"
@@ -38,13 +38,9 @@ def _row(rho) -> np.ndarray:
 
 
 def _vec(psi) -> np.ndarray:
-    if isinstance(psi, PureState):
-        return np.asarray(psi.amplitudes, dtype=np.complex128)
-    a = np.asarray(psi, dtype=np.complex128)
-    norm = float(np.sqrt((a * a.conj()).real.sum()))
-    if abs(norm - 1.0) > 1e-12:
-        raise NotNormalized(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return a
+    if not isinstance(psi, PureState):
+        psi = PureState(psi)
+    return psi.amplitudes
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -236,11 +232,17 @@ def wu_closed_forms(p: float, phi) -> WuForms:
     return WuForms(conc, steer, fval, pur)
 
 
-def wu_steering_margin(conc: float, pur: float) -> float:
-    """Signed argument x + Q^2 - 1 of the (C, purity) steering criterion."""
-    p = np.sqrt(max(0.0, (4.0 * pur - 1.0) / 3.0))
+def wu_steering_margin(conc, pur):
+    """Signed argument x + Q^2 - 1 of the (C, purity) steering criterion.
+
+    Elementwise over arrays that broadcast together; a float for scalars.
+    """
+    conc = np.asarray(conc, dtype=np.float64)
+    pur = np.asarray(pur, dtype=np.float64)
+    p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
     x = 0.5 * (1.0 + 2.0 * conc) * (1.0 - p)
-    return float(x + conc * conc + pur - 1.0)
+    margin = x + conc * conc + pur - 1.0
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def wu_steerability_from_c_purity(conc: float, pur: float) -> float:

@@ -50,6 +50,86 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _raise_first(checks) -> None:
+    """Raise for the first failing row of a stack.
+
+    ``checks`` lists (mask, error) pairs in invariant order, at least one
+    mask set: ``mask`` flags the rows that break the invariant and
+    ``error(i)`` builds the exception for row i.  The lowest flagged row
+    raises the error of its first broken invariant.
+    """
+    i = min(int(np.argmax(mask)) for mask, _ in checks if mask.any())
+    for mask, error in checks:
+        if mask[i]:
+            raise error(i)
+
+
+def validate_amplitudes(a) -> np.ndarray:
+    """Check an (n, 4) stack of state vectors; return it as complex128.
+
+    Each row must be finite with norm 1 within NORM_TOL.  The first bad row
+    raises ValidationError or NotNormalized, naming its index.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise ValidationError(f"amplitudes must have shape (n, 4), got {a.shape}")
+    dev = np.abs(np.sqrt((a * a.conj()).real.sum(axis=1)) - 1.0)
+    if not (dev <= NORM_TOL).all():  # a non-finite row fails this too
+        finite = np.isfinite(a.view(np.float64)).all(axis=1)
+        _raise_first((
+            (~finite, lambda i: ValidationError(
+                f"amplitudes contain non-finite entries at index {i}")),
+            (dev > NORM_TOL, lambda i: NotNormalized(
+                f"state vector norm deviates from 1 by {dev[i]:.3e} at index {i}")),
+        ))
+    return a
+
+
+def validate_stack(m, eigenvalues=None) -> np.ndarray:
+    """Check an (n, 4, 4) stack of density matrices; return it as complex128.
+
+    Each matrix must be finite, Hermitian (max |m - m^dag| <= HERM_TOL), of
+    trace 1 (|tr m - 1| <= TRACE_TOL) and positive semidefinite (least
+    eigenvalue >= -EIG_TOL).  The first bad matrix raises ValidationError,
+    NotHermitian, TraceNotOne or NotPSD for its first broken invariant, in
+    that order, naming its index.  ``eigenvalues`` are the ascending
+    eigenvalues of each matrix when the caller has them already; without
+    them the Hermitian part of each matrix that passes the other checks is
+    solved here.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValidationError(f"matrices must have shape (n, 4, 4), got {m.shape}")
+    n = m.shape[0]
+    mh = m.conj().transpose(0, 2, 1)
+    herm_dev = np.abs(m - mh).reshape(n, 16).max(axis=1)
+    trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
+    # a non-finite entry makes herm_dev non-finite, so such a matrix fails here
+    cheap = (herm_dev <= HERM_TOL) & (trace_dev <= TRACE_TOL)
+    if eigenvalues is not None:
+        wmin = eigenvalues[:, 0]
+    elif cheap.all():
+        wmin = np.linalg.eigvalsh((m + mh) / 2.0)[:, 0]
+    else:
+        wmin = np.zeros(n)
+        if cheap.any():
+            wmin[cheap] = np.linalg.eigvalsh((m[cheap] + mh[cheap]) / 2.0)[:, 0]
+    if cheap.all() and (wmin >= -EIG_TOL).all():
+        return m
+    finite = np.isfinite(m.view(np.float64)).reshape(n, 32).all(axis=1)
+    _raise_first((
+        (~finite, lambda i: ValidationError(
+            f"matrix contains non-finite entries at index {i}")),
+        (herm_dev > HERM_TOL, lambda i: NotHermitian(
+            f"matrix is not Hermitian (max deviation {herm_dev[i]:.3e}) at index {i}")),
+        (trace_dev > TRACE_TOL, lambda i: TraceNotOne(
+            f"trace deviates from 1 by {trace_dev[i]:.3e} at index {i}")),
+        (cheap & (wmin < -EIG_TOL), lambda i: NotPSD(
+            f"matrix is not positive semidefinite (min eigenvalue {wmin[i]:.3e}) "
+            f"at index {i}")),
+    ))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized two-qubit state vector."""
@@ -60,11 +140,7 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=np.complex128)
         if a.shape != (4,):
             raise ValidationError(f"amplitudes must have shape (4,), got {a.shape}")
-        if not np.isfinite(a.view(np.float64)).all():
-            raise ValidationError("amplitudes contain non-finite entries")
-        norm = float(np.sqrt((a * a.conj()).real.sum()))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state vector norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        validate_amplitudes(a[None])
         object.__setattr__(self, "amplitudes", _frozen(a))
 
 
@@ -78,17 +154,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (4, 4):
             raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
-        if not np.isfinite(m.view(np.float64)).all():
-            raise ValidationError("matrix contains non-finite entries")
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERM_TOL:
-            raise NotHermitian(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if wmin < -EIG_TOL:
-            raise NotPSD(f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})")
+        validate_stack(m[None])
         object.__setattr__(self, "matrix", _frozen(m))
 
 
@@ -143,17 +209,30 @@ def bell_like(theta: float) -> PureState:
     return PureState(a)
 
 
+def pure_projectors(amps) -> np.ndarray:
+    """Raw |a><a| for each row of an (n, 4) stack of state vectors."""
+    a = validate_amplitudes(amps)
+    return a[:, :, None] * a.conj()[:, None, :]
+
+
 def density_from_pure(psi: PureState) -> DensityMatrix:
-    a = psi.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()))
+    return DensityMatrix(pure_projectors(psi.amplitudes[None])[0])
+
+
+def werner_mixtures(ps, amps) -> np.ndarray:
+    """Raw p |phi><phi| + (1 - p) I/4 for each p and row phi of ``amps``."""
+    ps = np.asarray(ps, dtype=np.float64)
+    outside = ~((0.0 <= ps) & (ps <= 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ParameterOutOfRange(f"p must lie in [0, 1], got {ps[i]} at index {i}")
+    ps = ps[:, None, None]
+    return ps * pure_projectors(amps) + (1.0 - ps) * np.eye(4) / 4.0
 
 
 def werner_like(p: float, phi: PureState) -> DensityMatrix:
     """p |phi><phi| + (1 - p) I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"p must lie in [0, 1], got {p}")
-    a = phi.amplitudes
-    return DensityMatrix(p * np.outer(a, a.conj()) + (1.0 - p) * np.eye(4) / 4.0)
+    return DensityMatrix(werner_mixtures([p], phi.amplitudes[None])[0])
 
 
 def make_ad_channel(eta: float, target: str = "A") -> KrausChannel:
@@ -174,14 +253,30 @@ def make_pd_channel(eta: float, target: str = "A") -> KrausChannel:
     return KrausChannel((k0, k1), target=target, eta=eta)
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    m = rho.matrix
+def apply_channels(rhos, channels) -> np.ndarray:
+    """Raw (n, len(channels), 4, 4) stack: every channel applied to every
+    matrix of the (n, 4, 4) stack ``rhos``.
+
+    Each output is sum_k (op_k rho) op_k^dag over the channel's two-qubit
+    operators op_k, accumulated in operator order into a zero matrix.  A
+    channel with fewer operators than the longest one is padded with zero
+    operators, which add exact zeros.
+    """
+    rhos = np.asarray(rhos, dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
-    out = np.zeros((4, 4), np.complex128)
-    for k in channel.operators:
-        op = np.kron(k, eye) if channel.target == "A" else np.kron(eye, k)
-        out += op @ m @ op.conj().T
-    return DensityMatrix(out)
+    n_ops = max(len(ch.operators) for ch in channels)
+    ops = np.zeros((n_ops, len(channels), 4, 4), np.complex128)
+    for j, ch in enumerate(channels):
+        for k, op in enumerate(ch.operators):
+            ops[k, j] = np.kron(op, eye) if ch.target == "A" else np.kron(eye, op)
+    out = np.zeros((rhos.shape[0], len(channels), 4, 4), np.complex128)
+    for op in ops:
+        out += (op @ rhos[:, None]) @ op.conj().transpose(0, 2, 1)
+    return out
+
+
+def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    return DensityMatrix(apply_channels(rho.matrix[None], (channel,))[0, 0])
 
 
 def stream_block(seed: int, domain: int, start: int, stop: int) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +207,19 @@ def test_verify_reruns_identically(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    # no install: the package is found through PYTHONPATH=src alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "region.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsteer", "wu-scan", "--grid", "4x5", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("purity,C,region\n")
+    assert len(out.read_text().splitlines()) == 21
+    for name in ("region_boundary.csv", "region_werner.csv"):
+        assert (tmp_path / name).read_text().startswith("purity,C\n")

@@ -80,8 +80,13 @@ def test_boundary_concurrence_closed_form():
 
 def test_region_scan_known_cells():
     result = harness.run_region_scan(4, 5)
-    table = {(round(r.purity, 6), round(r.concurrence, 6)): r.region for r in result.records}
-    assert len(result.records) == 20
+    assert result.regions.shape == (4, 5)
+    table = {
+        (round(u, 6), round(c, 6)): harness.REGION_LABELS[result.regions[i, j]]
+        for i, u in enumerate(result.purities.tolist())
+        for j, c in enumerate(result.concurrences.tolist())
+    }
+    assert len(table) == 20
     assert table[(0.25, 0.0)] == "separable-boundary"
     assert table[(0.25, 0.5)] == "unrealizable"
     assert table[(1.0, 0.0)] == "separable-boundary"

@@ -141,9 +141,15 @@ def test_sweep_csv_fields(tmp_path):
 
 def test_region_csv_round_trip(tmp_path):
     result = harness.run_region_scan(3, 3)
-    lines = list(harness.region_csv_lines(result.records))
+    lines = "\n".join(harness.region_csv_lines(result)).split("\n")
     assert lines[0] == harness.REGION_HEADER
     assert len(lines) == 10
+    # one line per cell, purity-major, in the grid's order
+    for n, line in enumerate(lines[1:]):
+        i, j = divmod(n, 3)
+        u, c, region = line.split(",")
+        assert (float(u), float(c)) == (result.purities[i], result.concurrences[j])
+        assert region == harness.REGION_LABELS[result.regions[i, j]]
     path = tmp_path / "region.csv"
     harness.write_region_csv(path, result)
     assert path.read_text() == "\n".join(lines) + "\n"
@@ -193,3 +199,37 @@ def test_falsification_margins_match_table():
     summary = harness.run_falsification(cfg)
     assert summary.worst_margin_lower == pytest.approx(margin_lower.min(), abs=1e-15)
     assert summary.worst_margin_upper == pytest.approx(margin_upper.min(), abs=1e-15)
+
+
+def _counted(monkeypatch, targets):
+    """Wrap each (owner, name) in ``targets``; return the list of calls."""
+    calls = []
+    for owner, name in targets:
+        def wrapper(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["ad", "pd", "wu"])
+def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
+    # structural guard against per-point construction: counts calls, no timing
+    built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__")])
+    checks = _counted(monkeypatch, [(batch, "validate_stack"), (states, "validate_stack")])
+    solves = _counted(monkeypatch, [(np.linalg, "eigvalsh"), (np.linalg, "eigh")])
+    measured = _counted(monkeypatch, [(batch, "measure_rows")])
+    records = harness.run_family_sweep(family, theta_steps=50, eta_steps=50, p_steps=1000)
+    assert len(records) == (1000 if family == "wu" else 2500)
+    assert len(built) <= 50 + 2
+    assert 1 <= len(checks) <= 3
+    assert 1 <= len(solves) <= 4
+    assert len(measured) == 1
+
+
+def test_region_scan_classifies_the_grid_at_once(monkeypatch):
+    margins = _counted(monkeypatch, [(measures, "wu_steering_margin")])
+    result = harness.run_region_scan(400, 400)
+    assert result.regions.shape == (400, 400)
+    assert len(margins) <= 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsteer import batch
+from qsteer.errors import NotHermitian, NotPSD, TraceNotOne, ValidationError
 
 from conftest import FORMS
 
@@ -43,3 +44,34 @@ def test_spin_flip_matrices_matches_kron_form():
     flipped = batch.spin_flip_matrices(rhos)
     for i in range(8):
         assert np.array_equal(flipped[i], y @ rhos[i].conj() @ y)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.diag([np.nan, 0.5, 0.25, 0.25]), ValidationError),
+    # upper-triangular with trace 1: was measured as C = S = 0
+    (np.triu(np.ones((4, 4))) / 4.0, NotHermitian),
+    # I/2: was measured as purity 1.0
+    (np.eye(4) / 2.0, TraceNotOne),
+    (np.diag([1.5, -0.5, 0.0, 0.0]), NotPSD),
+], ids=["nan", "upper-triangular", "half-identity", "negative-eigenvalue"])
+def test_measure_rows_rejects_invalid_matrices(bad, error):
+    rhos = random_rhos(9, 6)
+    rhos[4] = bad
+    with pytest.raises(error, match="at index 4$") as err:
+        batch.measure_rows(rhos)
+    assert type(err.value) is error
+
+
+def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _orig=orig, **kwargs):
+            solves.append((_name, a.shape[-1]))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    batch.measure_rows(random_rhos(10, 50))
+    # one 4x4 eigh for the whole stack; the only eigvalsh is the 3x3 T^T T
+    assert sorted(solves) == [("eigh", 4), ("eigvalsh", 3)]

@@ -64,6 +64,19 @@ def test_concurrence_pure_spot_values():
         measures.concurrence_pure(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("fn", [measures.concurrence_pure,
+                                lambda a: measures.wu_closed_forms(0.5, a)],
+                         ids=["concurrence_pure", "wu_closed_forms"])
+def test_raw_vectors_name_the_failed_invariant(fn):
+    # a NaN vector used to give nan, a length-3 one a bare numpy ValueError
+    with pytest.raises(ValidationError, match="non-finite"):
+        fn(np.array([np.nan, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValidationError, match="shape"):
+        fn(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NotNormalized):
+        fn(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
 def test_concurrence_pure_matches_density_route():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -335,6 +348,18 @@ def test_wu_closed_forms_match_pipeline():
         assert rep.purity == pytest.approx(forms.purity, abs=1e-12)
     with pytest.raises(ParameterOutOfRange):
         measures.wu_closed_forms(1.0001, phi)
+
+
+def test_wu_steering_margin_over_arrays_matches_scalar_calls():
+    concs = np.linspace(0.0, 1.0, 7)
+    purs = np.linspace(0.25, 1.0, 5)
+    grid = measures.wu_steering_margin(concs[None, :], purs[:, None])
+    assert grid.shape == (5, 7)
+    for i, u in enumerate(purs):
+        for j, c in enumerate(concs):
+            scalar = measures.wu_steering_margin(float(c), float(u))
+            assert isinstance(scalar, float)
+            assert grid[i, j] == scalar
 
 
 def test_wu_steerability_from_c_purity():

@@ -53,6 +53,82 @@ def test_density_matrix_validation():
         rho.matrix[0, 0] = 1.0
 
 
+# one matrix breaking each DensityMatrix invariant, in check order
+INVALID = {
+    "finite": np.diag([np.nan, 0.5, 0.25, 0.25]),
+    "hermitian": np.diag([1.0, 0, 0, 0]) + 1e-3 * np.eye(4, k=1),
+    "trace": np.eye(4) / 3.0,
+    "psd": np.diag([1.5, -0.5, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("invariant", list(INVALID))
+def test_validate_stack_agrees_with_density_matrix(invariant):
+    bad = INVALID[invariant]
+    with pytest.raises(ValidationError, match="at index 0$") as single:
+        states.DensityMatrix(bad)
+    good = np.eye(4) / 4.0
+    stack = np.stack([good, good, good, bad, good, bad])
+    with pytest.raises(ValidationError, match="at index 3$") as batched:
+        states.validate_stack(stack)
+    assert type(batched.value) is type(single.value)
+    assert str(batched.value).replace("index 3", "index 0") == str(single.value)
+    assert states.validate_stack(stack[:3]).shape == (3, 4, 4)
+
+
+def test_validate_stack_reports_the_first_bad_matrix():
+    # the lowest bad index wins, whatever invariant a later matrix breaks
+    good = np.eye(4) / 4.0
+    stack = np.stack([good, INVALID["psd"], INVALID["finite"], INVALID["hermitian"]])
+    with pytest.raises(NotPSD, match="at index 1$"):
+        states.validate_stack(stack)
+    # a matrix breaking several invariants reports the first in check order
+    with pytest.raises(NotHermitian, match="at index 1$"):
+        states.validate_stack(np.stack([good, 2.0 * INVALID["hermitian"]]))
+    # caller-supplied eigenvalues stand in for the eigensolve
+    w = np.linalg.eigvalsh(stack[:2])
+    with pytest.raises(NotPSD, match="-5.000e-01"):
+        states.validate_stack(stack[:2], eigenvalues=w)
+    with pytest.raises(ValidationError, match="shape"):
+        states.validate_stack(good)
+    assert states.validate_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
+
+
+def test_validate_amplitudes_names_the_bad_row():
+    good = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NotNormalized, match="at index 1$"):
+        states.validate_amplitudes([good, 2.0 * good, [np.nan, 0, 0, 0]])
+    with pytest.raises(ValidationError, match="non-finite entries at index 2$"):
+        states.validate_amplitudes([good, good, [np.nan, 0, 0, 0]])
+    with pytest.raises(ValidationError, match="shape"):
+        states.validate_amplitudes(good)
+
+
+def test_batched_builders_match_the_one_row_builders():
+    phis = [states.PureState(states.random_unitary(4, i) @ states.bell_like(t).amplitudes)
+            for i, t in enumerate((0.3, 0.7, 1.2))]
+    amps = np.stack([phi.amplitudes for phi in phis])
+    ps = [0.0, 0.4, 1.0]
+    # the identity channel has one operator and is padded with a zero one
+    channels = [states.make_ad_channel(0.3), states.make_pd_channel(0.6, "B"),
+                states.KrausChannel((np.eye(2),))]
+    projectors = states.pure_projectors(amps)
+    mixtures = states.werner_mixtures(ps, amps)
+    damped = states.apply_channels(projectors, channels)
+    assert damped.shape == (3, 3, 4, 4)
+    for i, phi in enumerate(phis):
+        rho = states.density_from_pure(phi)
+        assert np.array_equal(projectors[i], rho.matrix)
+        assert np.array_equal(mixtures[i], states.werner_like(ps[i], phi).matrix)
+        for j, channel in enumerate(channels):
+            assert np.array_equal(damped[i, j], states.apply_channel(rho, channel).matrix)
+    assert np.array_equal(damped[:, 2], projectors)
+    with pytest.raises(ParameterOutOfRange, match="at index 1$"):
+        states.werner_mixtures([0.5, 1.2, -0.1], amps)
+    with pytest.raises(NotNormalized):
+        states.pure_projectors(2.0 * amps)
+
+
 def test_werner_like_matrix():
     phi = states.bell_like(np.pi / 4)
     rho = states.werner_like(0.8, phi)
