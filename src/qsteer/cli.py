@@ -121,8 +121,7 @@ def _analyze(args) -> int:
 def _sample(args) -> int:
     cfg = SamplerConfig(measure=args.measure, ranks=args.ranks,
                         seed=args.seed, count=args.count)
-    ranks, rows = harness.scatter_table(cfg, workers=args.workers)
-    harness.write_scatter_csv(args.out, ranks, rows)
+    harness.write_scatter_csv(args.out, harness.scatter_table(cfg, workers=args.workers))
     return 0
 
 

@@ -2,13 +2,17 @@
 bound-falsification harness.
 
 Output formatting is byte-stable: floats are written with repr() (shortest
-round-trip), workers own disjoint index chunks and chunks are merged in index
-order, so reruns and different worker counts produce identical files.
+round-trip), workers own disjoint index chunks and chunks are consumed in
+index order, so reruns and different worker counts produce identical files.
+Scatter runs and falsification runs stream the plan one chunk at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,16 +55,6 @@ REGION_UNREALIZABLE = "unrealizable"
 # RegionScanResult.regions holds indices into this tuple, which lists the
 # regions in the order run_region_scan tests for them
 REGION_LABELS = (REGION_UNREALIZABLE, REGION_STEERABLE, REGION_ENTANGLED, REGION_SEPARABLE)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return "true" if x else "false"
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -128,26 +122,40 @@ class FalsificationSummary:
 
 
 def scatter_table(cfg: SamplerConfig, workers: int = 1):
-    """(ranks, rows) for all records of the plan, merged in index order."""
+    """The plan's measure table as an iterator of (start, ranks, rows), one
+    item per CHUNK of records in index order.
+
+    Each chunk is drawn and measured when the iterator reaches it, so a
+    consumer that folds or writes the chunks holds one at a time.  With one
+    worker everything runs in the calling thread; with more, a pool measures
+    at most 2 * workers chunks ahead of the consumer.
+    """
     if workers < 1:
         raise ParameterOutOfRange(f"workers must be >= 1, got {workers}")
-    starts = list(range(0, cfg.count, CHUNK))
+    starts = range(0, cfg.count, CHUNK)
 
     def one(start: int):
-        stop = min(start + CHUNK, cfg.count)
-        rhos, ranks = draw_matrices(cfg, start, stop)
-        return ranks, batch.measure_rows(rhos)
+        rhos, ranks = draw_matrices(cfg, start, min(start + CHUNK, cfg.count))
+        return start, ranks, batch.measure_rows(rhos)
 
     if workers == 1 or len(starts) <= 1:
-        parts = [one(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, starts))
-    if not parts:
-        return np.empty(0, np.int64), np.empty((0, batch.N_COLS))
-    ranks = np.concatenate([p[0] for p in parts])
-    rows = np.vstack([p[1] for p in parts])
-    return ranks, rows
+        return map(one, starts)
+    return _ahead(one, starts, workers)
+
+
+def _ahead(fn, items, workers: int):
+    """fn over items in order, computed by a pool at most 2 * workers ahead."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    window = deque()
+    try:
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,33 +186,35 @@ def _record_from_row(index: int, rank: int, row: np.ndarray, lower: bool,
 def run_scatter(cfg: SamplerConfig, workers: int = 1) -> list:
     """One SampleRecord per plan index; fields recomputable from
     states.random_state(cfg, index)."""
-    ranks, rows = scatter_table(cfg, workers=workers)
-    lower, upper = bound_violations(rows)
-    return [_record_from_row(i, ranks[i], rows[i], lower[i], upper[i])
-            for i in range(cfg.count)]
+    records = []
+    for start, ranks, rows in scatter_table(cfg, workers=workers):
+        lower, upper = bound_violations(rows)
+        records += [_record_from_row(start + i, ranks[i], rows[i], lower[i], upper[i])
+                    for i in range(len(rows))]
+    return records
 
 
-def scatter_csv_lines(ranks: np.ndarray, rows: np.ndarray):
+def scatter_csv_lines(chunks):
+    """The header, then one line per record of the (start, ranks, rows)
+    chunks, formatted as each chunk arrives."""
     yield SCATTER_HEADER
-    lower, upper = bound_violations(rows)
     flag = ("false", "true")
-    # purity..upper_bound are adjacent measure-table columns in CSV order;
-    # rows are converted to Python floats one chunk at a time
-    for start in range(0, len(ranks), CHUNK):
-        stop = start + CHUNK
+    # purity..upper_bound are adjacent measure-table columns in CSV order
+    for start, ranks, rows in chunks:
+        lower, upper = bound_violations(rows)
         for i, k, values, lo, up in zip(
-            range(start, stop),
-            ranks[start:stop].tolist(),
-            rows[start:stop, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
-            lower[start:stop].tolist(),
-            upper[start:stop].tolist(),
+            itertools.count(start),
+            ranks.tolist(),
+            rows[:, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
+            lower.tolist(),
+            upper.tolist(),
         ):
             yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
 
 
-def write_scatter_csv(path, ranks: np.ndarray, rows: np.ndarray) -> None:
+def write_scatter_csv(path, chunks) -> None:
     with open(path, "w", newline="") as fh:
-        for line in scatter_csv_lines(ranks, rows):
+        for line in scatter_csv_lines(chunks):
             fh.write(line + "\n")
 
 
@@ -288,26 +298,19 @@ def run_family_sweep(
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
 
 
+# the SweepRecord fields after unitary_seed, all floats, in CSV order
+_SWEEP_FLOATS = operator.attrgetter(
+    "c_num", "c_closed", "s_num", "s_closed", "f_num", "f_closed",
+    "purity_num", "purity_closed", "max_abs_discrepancy",
+)
+
+
 def sweep_csv_lines(records):
     yield SWEEP_HEADER
     for r in records:
-        yield ",".join(
-            (
-                r.family,
-                _fmt(r.theta),
-                _fmt(r.eta_or_p),
-                _fmt(r.unitary_seed),
-                _fmt(r.c_num),
-                _fmt(r.c_closed),
-                _fmt(r.s_num),
-                _fmt(r.s_closed),
-                _fmt(r.f_num),
-                _fmt(r.f_closed),
-                _fmt(r.purity_num),
-                _fmt(r.purity_closed),
-                _fmt(r.max_abs_discrepancy),
-            )
-        )
+        seed = "" if r.unitary_seed is None else str(r.unitary_seed)
+        yield (f"{r.family},{r.theta!r},{r.eta_or_p!r},{seed},"
+               + ",".join(map(repr, _SWEEP_FLOATS(r))))
 
 
 def write_sweep_csv(path, records) -> None:
@@ -369,7 +372,7 @@ def write_boundary_csv(path, series) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("purity,C\n")
         for u, c in series:
-            fh.write(f"{_fmt(u)},{_fmt(c)}\n")
+            fh.write(f"{float(u)!r},{float(c)!r}\n")
 
 
 def run_falsification(
@@ -380,28 +383,32 @@ def run_falsification(
     """Hunt for violations of the steerability bounds over the sampling plan.
 
     Margins are signed distances: S - lower for theorem1, upper - S for
-    theorem2; violations are the rows bound_violations flags.
+    theorem2; violations are the rows bound_violations flags.  Each chunk
+    is folded into the worst margins and the violation list as it arrives.
     """
     for t in theorems:
         if t not in ("theorem1", "theorem2"):
             raise ParameterOutOfRange(f"unknown theorem {t!r}")
     if not theorems:
         raise ParameterOutOfRange("at least one theorem must be selected")
-    _, rows = scatter_table(cfg, workers=workers)
-    s = rows[:, batch.COL_S]
-    margin_lower = s - rows[:, batch.COL_LOWER]
-    margin_upper = rows[:, batch.COL_UPPER] - s
-    violations = []
-    for theorem, flags, margin in zip(("theorem1", "theorem2"), bound_violations(rows),
-                                      (margin_lower, margin_upper)):
-        if theorem in theorems:
-            violations += [{"index": int(i), "theorem": theorem, "margin": float(margin[i])}
-                           for i in np.nonzero(flags)[0]]
+    worst_lower, worst_upper, violations = [], [], []
+    for start, _, rows in scatter_table(cfg, workers=workers):
+        s = rows[:, batch.COL_S]
+        margin_lower = s - rows[:, batch.COL_LOWER]
+        margin_upper = rows[:, batch.COL_UPPER] - s
+        worst_lower.append(margin_lower.min())
+        worst_upper.append(margin_upper.min())
+        for theorem, flags, margin in zip(("theorem1", "theorem2"), bound_violations(rows),
+                                          (margin_lower, margin_upper)):
+            if theorem in theorems:
+                violations += [{"index": start + int(i), "theorem": theorem,
+                                "margin": float(margin[i])}
+                               for i in np.nonzero(flags)[0]]
     violations.sort(key=lambda v: v["index"])
     return FalsificationSummary(
         checked=int(cfg.count),
         theorems=tuple(theorems),
-        worst_margin_lower=float(margin_lower.min()) if cfg.count else 0.0,
-        worst_margin_upper=float(margin_upper.min()) if cfg.count else 0.0,
+        worst_margin_lower=float(np.min(worst_lower)) if worst_lower else 0.0,
+        worst_margin_upper=float(np.min(worst_upper)) if worst_upper else 0.0,
         violations=violations,
     )

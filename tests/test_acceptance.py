@@ -19,10 +19,16 @@ BIG_COUNT = 100_000
 _CACHE = {}
 
 
+def whole_table(cfg):
+    """(ranks, rows) of the plan, the streamed chunks concatenated."""
+    chunks = list(harness.scatter_table(cfg, workers=1))
+    return np.concatenate([c[1] for c in chunks]), np.vstack([c[2] for c in chunks])
+
+
 def big_table():
     if "rows" not in _CACHE:
         cfg = SamplerConfig("ginibre", "uniform", seed=BIG_SEED, count=BIG_COUNT)
-        ranks, rows = harness.scatter_table(cfg, workers=1)
+        ranks, rows = whole_table(cfg)
         _CACHE.update(cfg=cfg, ranks=ranks, rows=rows)
     return _CACHE
 
@@ -50,7 +56,7 @@ def damping_grid(family):
 def test_criterion_01_pure_state_equality():
     cfg = SamplerConfig("haar-pure", "uniform", seed=101, count=10_000)
     t0 = time.perf_counter()
-    _, rows = harness.scatter_table(cfg)
+    _, rows = whole_table(cfg)
     dt = time.perf_counter() - t0
     worst = float(np.abs(rows[:, batch.COL_S] - rows[:, batch.COL_C]).max())
     ok = worst <= 1e-9 and dt < 5.0

@@ -1,8 +1,9 @@
-"""sha256 digests of the channel-sweep and wu-scan outputs.
+"""sha256 digests of the sample, verify, channel-sweep and wu-scan outputs.
 
-The sweeps and the scan are built as arrays; these digests pin their output
-bytes, so a change to how the stacks are built, validated, measured or
-formatted that moves a single bit fails here.  The closed forms and the
+The sweeps and the scan are built as arrays, and sample and verify stream
+the plan chunk by chunk; these digests pin their output bytes across
+commits, so a change to how the stacks are drawn, built, validated,
+measured, formatted or reduced that moves a single bit fails here.  The closed forms and the
 Bell-like amplitudes pass through numpy's sin/cos/sqrt; the digests were
 taken with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ
 in the last bit.
@@ -40,6 +41,19 @@ SCAN_GOLDEN = [
 ]
 
 
+# sample runs: (argv, digest of the CSV); verify runs: (argv, digest of stdout)
+SAMPLE_GOLDEN = [
+    (["--count", "20000", "--seed", "7"],
+     "f35c2132900214535689ed7b291acb1e10f2a9677747c6b622f66785db598d0c"),
+    (["--measure", "haar-pure", "--count", "5000", "--seed", "3", "--workers", "2"],
+     "40112a0c30cb87f638cbe83841ac02396f327ad0c7b60ebe71b706b38baca89b"),
+]
+VERIFY_GOLDEN = [
+    (["--count", "20000", "--seed", "7"],
+     "b2ef96e9d5023a5b58b8e14020bd8e28158776edb94d3e79a1183e26933c15fa"),
+]
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,3 +71,16 @@ def test_wu_scan_golden_digests(grid, digests, tmp_path):
     assert cli.main(["wu-scan", "--grid", grid, "--out", str(tmp_path / "region.csv")]) == 0
     names = ("region.csv", "region_boundary.csv", "region_werner.csv")
     assert tuple(sha256(tmp_path / name) for name in names) == digests
+
+
+@pytest.mark.parametrize("argv, digest", SAMPLE_GOLDEN, ids=["ginibre-20000", "haar-5000-w2"])
+def test_sample_golden_digest(argv, digest, tmp_path):
+    out = tmp_path / "scatter.csv"
+    assert cli.main(["sample", *argv, "--out", str(out)]) == 0
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_GOLDEN, ids=["ginibre-20000"])
+def test_verify_golden_digest(argv, digest, capsys):
+    assert cli.main(["verify", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -7,18 +7,13 @@ from qsteer.states import SamplerConfig
 
 
 def csv_text(cfg, workers=1):
-    ranks, rows = harness.scatter_table(cfg, workers=workers)
-    return "\n".join(harness.scatter_csv_lines(ranks, rows))
+    return "\n".join(harness.scatter_csv_lines(harness.scatter_table(cfg, workers=workers)))
 
 
-def test_fmt_tokens():
-    assert harness._fmt(True) == "true"
-    assert harness._fmt(False) == "false"
-    assert harness._fmt(None) == ""
-    assert harness._fmt(7) == "7"
-    assert harness._fmt(0.1) == "0.1"
-    assert harness._fmt(1e-9) == "1e-09"
-    assert harness._fmt(np.float64(0.25)) == "0.25"
+def whole_table(cfg):
+    """(ranks, rows) of the plan, the streamed chunks concatenated."""
+    chunks = list(harness.scatter_table(cfg))
+    return np.concatenate([c[1] for c in chunks]), np.vstack([c[2] for c in chunks])
 
 
 def test_scatter_headers_are_stable():
@@ -73,7 +68,9 @@ def test_scatter_csv_rows_match_per_cell_format():
                  + ["true" if lower[i] else "false", "true" if upper[i] else "false"])
         for i in range(n)
     ]
-    assert list(harness.scatter_csv_lines(ranks, rows)) == expect
+    chunks = [(0, ranks[: harness.CHUNK], rows[: harness.CHUNK]),
+              (harness.CHUNK, ranks[harness.CHUNK :], rows[harness.CHUNK :])]
+    assert list(harness.scatter_csv_lines(chunks)) == expect
 
 
 def test_bound_violations_set_the_csv_flags():
@@ -85,7 +82,7 @@ def test_bound_violations_set_the_csv_flags():
     lower, upper = harness.bound_violations(rows)
     assert lower.tolist() == [True, False, False, False]
     assert upper.tolist() == [False, False, False, True]
-    lines = list(harness.scatter_csv_lines(np.ones(4, np.int64), rows))[1:]
+    lines = list(harness.scatter_csv_lines([(0, np.ones(4, np.int64), rows)]))[1:]
     assert [line.split(",")[11:] for line in lines] == [
         ["true", "false"], ["false", "false"], ["false", "false"], ["false", "true"]
     ]
@@ -107,19 +104,19 @@ def test_run_scatter_records_recompute():
 
 def test_scatter_table_scales_to_empty_and_invalid():
     cfg = SamplerConfig("ginibre", "uniform", seed=1, count=0)
-    ranks, rows = harness.scatter_table(cfg)
-    assert ranks.shape == (0,) and rows.shape == (0, batch.N_COLS)
+    assert list(harness.scatter_table(cfg)) == []
+    assert list(harness.scatter_table(cfg, workers=3)) == []
+    # a bad worker count is rejected at the call, before any chunk is drawn
     with pytest.raises(ParameterOutOfRange):
         harness.scatter_table(cfg, workers=0)
 
 
 def test_write_scatter_csv_round_trip(tmp_path):
     cfg = SamplerConfig("haar-pure", "uniform", seed=2, count=12)
-    ranks, rows = harness.scatter_table(cfg)
     path = tmp_path / "scatter.csv"
-    harness.write_scatter_csv(path, ranks, rows)
+    harness.write_scatter_csv(path, harness.scatter_table(cfg))
     text = path.read_text()
-    assert text == "\n".join(harness.scatter_csv_lines(ranks, rows)) + "\n"
+    assert text == "\n".join(harness.scatter_csv_lines(harness.scatter_table(cfg))) + "\n"
 
 
 def test_sweep_csv_fields(tmp_path):
@@ -191,7 +188,7 @@ def test_falsification_empty_plan():
 
 def test_falsification_margins_match_table():
     cfg = SamplerConfig("ginibre", "uniform", seed=52, count=64)
-    ranks, rows = harness.scatter_table(cfg)
+    ranks, rows = whole_table(cfg)
     s = rows[:, batch.COL_S]
     margin_upper = rows[:, batch.COL_UPPER] - s
     margin_lower = s - rows[:, batch.COL_LOWER]
