@@ -3,7 +3,6 @@ first-order coherence, and the constraint bounds tying them together."""
 
 from .errors import (
     ChannelIncomplete,
-    DimensionUnsupported,
     IndexOutOfRange,
     NotHermitian,
     NotNormalized,
@@ -17,14 +16,11 @@ from .errors import (
 from .harness import (
     FalsificationSummary,
     RegionScanResult,
-    SampleRecord,
-    SweepRecord,
+    SweepTable,
     run_falsification,
     run_family_sweep,
     run_region_scan,
-    run_scatter,
 )
-from .linalg import hermitian_eigenvalues, kron, partial_trace, psd_sqrt, sym3_eigenvalues
 from .measures import (
     MeasureReport,
     bad_closed_forms,

@@ -126,14 +126,14 @@ def _sample(args) -> int:
 
 
 def _channel_sweep(args) -> int:
-    records = harness.run_family_sweep(
+    table = harness.run_family_sweep(
         args.family,
         theta_steps=args.theta_steps,
         eta_steps=args.eta_steps,
         p_steps=args.p_steps,
         seed=args.seed,
     )
-    harness.write_sweep_csv(args.out, records)
+    harness.write_sweep_csv(args.out, table)
     return 0
 
 

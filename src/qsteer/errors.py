@@ -25,10 +25,6 @@ class NotNormalized(ValidationError):
     pass
 
 
-class DimensionUnsupported(ValidationError):
-    pass
-
-
 class ChannelIncomplete(ValidationError):
     pass
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from . import batch, measures
 from .errors import ParameterOutOfRange
 from .states import (
     DOMAIN_SWEEP,
+    SLACK,
     SamplerConfig,
     apply_channels,
     bell_like,
@@ -35,7 +35,6 @@ from .states import (
     werner_mixtures,
 )
 
-SLACK = 1e-9
 CHUNK = 4096
 
 SCATTER_HEADER = (
@@ -48,47 +47,26 @@ SWEEP_HEADER = (
 )
 REGION_HEADER = "purity,C,region"
 
-REGION_STEERABLE = "steerable"
-REGION_ENTANGLED = "entangled-unknown"
-REGION_SEPARABLE = "separable-boundary"
-REGION_UNREALIZABLE = "unrealizable"
 # RegionScanResult.regions holds indices into this tuple, which lists the
 # regions in the order run_region_scan tests for them
-REGION_LABELS = (REGION_UNREALIZABLE, REGION_STEERABLE, REGION_ENTANGLED, REGION_SEPARABLE)
+REGION_LABELS = ("unrealizable", "steerable", "entangled-unknown", "separable-boundary")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    index: int
-    rank_k: int
-    purity: float
-    concurrence: float
-    f_value: float
-    steerability: float
-    q_value: float
-    coherence_a: float
-    coherence_b: float
-    lower_bound: float
-    upper_bound: float
-    violation_lower: bool
-    violation_upper: bool
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """One channel sweep as columns: point i is (theta[i], eta_or_p[i]), and
+    num[i] and closed[i] hold its pipeline and closed-form (C, S, F, purity).
+    The unitary of a 'wu' point is record i of the sweep seed's unitaries."""
 
-
-@dataclass(frozen=True)
-class SweepRecord:
     family: str
-    theta: float
-    eta_or_p: float
-    unitary_seed: int | None
-    c_num: float
-    c_closed: float
-    s_num: float
-    s_closed: float
-    f_num: float
-    f_closed: float
-    purity_num: float
-    purity_closed: float
-    max_abs_discrepancy: float
+    theta: np.ndarray
+    eta_or_p: np.ndarray
+    num: np.ndarray
+    closed: np.ndarray
+
+    @property
+    def discrepancy(self) -> np.ndarray:
+        return np.abs(self.num - self.closed).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,36 +142,6 @@ def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s < rows[:, batch.COL_LOWER] - SLACK, s > rows[:, batch.COL_UPPER] + SLACK
 
 
-def _record_from_row(index: int, rank: int, row: np.ndarray, lower: bool,
-                     upper: bool) -> SampleRecord:
-    return SampleRecord(
-        index=index,
-        rank_k=int(rank),
-        purity=float(row[batch.COL_PURITY]),
-        concurrence=float(row[batch.COL_C]),
-        f_value=float(row[batch.COL_F]),
-        steerability=float(row[batch.COL_S]),
-        q_value=float(row[batch.COL_Q]),
-        coherence_a=float(row[batch.COL_DA]),
-        coherence_b=float(row[batch.COL_DB]),
-        lower_bound=float(row[batch.COL_LOWER]),
-        upper_bound=float(row[batch.COL_UPPER]),
-        violation_lower=bool(lower),
-        violation_upper=bool(upper),
-    )
-
-
-def run_scatter(cfg: SamplerConfig, workers: int = 1) -> list:
-    """One SampleRecord per plan index; fields recomputable from
-    states.random_state(cfg, index)."""
-    records = []
-    for start, ranks, rows in scatter_table(cfg, workers=workers):
-        lower, upper = bound_violations(rows)
-        records += [_record_from_row(start + i, ranks[i], rows[i], lower[i], upper[i])
-                    for i in range(len(rows))]
-    return records
-
-
 def scatter_csv_lines(chunks):
     """The header, then one line per record of the (start, ranks, rows)
     chunks, formatted as each chunk arrives."""
@@ -218,28 +166,20 @@ def write_scatter_csv(path, chunks) -> None:
             fh.write(line + "\n")
 
 
-def _sweep_record(family, theta, eta_or_p, unitary_seed, row, closed) -> SweepRecord:
-    c_num = float(row[batch.COL_C])
-    s_num = float(row[batch.COL_S])
-    f_num = float(row[batch.COL_F])
-    p_num = float(row[batch.COL_PURITY])
-    c_cl, s_cl, f_cl, p_cl = closed
-    disc = max(abs(c_num - c_cl), abs(s_num - s_cl), abs(f_num - f_cl), abs(p_num - p_cl))
-    return SweepRecord(
-        family=family,
-        theta=float(theta),
-        eta_or_p=float(eta_or_p),
-        unitary_seed=unitary_seed,
-        c_num=c_num,
-        c_closed=float(c_cl),
-        s_num=s_num,
-        s_closed=float(s_cl),
-        f_num=f_num,
-        f_closed=float(f_cl),
-        purity_num=p_num,
-        purity_closed=float(p_cl),
-        max_abs_discrepancy=float(disc),
-    )
+# the measure-table columns of (C, S, F, purity), SweepTable's column order
+SWEEP_COLS = [batch.COL_C, batch.COL_S, batch.COL_F, batch.COL_PURITY]
+
+
+def _ad_closed(theta, eta) -> tuple:
+    cf = measures.bad_closed_forms(theta, eta)
+    return (cf.concurrence, cf.steerability,
+            math.sqrt(2.0 * cf.concurrence**2 + 2.0 * cf.purity - 1.0), cf.purity)
+
+
+def _pd_closed(theta, eta) -> tuple:
+    cf = measures.bpd_closed_forms(theta, eta)
+    return (cf.concurrence, cf.steerability,
+            math.sqrt(1.0 + 2.0 * cf.concurrence**2), cf.purity)
 
 
 def run_family_sweep(
@@ -248,11 +188,11 @@ def run_family_sweep(
     eta_steps: int = 50,
     p_steps: int = 1000,
     seed: int = 0,
-) -> list:
+) -> SweepTable:
     """Numerical pipeline vs closed forms for one channel family.
 
-    'ad'/'pd' sweep a theta x eta grid; 'wu' draws p_steps random
-    (p, theta, unitary) triples from the seeded counter-based stream.
+    'ad'/'pd' sweep a theta x eta grid, theta-major; 'wu' draws p_steps
+    random (p, theta, unitary) triples from the seeded counter-based stream.
     """
     if family in ("ad", "pd"):
         if theta_steps < 2 or eta_steps < 2:
@@ -263,59 +203,44 @@ def run_family_sweep(
         bases = pure_projectors([bell_like(th).amplitudes for th in thetas])
         mats = apply_channels(bases, [make(eta) for eta in etas])
         rows = batch.measure_rows(mats.reshape(-1, 4, 4))
-        records = []
-        k = 0
-        for th in thetas:
-            for eta in etas:
-                if family == "ad":
-                    cf = measures.bad_closed_forms(th, eta)
-                    closed = (cf.concurrence, cf.steerability,
-                              math.sqrt(2.0 * cf.concurrence**2 + 2.0 * cf.purity - 1.0),
-                              cf.purity)
-                else:
-                    cf = measures.bpd_closed_forms(th, eta)
-                    closed = (cf.concurrence, cf.steerability,
-                              math.sqrt(1.0 + 2.0 * cf.concurrence**2),
-                              cf.purity)
-                records.append(_sweep_record(family, th, eta, None, rows[k], closed))
-                k += 1
-        return records
+        forms = _ad_closed if family == "ad" else _pd_closed
+        closed = [forms(th, eta) for th in thetas for eta in etas]
+        return SweepTable(family, np.repeat(thetas, eta_steps), np.tile(etas, theta_steps),
+                          rows[:, SWEEP_COLS], np.array(closed))
     if family == "wu":
         if p_steps < 2:
             raise ParameterOutOfRange("p-steps must be >= 2")
         u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
-        ps = u01[:, 0].tolist()
-        thetas = (0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]).tolist()
-        amps = np.array([bell_like(theta).amplitudes for theta in thetas])
+        ps = u01[:, 0]
+        thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
+        amps = np.array([bell_like(theta).amplitudes for theta in thetas.tolist()])
         phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
         rows = batch.measure_rows(werner_mixtures(ps, phis))  # checks the phis' norms
-        records = []
-        for i, (theta, p, phi) in enumerate(zip(thetas, ps, phis)):
-            cf = measures.wu_closed_forms(p, phi)
-            closed = (cf.concurrence, cf.steerability, cf.f_value, cf.purity)
-            records.append(_sweep_record("wu", theta, p, i, rows[i], closed))
-        return records
+        # WuForms lists (C, S, F, purity) in SweepTable's column order
+        closed = [measures.wu_closed_forms(p, phi) for p, phi in zip(ps.tolist(), phis)]
+        return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS], np.array(closed))
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
 
 
-# the SweepRecord fields after unitary_seed, all floats, in CSV order
-_SWEEP_FLOATS = operator.attrgetter(
-    "c_num", "c_closed", "s_num", "s_closed", "f_num", "f_closed",
-    "purity_num", "purity_closed", "max_abs_discrepancy",
-)
-
-
-def sweep_csv_lines(records):
+def sweep_csv_lines(table: SweepTable):
+    """The header, then one line per sweep point; a 'wu' point's
+    unitary_seed is its index."""
     yield SWEEP_HEADER
-    for r in records:
-        seed = "" if r.unitary_seed is None else str(r.unitary_seed)
-        yield (f"{r.family},{r.theta!r},{r.eta_or_p!r},{seed},"
-               + ",".join(map(repr, _SWEEP_FLOATS(r))))
+    n = len(table.theta)
+    # theta, eta_or_p, then (C, S, F, purity) as num/closed pairs, then the discrepancy
+    floats = np.column_stack([
+        table.theta, table.eta_or_p,
+        np.stack([table.num, table.closed], axis=2).reshape(n, 8), table.discrepancy,
+    ])
+    seeds = map(str, range(n)) if table.family == "wu" else itertools.repeat("")
+    for seed, row in zip(seeds, floats.tolist()):
+        text = list(map(repr, row))
+        yield ",".join([table.family, *text[:2], seed, *text[2:]])
 
 
-def write_sweep_csv(path, records) -> None:
+def write_sweep_csv(path, table: SweepTable) -> None:
     with open(path, "w", newline="") as fh:
-        for line in sweep_csv_lines(records):
+        for line in sweep_csv_lines(table):
             fh.write(line + "\n")
 
 

@@ -7,7 +7,7 @@ correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
 
 Every per-state scalar is read from one row of batch.measure_rows, so the
 scalar functions, report() and the harness share a single route.  Raw arrays
-are validated as a DensityMatrix first; an invalid one raises the
+are validated once, by measure_rows; an invalid one raises the
 ValidationError that names the failed invariant.
 """
 
@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch
-from .errors import NotRealizable, ParameterOutOfRange
-from .states import DensityMatrix, PureState
+from .errors import NotRealizable, ParameterOutOfRange, ValidationError
+from .states import RANGE_TOL, SLACK, DensityMatrix, PureState
 
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
@@ -33,8 +33,11 @@ def _mat(rho) -> np.ndarray:
 
 
 def _row(rho) -> np.ndarray:
-    """The batch.measure_rows row of one state."""
-    return batch.measure_rows(_mat(rho))[0]
+    """The batch.measure_rows row of one state, which measure_rows validates."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    if m.shape != (4, 4):
+        raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
+    return batch.measure_rows(m)[0]
 
 
 def _vec(psi) -> np.ndarray:
@@ -251,13 +254,13 @@ def wu_steerability_from_c_purity(conc: float, pur: float) -> float:
     Raises NotRealizable when no such state exists, i.e. when C exceeds
     max(0, (3p - 1)/2) for p = sqrt((4 purity - 1)/3).
     """
-    if not 0.25 - 1e-12 <= pur <= 1.0 + 1e-12:
+    if not 0.25 - RANGE_TOL <= pur <= 1.0 + RANGE_TOL:
         raise NotRealizable(f"purity {pur} outside [1/4, 1]")
-    if not -1e-12 <= conc <= 1.0 + 1e-12:
+    if not -RANGE_TOL <= conc <= 1.0 + RANGE_TOL:
         raise NotRealizable(f"concurrence {conc} outside [0, 1]")
     p = np.sqrt(max(0.0, (4.0 * pur - 1.0) / 3.0))
     cmax = max(0.0, (3.0 * p - 1.0) / 2.0)
-    if conc > cmax + 1e-9:
+    if conc > cmax + SLACK:
         raise NotRealizable(
             f"no state of this family has concurrence {conc} at purity {pur} (max {cmax:.6g})"
         )

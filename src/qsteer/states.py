@@ -25,11 +25,14 @@ from .errors import (
     ValidationError,
 )
 
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
-NORM_TOL = 1e-12
-KRAUS_TOL = 1e-12
+# every tolerance of the package, each with what it bounds
+HERM_TOL = 1e-10  # max |m - m^dag| entry of a density matrix
+TRACE_TOL = 1e-10  # |tr m - 1| of a density matrix
+EIG_TOL = 1e-10  # how far below 0 a density matrix's least eigenvalue may lie
+NORM_TOL = 1e-12  # | |a| - 1 | of a state vector
+KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
+SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
+RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
 STREAM_VERSION = 2
 DOMAIN_STATE = 1
@@ -374,7 +377,7 @@ def state_from_json(obj) -> DensityMatrix:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
             ):
                 raise ValidationError(f"matrix entry ({i}, {j}) must be a [re, im] pair")
             m[i, j] = complex(entry[0], entry[1])

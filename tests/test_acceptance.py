@@ -99,8 +99,8 @@ def test_criterion_03_coherence_identity_and_inequality():
 
 
 def test_criterion_04_amplitude_damping_family():
-    records = harness.run_family_sweep("ad", theta_steps=50, eta_steps=50)
-    worst = max(r.max_abs_discrepancy for r in records)
+    table = harness.run_family_sweep("ad", theta_steps=50, eta_steps=50)
+    worst = float(table.discrepancy.max())
     params, _, rows = damping_grid("ad")
     lam = rows[:, batch.COL_L1 : batch.COL_L4 + 1]
     big = (lam > 1e-9).sum(axis=1)
@@ -117,10 +117,10 @@ def test_criterion_04_amplitude_damping_family():
 
 
 def test_criterion_05_phase_damping_family():
-    records = harness.run_family_sweep("pd", theta_steps=50, eta_steps=50)
-    worst = max(r.max_abs_discrepancy for r in records)
-    worst_sc = max(abs(r.s_num - r.c_num) for r in records)
-    worst_pur = max(abs(r.purity_num - r.purity_closed) for r in records)
+    table = harness.run_family_sweep("pd", theta_steps=50, eta_steps=50)
+    worst = float(table.discrepancy.max())
+    worst_sc = float(np.abs(table.num[:, 1] - table.num[:, 0]).max())
+    worst_pur = float(np.abs(table.num[:, 3] - table.closed[:, 3]).max())
     params, mats, rows = damping_grid("pd")
     tmats = np.einsum("kab,pba->kp", mats, batch.PAULI_PAIRS).real.reshape(-1, 3, 3)
     worst_t = 0.0
@@ -147,25 +147,24 @@ def test_criterion_05_phase_damping_family():
 
 def test_criterion_06_werner_unitary_family():
     seed = 606
-    records = harness.run_family_sweep("wu", p_steps=1000, seed=seed)
-    worst_cf = max(
-        max(abs(r.c_num - r.c_closed), abs(r.s_num - r.s_closed), abs(r.f_num - r.f_closed))
-        for r in records
-    )
-    worst_pur = max(abs(r.purity_num - r.purity_closed) for r in records)
+    table = harness.run_family_sweep("wu", p_steps=1000, seed=seed)
+    # columns (C, S, F, purity)
+    worst_cf = float(np.abs(table.num[:, :3] - table.closed[:, :3]).max())
+    worst_pur = float(np.abs(table.num[:, 3] - table.closed[:, 3]).max())
     worst_43 = max(
-        abs(measures.wu_steerability_from_c_purity(r.c_num, r.purity_num) - r.s_num)
-        for r in records
+        abs(measures.wu_steerability_from_c_purity(c_num, p_num) - s_num)
+        for c_num, s_num, _, p_num in table.num.tolist()
     )
-    mats = np.empty((len(records), 4, 4), np.complex128)
-    cphis = np.empty(len(records))
-    for i, r in enumerate(records):
-        u = states.random_unitary(seed, r.unitary_seed)
-        phi = states.PureState(u @ states.bell_like(r.theta).amplitudes)
+    n = len(table.theta)
+    mats = np.empty((n, 4, 4), np.complex128)
+    cphis = np.empty(n)
+    for i, (theta, p_i) in enumerate(zip(table.theta.tolist(), table.eta_or_p.tolist())):
+        u = states.random_unitary(seed, i)  # a wu point's unitary is record i
+        phi = states.PureState(u @ states.bell_like(theta).amplitudes)
         cphis[i] = measures.concurrence_pure(phi)
-        mats[i] = states.werner_like(r.eta_or_p, phi).matrix
+        mats[i] = states.werner_like(p_i, phi).matrix
     lam = batch.measure_rows(mats)[:, batch.COL_L1 : batch.COL_L4 + 1]
-    p = np.array([r.eta_or_p for r in records])
+    p = table.eta_or_p
     small = (1.0 - p) ** 2 / 16.0
     cross = (1.0 + 3.0 * p) * (1.0 - p)
     dev_small = float(np.abs(lam[:, 2:] - small[:, None]).max())

@@ -95,6 +95,18 @@ def test_analyze_rejects_bad_structure(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_analyze_rejects_boolean_entries(tmp_path, capsys):
+    # JSON true/false are ints to isinstance; read as numbers this file is |00><00|
+    obj = states.state_to_json(states.DensityMatrix(np.eye(4) / 4.0))
+    obj["matrix"][0][0] = [True, False]
+    for i in (1, 2, 3):
+        obj["matrix"][i][i] = [0.0, 0.0]
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert "entry (0, 0) must be a [re, im] pair" in capsys.readouterr().err
+
+
 def test_analyze_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

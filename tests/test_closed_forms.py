@@ -8,51 +8,45 @@ from qsteer.errors import ParameterOutOfRange
 
 
 def test_ad_sweep_small_grid():
-    records = harness.run_family_sweep("ad", theta_steps=8, eta_steps=8)
-    assert len(records) == 64
-    for r in records:
-        assert r.family == "ad"
-        assert r.unitary_seed is None
-        assert r.max_abs_discrepancy <= 1e-8
-        # F on this family obeys F^2 = 2 C^2 + 2 purity - 1
-        assert r.f_closed == pytest.approx(
-            math.sqrt(2.0 * r.c_closed**2 + 2.0 * r.purity_closed - 1.0), abs=1e-12
-        )
+    t = harness.run_family_sweep("ad", theta_steps=8, eta_steps=8)
+    assert t.family == "ad"
+    assert len(t.theta) == len(t.eta_or_p) == 64
+    assert t.discrepancy.max() <= 1e-8
+    # F on this family obeys F^2 = 2 C^2 + 2 purity - 1
+    c, _, f, pur = t.closed.T
+    assert f == pytest.approx(np.sqrt(2.0 * c**2 + 2.0 * pur - 1.0), abs=1e-12)
 
 
 def test_pd_sweep_small_grid():
-    records = harness.run_family_sweep("pd", theta_steps=8, eta_steps=8)
-    assert len(records) == 64
-    for r in records:
-        assert r.family == "pd"
-        assert r.s_closed == r.c_closed
-        assert r.max_abs_discrepancy <= 1e-8
-        assert r.f_closed == pytest.approx(
-            math.sqrt(1.0 + 2.0 * r.c_closed**2), abs=1e-12
-        )
+    t = harness.run_family_sweep("pd", theta_steps=8, eta_steps=8)
+    assert t.family == "pd"
+    assert len(t.theta) == len(t.eta_or_p) == 64
+    c, s, f, _ = t.closed.T
+    assert (s == c).all()
+    assert t.discrepancy.max() <= 1e-8
+    assert f == pytest.approx(np.sqrt(1.0 + 2.0 * c**2), abs=1e-12)
 
 
 def test_wu_sweep_matches_closed_forms():
-    records = harness.run_family_sweep("wu", p_steps=30, seed=3)
-    assert len(records) == 30
-    for r in records:
-        assert r.family == "wu"
-        assert isinstance(r.unitary_seed, int)
-        assert 0.0 <= r.eta_or_p <= 1.0
-        assert 0.05 <= r.theta <= math.pi / 2.0 - 0.05
-        assert r.max_abs_discrepancy <= 1e-8
-        assert abs(r.purity_num - r.purity_closed) <= 1e-10
-        # steerability is recoverable from (C, purity) alone
-        s43 = measures.wu_steerability_from_c_purity(r.c_num, r.purity_num)
-        assert abs(s43 - r.s_num) <= 1e-8
+    t = harness.run_family_sweep("wu", p_steps=30, seed=3)
+    assert t.family == "wu"
+    assert len(t.theta) == 30
+    assert ((0.0 <= t.eta_or_p) & (t.eta_or_p <= 1.0)).all()
+    assert ((0.05 <= t.theta) & (t.theta <= math.pi / 2.0 - 0.05)).all()
+    assert t.discrepancy.max() <= 1e-8
+    assert np.abs(t.num[:, 3] - t.closed[:, 3]).max() <= 1e-10
+    # steerability is recoverable from (C, purity) alone
+    for c_num, s_num, _, p_num in t.num.tolist():
+        s43 = measures.wu_steerability_from_c_purity(c_num, p_num)
+        assert abs(s43 - s_num) <= 1e-8
 
 
 def test_wu_sweep_is_deterministic():
-    a = harness.run_family_sweep("wu", p_steps=10, seed=12)
-    b = harness.run_family_sweep("wu", p_steps=10, seed=12)
-    assert a == b
-    c = harness.run_family_sweep("wu", p_steps=10, seed=13)
-    assert a != c
+    def lines(seed):
+        return list(harness.sweep_csv_lines(harness.run_family_sweep("wu", p_steps=10, seed=seed)))
+
+    assert lines(12) == lines(12)
+    assert lines(12) != lines(13)
 
 
 def test_sweep_argument_validation():

@@ -88,18 +88,20 @@ def test_bound_violations_set_the_csv_flags():
     ]
 
 
-def test_run_scatter_records_recompute():
+def test_scatter_table_records_recompute():
     cfg = SamplerConfig("ginibre", "uniform", seed=42, count=30)
-    records = harness.run_scatter(cfg)
-    assert [r.index for r in records] == list(range(30))
-    pick = records[17]
+    starts = [start for start, _, _ in harness.scatter_table(cfg)]
+    ranks, rows = whole_table(cfg)
+    assert starts == [0] and len(rows) == 30  # indices 0..29, in one chunk
+    pick = rows[17]
     rep = measures.report(states.random_state(cfg, 17))
-    assert pick.concurrence == pytest.approx(rep.concurrence, abs=1e-12)
-    assert pick.steerability == pytest.approx(rep.steerability, abs=1e-12)
-    assert pick.purity == pytest.approx(rep.purity, abs=1e-12)
-    assert pick.lower_bound == pytest.approx(rep.lower_bound, abs=1e-12)
-    assert not pick.violation_lower and not pick.violation_upper
-    assert 1 <= pick.rank_k <= 4
+    assert pick[batch.COL_C] == pytest.approx(rep.concurrence, abs=1e-12)
+    assert pick[batch.COL_S] == pytest.approx(rep.steerability, abs=1e-12)
+    assert pick[batch.COL_PURITY] == pytest.approx(rep.purity, abs=1e-12)
+    assert pick[batch.COL_LOWER] == pytest.approx(rep.lower_bound, abs=1e-12)
+    lower, upper = harness.bound_violations(rows)
+    assert not lower[17] and not upper[17]
+    assert 1 <= ranks[17] <= 4
 
 
 def test_scatter_table_scales_to_empty_and_invalid():
@@ -120,20 +122,25 @@ def test_write_scatter_csv_round_trip(tmp_path):
 
 
 def test_sweep_csv_fields(tmp_path):
-    records = harness.run_family_sweep("ad", theta_steps=3, eta_steps=3)
-    records += harness.run_family_sweep("wu", p_steps=3, seed=0)
-    lines = list(harness.sweep_csv_lines(records))
-    assert lines[0] == harness.SWEEP_HEADER
-    assert len(lines) == 13
-    ad_fields = lines[1].split(",")
+    ad = list(harness.sweep_csv_lines(harness.run_family_sweep("ad", theta_steps=3, eta_steps=3)))
+    wu_table = harness.run_family_sweep("wu", p_steps=3, seed=0)
+    wu = list(harness.sweep_csv_lines(wu_table))
+    assert ad[0] == wu[0] == harness.SWEEP_HEADER
+    assert (len(ad), len(wu)) == (10, 4)
+    ad_fields = ad[1].split(",")
     assert ad_fields[0] == "ad"
     assert ad_fields[3] == ""  # no unitary for the damping families
-    wu_fields = lines[-1].split(",")
+    wu_fields = wu[-1].split(",")
     assert wu_fields[0] == "wu"
     assert wu_fields[3] == "2"
+    # num/closed pairs of C, S, F, purity, then their largest gap
+    values = [float(x) for x in wu_fields[4:]]
+    assert values[0::2][:4] == wu_table.num[2].tolist()
+    assert values[1::2] == wu_table.closed[2].tolist()
+    assert values[8] == wu_table.discrepancy[2]
     path = tmp_path / "sweep.csv"
-    harness.write_sweep_csv(path, records)
-    assert path.read_text() == "\n".join(lines) + "\n"
+    harness.write_sweep_csv(path, wu_table)
+    assert path.read_text() == "\n".join(wu) + "\n"
 
 
 def test_region_csv_round_trip(tmp_path):
@@ -217,8 +224,8 @@ def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     checks = _counted(monkeypatch, [(batch, "validate_stack"), (states, "validate_stack")])
     solves = _counted(monkeypatch, [(np.linalg, "eigvalsh"), (np.linalg, "eigh")])
     measured = _counted(monkeypatch, [(batch, "measure_rows")])
-    records = harness.run_family_sweep(family, theta_steps=50, eta_steps=50, p_steps=1000)
-    assert len(records) == (1000 if family == "wu" else 2500)
+    table = harness.run_family_sweep(family, theta_steps=50, eta_steps=50, p_steps=1000)
+    assert table.num.shape == table.closed.shape == (1000 if family == "wu" else 2500, 4)
     assert len(built) <= 50 + 2
     assert 1 <= len(checks) <= 3
     assert 1 <= len(solves) <= 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsteer import batch
+from qsteer import batch, measures
 from qsteer.errors import NotHermitian, NotPSD, TraceNotOne, ValidationError
 
 from conftest import FORMS
@@ -62,7 +62,8 @@ def test_measure_rows_rejects_invalid_matrices(bad, error):
     assert type(err.value) is error
 
 
-def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
+def _solves(monkeypatch, call):
+    """The (solver, matrix size) of each eigh/eigvalsh call that call() makes."""
     solves = []
     for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
@@ -72,6 +73,17 @@ def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    batch.measure_rows(random_rhos(10, 50))
+    call()
+    return solves
+
+
+def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
+    solves = _solves(monkeypatch, lambda: batch.measure_rows(random_rhos(10, 50)))
     # one 4x4 eigh for the whole stack; the only eigvalsh is the 3x3 T^T T
     assert sorted(solves) == [("eigh", 4), ("eigvalsh", 3)]
+
+
+def test_scalar_on_raw_array_validates_once(monkeypatch):
+    # the raw array goes straight to measure_rows, with no 4x4 eigvalsh before it
+    solves = _solves(monkeypatch, lambda: measures.purity(random_rhos(12, 1)[0]))
+    assert solves == [("eigh", 4), ("eigvalsh", 3)]

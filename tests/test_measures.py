@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsteer import linalg, measures, states
+from qsteer import measures, states
 from qsteer.errors import (
     NotHermitian,
     NotNormalized,
@@ -152,7 +152,7 @@ def test_purity_and_coherence_spot_values():
 def test_coherence_matches_bloch_vector_length():
     rng = np.random.default_rng(5)
     rho = random_mixed(rng)
-    ra = linalg.partial_trace(rho, "A")
+    ra = np.einsum("abcb->ac", rho.reshape(2, 2, 2, 2))
     from qsteer.batch import SIGMA
 
     bloch = np.array([np.trace(ra @ SIGMA[i]).real for i in range(3)])
@@ -253,6 +253,9 @@ INVALID_MATRICES = [
     (np.eye(4) / 2.0, TraceNotOne),
     (np.diag([0.5, 0.5, 0.5, -0.5]), NotPSD),
     (np.full((4, 4), np.nan), ValidationError),
+    # stacks of states: measure_rows alone would measure the valid one row by row
+    (np.zeros((2, 4, 4)), ValidationError),
+    (np.stack([np.eye(4) / 4.0] * 2), ValidationError),
 ]
 
 
