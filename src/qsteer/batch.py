@@ -51,17 +51,14 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    rhos : (n, 4, 4) or (4, 4) complex array
-        Density matrices.  The first invalid one raises the ValidationError
-        that names its broken invariant and its index.
+    rhos : (n, 4, 4) complex array
+        Density matrices.  A wrong shape, or the first invalid matrix,
+        raises the ValidationError that names the broken invariant.
     """
     rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise ValueError(f"expected a (n, 4, 4) stack, got {rhos.shape}")
-    if not np.isfinite(rhos.view(np.float64)).all():
-        validate_stack(rhos)  # raises; eigh needs finite input
+    if (rhos.ndim != 3 or rhos.shape[1:] != (4, 4)
+            or not np.isfinite(rhos.view(np.float64)).all()):
+        validate_stack(rhos)  # raises; eigh needs a finite stack
     w, v = np.linalg.eigh(rhos)
     validate_stack(rhos, eigenvalues=w)
     n = rhos.shape[0]

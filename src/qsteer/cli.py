@@ -12,7 +12,7 @@ import sys
 
 from . import harness, measures
 from .errors import QSteerError
-from .states import STREAM_VERSION, SamplerConfig, state_from_json
+from .states import MEASURES, STREAM_VERSION, SamplerConfig, state_from_json
 
 TABLE_FIELDS = (
     "concurrence",
@@ -33,6 +33,16 @@ def _parse_ranks(text: str):
     return int(text)
 
 
+def _add_plan_flags(p) -> None:
+    """The sampling-plan flags that sample and verify share."""
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--measure", choices=MEASURES, default="ginibre")
+    p.add_argument("--ranks", type=_parse_ranks, default="uniform",
+                   help="1..4 or 'uniform'")
+    p.add_argument("--workers", type=int, default=1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsteer",
@@ -46,12 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("sample", help="random-state scatter run, CSV output")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", choices=("ginibre", "haar-pure"), default="ginibre")
-    p.add_argument("--ranks", type=_parse_ranks, default="uniform",
-                   help="1..4 or 'uniform'")
-    p.add_argument("--workers", type=int, default=1)
+    _add_plan_flags(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("channel-sweep", help="closed forms vs pipeline for one family")
@@ -67,11 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="falsification run against both bounds")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", choices=("ginibre", "haar-pure"), default="ginibre")
-    p.add_argument("--ranks", type=_parse_ranks, default="uniform")
-    p.add_argument("--workers", type=int, default=1)
+    _add_plan_flags(p)
     p.add_argument("--out", default=None, help="also write the summary JSON here")
     return parser
 

@@ -47,6 +47,9 @@ SWEEP_HEADER = (
 )
 REGION_HEADER = "purity,C,region"
 
+# the bounds run_falsification checks: S >= lower, then S <= upper
+THEOREMS = ("theorem1", "theorem2")
+
 # RegionScanResult.regions holds indices into this tuple, which lists the
 # regions in the order run_region_scan tests for them
 REGION_LABELS = ("unrealizable", "steerable", "entangled-unknown", "separable-boundary")
@@ -166,20 +169,8 @@ def write_scatter_csv(path, chunks) -> None:
             fh.write(line + "\n")
 
 
-# the measure-table columns of (C, S, F, purity), SweepTable's column order
+# the measure-table columns of (C, S, F, purity): SweepTable's and ClosedForms' order
 SWEEP_COLS = [batch.COL_C, batch.COL_S, batch.COL_F, batch.COL_PURITY]
-
-
-def _ad_closed(theta, eta) -> tuple:
-    cf = measures.bad_closed_forms(theta, eta)
-    return (cf.concurrence, cf.steerability,
-            math.sqrt(2.0 * cf.concurrence**2 + 2.0 * cf.purity - 1.0), cf.purity)
-
-
-def _pd_closed(theta, eta) -> tuple:
-    cf = measures.bpd_closed_forms(theta, eta)
-    return (cf.concurrence, cf.steerability,
-            math.sqrt(1.0 + 2.0 * cf.concurrence**2), cf.purity)
 
 
 def run_family_sweep(
@@ -203,7 +194,7 @@ def run_family_sweep(
         bases = pure_projectors([bell_like(th).amplitudes for th in thetas])
         mats = apply_channels(bases, [make(eta) for eta in etas])
         rows = batch.measure_rows(mats.reshape(-1, 4, 4))
-        forms = _ad_closed if family == "ad" else _pd_closed
+        forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
         closed = [forms(th, eta) for th in thetas for eta in etas]
         return SweepTable(family, np.repeat(thetas, eta_steps), np.tile(etas, theta_steps),
                           rows[:, SWEEP_COLS], np.array(closed))
@@ -216,7 +207,6 @@ def run_family_sweep(
         amps = np.array([bell_like(theta).amplitudes for theta in thetas.tolist()])
         phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
         rows = batch.measure_rows(werner_mixtures(ps, phis))  # checks the phis' norms
-        # WuForms lists (C, S, F, purity) in SweepTable's column order
         closed = [measures.wu_closed_forms(p, phi) for p, phi in zip(ps.tolist(), phis)]
         return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS], np.array(closed))
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
@@ -300,22 +290,13 @@ def write_boundary_csv(path, series) -> None:
             fh.write(f"{float(u)!r},{float(c)!r}\n")
 
 
-def run_falsification(
-    cfg: SamplerConfig,
-    theorems: tuple = ("theorem1", "theorem2"),
-    workers: int = 1,
-) -> FalsificationSummary:
-    """Hunt for violations of the steerability bounds over the sampling plan.
+def run_falsification(cfg: SamplerConfig, workers: int = 1) -> FalsificationSummary:
+    """Hunt for violations of both steerability bounds over the sampling plan.
 
     Margins are signed distances: S - lower for theorem1, upper - S for
     theorem2; violations are the rows bound_violations flags.  Each chunk
     is folded into the worst margins and the violation list as it arrives.
     """
-    for t in theorems:
-        if t not in ("theorem1", "theorem2"):
-            raise ParameterOutOfRange(f"unknown theorem {t!r}")
-    if not theorems:
-        raise ParameterOutOfRange("at least one theorem must be selected")
     worst_lower, worst_upper, violations = [], [], []
     for start, _, rows in scatter_table(cfg, workers=workers):
         s = rows[:, batch.COL_S]
@@ -323,17 +304,11 @@ def run_falsification(
         margin_upper = rows[:, batch.COL_UPPER] - s
         worst_lower.append(margin_lower.min())
         worst_upper.append(margin_upper.min())
-        for theorem, flags, margin in zip(("theorem1", "theorem2"), bound_violations(rows),
+        for theorem, flags, margin in zip(THEOREMS, bound_violations(rows),
                                           (margin_lower, margin_upper)):
-            if theorem in theorems:
-                violations += [{"index": start + int(i), "theorem": theorem,
-                                "margin": float(margin[i])}
-                               for i in np.nonzero(flags)[0]]
+            violations += [{"index": start + int(i), "theorem": theorem,
+                            "margin": float(margin[i])}
+                           for i in np.nonzero(flags)[0]]
     violations.sort(key=lambda v: v["index"])
-    return FalsificationSummary(
-        checked=int(cfg.count),
-        theorems=tuple(theorems),
-        worst_margin_lower=float(np.min(worst_lower)) if worst_lower else 0.0,
-        worst_margin_upper=float(np.min(worst_upper)) if worst_upper else 0.0,
-        violations=violations,
-    )
+    worst = [float(np.min(w)) if w else 0.0 for w in (worst_lower, worst_upper)]
+    return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)

@@ -13,12 +13,13 @@ ValidationError that names the failed invariant.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import batch
-from .errors import NotRealizable, ParameterOutOfRange, ValidationError
+from .errors import NotRealizable, ParameterOutOfRange
 from .states import RANGE_TOL, SLACK, DensityMatrix, PureState
 
 CLASS_SEPARABLE = "separable-candidate"
@@ -35,9 +36,7 @@ def _mat(rho) -> np.ndarray:
 def _row(rho) -> np.ndarray:
     """The batch.measure_rows row of one state, which measure_rows validates."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
-    return batch.measure_rows(m)[0]
+    return batch.measure_rows(m[None])[0]
 
 
 def _vec(psi) -> np.ndarray:
@@ -164,20 +163,9 @@ def classify(rho) -> str:
     return report(rho).classification
 
 
-class AdForms(NamedTuple):
-    concurrence: float
-    steerability: float
-    purity: float
+class ClosedForms(NamedTuple):
+    """A family's closed forms, in SweepTable's column order."""
 
-
-class PdForms(NamedTuple):
-    concurrence: float
-    steerability: float
-    purity: float
-    t_diagonal: tuple
-
-
-class WuForms(NamedTuple):
     concurrence: float
     steerability: float
     f_value: float
@@ -191,13 +179,13 @@ def _check_theta_eta(theta: float, eta: float) -> None:
         raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
 
 
-def bad_closed_forms(theta: float, eta: float) -> AdForms:
-    """Closed forms for a Bell-like state with one side amplitude-damped.
+def bad_closed_forms(theta: float, eta: float) -> ClosedForms:
+    """Closed forms for a Bell-like state with qubit A amplitude-damped.
 
     C scales by sqrt(1-eta); purity is the squared Frobenius norm of the
     explicit damped matrix (entries cos^2, eta sin^2, (1-eta) sin^2 on the
     diagonal, sqrt(1-eta) sin cos in the corners); S saturates the lower
-    bound sqrt(max(0, C^2 + purity - 1)).
+    bound sqrt(max(0, C^2 + purity - 1)), so F = sqrt(2 C^2 + 2 purity - 1).
     """
     _check_theta_eta(theta, eta)
     s2 = np.sin(theta) ** 2
@@ -205,21 +193,22 @@ def bad_closed_forms(theta: float, eta: float) -> AdForms:
     conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
     pur = float(c2 * c2 + s2 * s2 * ((1.0 - eta) ** 2 + eta * eta) + 2.0 * (1.0 - eta) * s2 * c2)
     steer = float(np.sqrt(max(0.0, conc * conc + pur - 1.0)))
-    return AdForms(conc, steer, pur)
+    return ClosedForms(conc, steer, math.sqrt(2.0 * conc**2 + 2.0 * pur - 1.0), pur)
 
 
-def bpd_closed_forms(theta: float, eta: float) -> PdForms:
-    """Closed forms for a Bell-like state with one side phase-damped.
+def bpd_closed_forms(theta: float, eta: float) -> ClosedForms:
+    """Closed forms for a Bell-like state with qubit A phase-damped.
 
-    S equals C exactly; the correlation matrix is diag(C, -C, 1).
+    S equals C exactly; the correlation matrix is diag(C, -C, 1), so
+    F = sqrt(1 + 2 C^2).
     """
     _check_theta_eta(theta, eta)
     conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
     pur = float(1.0 - 0.5 * eta * np.sin(2.0 * theta) ** 2)
-    return PdForms(conc, conc, pur, (conc, -conc, 1.0))
+    return ClosedForms(conc, conc, math.sqrt(1.0 + 2.0 * conc**2), pur)
 
 
-def wu_closed_forms(p: float, phi) -> WuForms:
+def wu_closed_forms(p: float, phi) -> ClosedForms:
     """Closed forms for p |phi><phi| + (1-p) I/4 with |phi> pure.
 
     C = max(0, p C(phi) - (1-p)/2), F = p sqrt(1 + 2 C(phi)^2),
@@ -232,7 +221,7 @@ def wu_closed_forms(p: float, phi) -> WuForms:
     fval = float(p * np.sqrt(1.0 + 2.0 * cphi * cphi))
     steer = float(np.sqrt(0.5 * max(0.0, fval * fval - 1.0)))
     pur = float((1.0 + 3.0 * p * p) / 4.0)
-    return WuForms(conc, steer, fval, pur)
+    return ClosedForms(conc, steer, fval, pur)
 
 
 def wu_steering_margin(conc, pur):

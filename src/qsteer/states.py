@@ -97,8 +97,7 @@ def validate_stack(m, eigenvalues=None) -> np.ndarray:
     NotHermitian, TraceNotOne or NotPSD for its first broken invariant, in
     that order, naming its index.  ``eigenvalues`` are the ascending
     eigenvalues of each matrix when the caller has them already; without
-    them the Hermitian part of each matrix that passes the other checks is
-    solved here.
+    them the Hermitian parts of the stack are solved here in one call.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -109,14 +108,10 @@ def validate_stack(m, eigenvalues=None) -> np.ndarray:
     trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
     # a non-finite entry makes herm_dev non-finite, so such a matrix fails here
     cheap = (herm_dev <= HERM_TOL) & (trace_dev <= TRACE_TOL)
-    if eigenvalues is not None:
-        wmin = eigenvalues[:, 0]
-    elif cheap.all():
-        wmin = np.linalg.eigvalsh((m + mh) / 2.0)[:, 0]
-    else:
-        wmin = np.zeros(n)
-        if cheap.any():
-            wmin[cheap] = np.linalg.eigvalsh((m[cheap] + mh[cheap]) / 2.0)[:, 0]
+    if eigenvalues is None:  # I/4 stands in for a matrix that already failed
+        eigenvalues = np.linalg.eigvalsh(
+            np.where(cheap[:, None, None], (m + mh) / 2.0, np.eye(4) / 4.0))
+    wmin = eigenvalues[:, 0]
     if cheap.all() and (wmin >= -EIG_TOL).all():
         return m
     finite = np.isfinite(m.view(np.float64)).reshape(n, 32).all(axis=1)
@@ -127,7 +122,7 @@ def validate_stack(m, eigenvalues=None) -> np.ndarray:
             f"matrix is not Hermitian (max deviation {herm_dev[i]:.3e}) at index {i}")),
         (trace_dev > TRACE_TOL, lambda i: TraceNotOne(
             f"trace deviates from 1 by {trace_dev[i]:.3e} at index {i}")),
-        (cheap & (wmin < -EIG_TOL), lambda i: NotPSD(
+        (wmin < -EIG_TOL, lambda i: NotPSD(
             f"matrix is not positive semidefinite (min eigenvalue {wmin[i]:.3e}) "
             f"at index {i}")),
     ))
@@ -163,15 +158,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Single-qubit channel given by Kraus operators, applied to one factor."""
+    """Single-qubit channel given by Kraus operators, applied to qubit A."""
 
     operators: tuple
-    target: str = "A"
-    eta: float = 0.0
 
     def __post_init__(self):
-        if self.target not in ("A", "B"):
-            raise ValidationError(f"target must be 'A' or 'B', got {self.target!r}")
         ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.operators)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("operators must be a non-empty tuple of 2x2 matrices")
@@ -180,6 +171,12 @@ class KrausChannel:
         if dev > KRAUS_TOL:
             raise ChannelIncomplete(f"Kraus operators violate completeness by {dev:.3e}")
         object.__setattr__(self, "operators", tuple(_frozen(k) for k in ops))
+
+
+def _check_seed(seed) -> None:
+    """Raise ParameterOutOfRange unless ``seed`` fits a Philox key word."""
+    if not 0 <= int(seed) < MAX_SEED:
+        raise ParameterOutOfRange(f"seed must be a uint64, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,7 @@ class SamplerConfig:
             raise ParameterOutOfRange(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.ranks != "uniform" and self.ranks not in (1, 2, 3, 4):
             raise ParameterOutOfRange(f"ranks must be 1..4 or 'uniform', got {self.ranks!r}")
-        if not 0 <= int(self.seed) < MAX_SEED:
-            raise ParameterOutOfRange(f"seed must be a uint64, got {self.seed}")
+        _check_seed(self.seed)
         if int(self.count) < 0:
             raise ParameterOutOfRange(f"count must be non-negative, got {self.count}")
 
@@ -238,32 +234,32 @@ def werner_like(p: float, phi: PureState) -> DensityMatrix:
     return DensityMatrix(werner_mixtures([p], phi.amplitudes[None])[0])
 
 
-def make_ad_channel(eta: float, target: str = "A") -> KrausChannel:
+def make_ad_channel(eta: float) -> KrausChannel:
     """Amplitude damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|0><1|."""
     if not 0.0 <= eta <= 1.0:
         raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
     k1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], np.complex128)
-    return KrausChannel((k0, k1), target=target, eta=eta)
+    return KrausChannel((k0, k1))
 
 
-def make_pd_channel(eta: float, target: str = "A") -> KrausChannel:
+def make_pd_channel(eta: float) -> KrausChannel:
     """Phase damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|1><1|."""
     if not 0.0 <= eta <= 1.0:
         raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
     k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(eta)]], np.complex128)
-    return KrausChannel((k0, k1), target=target, eta=eta)
+    return KrausChannel((k0, k1))
 
 
 def apply_channels(rhos, channels) -> np.ndarray:
     """Raw (n, len(channels), 4, 4) stack: every channel applied to every
     matrix of the (n, 4, 4) stack ``rhos``.
 
-    Each output is sum_k (op_k rho) op_k^dag over the channel's two-qubit
-    operators op_k, accumulated in operator order into a zero matrix.  A
-    channel with fewer operators than the longest one is padded with zero
-    operators, which add exact zeros.
+    Each output is sum_k (op_k rho) op_k^dag over op_k = K_k x I for the
+    channel's Kraus operators K_k, accumulated in operator order into a zero
+    matrix.  A channel with fewer operators than the longest one is padded
+    with zero operators, which add exact zeros.
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
@@ -271,7 +267,7 @@ def apply_channels(rhos, channels) -> np.ndarray:
     ops = np.zeros((n_ops, len(channels), 4, 4), np.complex128)
     for j, ch in enumerate(channels):
         for k, op in enumerate(ch.operators):
-            ops[k, j] = np.kron(op, eye) if ch.target == "A" else np.kron(eye, op)
+            ops[k, j] = np.kron(op, eye)
     out = np.zeros((rhos.shape[0], len(channels), 4, 4), np.complex128)
     for op in ops:
         out += (op @ rhos[:, None]) @ op.conj().transpose(0, 2, 1)
@@ -284,6 +280,7 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 
 def stream_block(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
     """The (stop - start, 36) uint64 word blocks of records [start, stop)."""
+    _check_seed(seed)
     bitgen = np.random.Philox(key=np.array([seed, domain], np.uint64))
     bitgen.advance(start * BLOCK_STEPS)
     return bitgen.random_raw((stop - start) * BLOCK_WORDS).reshape(-1, BLOCK_WORDS)

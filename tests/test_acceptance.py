@@ -128,8 +128,8 @@ def test_criterion_05_phase_damping_family():
     lam = rows[:, batch.COL_L1 : batch.COL_L4 + 1]
     big = (lam > 1e-9).sum(axis=1)
     for k, (th, eta) in enumerate(params):
-        forms = measures.bpd_closed_forms(th, eta)
-        want = np.diag(forms.t_diagonal)
+        c = measures.bpd_closed_forms(th, eta).concurrence
+        want = np.diag([c, -c, 1.0])
         worst_t = max(worst_t, float(np.abs(tmats[k] - want).max()))
         rank_ok = rank_ok and big[k] == (1 if eta == 0.0 else 2)
     ok = (worst <= 1e-8 and worst_sc <= 1e-9 and worst_pur <= 1e-10

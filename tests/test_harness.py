@@ -175,16 +175,6 @@ def test_falsification_clean_run():
     assert d["checked"] == 800 and d["violations"] == []
 
 
-def test_falsification_theorem_selection():
-    cfg = SamplerConfig("haar-pure", "uniform", seed=51, count=100)
-    one = harness.run_falsification(cfg, theorems=("theorem1",))
-    assert one.theorems == ("theorem1",)
-    with pytest.raises(ParameterOutOfRange):
-        harness.run_falsification(cfg, theorems=("theorem3",))
-    with pytest.raises(ParameterOutOfRange):
-        harness.run_falsification(cfg, theorems=())
-
-
 def test_falsification_empty_plan():
     cfg = SamplerConfig("ginibre", "uniform", seed=0, count=0)
     summary = harness.run_falsification(cfg)

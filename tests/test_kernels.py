@@ -20,7 +20,7 @@ def random_rhos(seed, n):
 
 @pytest.mark.parametrize("form", ["numpy", "list"])
 def test_measure_rows_accepts_single_matrix(form):
-    rho = FORMS[form](np.eye(4, dtype=np.complex128) / 4.0)
+    rho = FORMS[form](np.eye(4, dtype=np.complex128)[None] / 4.0)
     rows = batch.measure_rows(rho)
     assert rows.shape == (1, batch.N_COLS)
     assert rows[0, batch.COL_PURITY] == pytest.approx(0.25, abs=1e-15)
@@ -29,11 +29,11 @@ def test_measure_rows_accepts_single_matrix(form):
 
 
 def test_measure_rows_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        batch.measure_rows(np.eye(3, dtype=np.complex128))
-    with pytest.raises(ValueError):
-        batch.measure_rows(np.zeros((2, 4, 5), np.complex128))
-    with pytest.raises(ValueError):
+    # a bare (4, 4) matrix is not a stack either
+    for bad in (np.eye(3), np.zeros((2, 4, 5)), np.eye(4) / 4.0):
+        with pytest.raises(ValidationError, match="shape"):
+            batch.measure_rows(bad)
+    with pytest.raises(ValueError):  # not convertible to complex at all
         batch.measure_rows("not a matrix")
 
 

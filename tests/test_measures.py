@@ -299,6 +299,7 @@ def test_ad_closed_forms_match_pipeline():
         rep = measures.report(rho)
         assert rep.concurrence == pytest.approx(forms.concurrence, abs=1e-10)
         assert rep.steerability == pytest.approx(forms.steerability, abs=1e-10)
+        assert rep.f_value == pytest.approx(forms.f_value, abs=1e-10)
         assert rep.purity == pytest.approx(forms.purity, abs=1e-12)
 
 
@@ -307,6 +308,7 @@ def test_ad_closed_forms_spot_values():
     assert forms.concurrence == pytest.approx(0.6928203230275509, abs=1e-15)
     assert forms.purity == pytest.approx(0.8362000000000002, abs=1e-15)
     assert forms.steerability == pytest.approx(0.5623166367803821, abs=1e-15)
+    assert forms.f_value == pytest.approx(1.2776541002947552, abs=1e-15)
     clean = measures.bad_closed_forms(0.7, 0.0)
     assert clean.concurrence == pytest.approx(np.sin(1.4), abs=1e-15)
     assert clean.purity == pytest.approx(1.0, abs=1e-15)
@@ -326,9 +328,11 @@ def test_pd_closed_forms_match_pipeline():
         rep = measures.report(rho)
         assert rep.concurrence == pytest.approx(forms.concurrence, abs=1e-10)
         assert rep.steerability == pytest.approx(forms.concurrence, abs=1e-10)
+        assert rep.f_value == pytest.approx(forms.f_value, abs=1e-10)
         assert rep.purity == pytest.approx(forms.purity, abs=1e-12)
         t = measures.correlation_matrix(rho)
-        assert np.abs(t - np.diag(forms.t_diagonal)).max() < 1e-10
+        c = forms.concurrence
+        assert np.abs(t - np.diag([c, -c, 1.0])).max() < 1e-10
 
 
 def test_pd_closed_forms_spot_values():
@@ -336,7 +340,7 @@ def test_pd_closed_forms_spot_values():
     assert forms.concurrence == 0.0
     assert forms.steerability == 0.0
     assert forms.purity == pytest.approx(0.5, abs=1e-15)
-    assert forms.t_diagonal == (0.0, -0.0, 1.0)
+    assert forms.f_value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_wu_closed_forms_match_pipeline():
