@@ -24,20 +24,10 @@ from .harness import (
 from .measures import (
     MeasureReport,
     bad_closed_forms,
-    bound_lower,
-    bound_upper,
     bpd_closed_forms,
-    classify,
-    concurrence,
     concurrence_pure,
     correlation_matrix,
-    correlation_singular_values,
-    f_value,
-    first_order_coherence,
-    purity,
     report,
-    spin_flip,
-    steerability,
     wu_closed_forms,
     wu_steerability_from_c_purity,
     wu_steering_margin,

@@ -1,7 +1,8 @@
 """Batched evaluation of every per-state scalar.
 
-measure_rows() is the single route to every per-state scalar, shared by the
-scalar functions in measures and by the harness.  It returns an (n, 16)
+measure_rows() is the entry point for a stack of states and the single
+route to every per-state scalar; measures.report() reads one of its rows for
+a single state, and the harness reads whole tables.  It returns an (n, 16)
 float64 table with the column layout below, vectorized over the whole stack
 with LAPACK.  It validates the stack with states.validate_stack, taking the
 PSD check from the eigenvalues it computes anyway.
@@ -37,13 +38,14 @@ PAULI_PAIRS = np.stack(
     [np.kron(SIGMA[m], SIGMA[l]) for m in range(3) for l in range(3)]
 )
 
-_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
+# sigma_y x sigma_y is anti-diagonal: entry j of (sigma_y x sigma_y) a is
+# FLIP_SIGN[j] a[3 - j], for a vector a or (row-wise) a 4-row matrix
+FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
-def spin_flip_matrices(rhos: np.ndarray) -> np.ndarray:
-    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for a (n,4,4) stack."""
-    signs = _FLIP_SIGN[:, None] * _FLIP_SIGN[None, :]
-    return signs * rhos[..., ::-1, ::-1].conj()
+def correlation_matrices(rhos: np.ndarray) -> np.ndarray:
+    """T[k, m, n] = Re tr(rho_k (sigma_m x sigma_n)) for an (n, 4, 4) stack."""
+    return np.einsum("kab,pba->kp", rhos, PAULI_PAIRS).real.reshape(-1, 3, 3)
 
 
 def measure_rows(rhos: np.ndarray) -> np.ndarray:
@@ -68,11 +70,11 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
     root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     # sqrt(rho) flip(rho) sqrt(rho) = W W^dag; its sqrt-eigenvalues are the
     # singular values of W, which stay accurate at zero
-    yc = _FLIP_SIGN[:, None] * root[:, ::-1, :].conj()
+    yc = FLIP_SIGN[:, None] * root[:, ::-1, :].conj()
     sig = np.linalg.svd(root @ yc, compute_uv=False)
     lam = sig * sig
     conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
-    tmat = np.einsum("kab,pba->kp", rhos, PAULI_PAIRS).real.reshape(n, 3, 3)
+    tmat = correlation_matrices(rhos)
     f2 = np.einsum("kij,kij->k", tmat, tmat)
     tw = np.linalg.eigvalsh(tmat.transpose(0, 2, 1) @ tmat)[:, ::-1]
     tsv = np.sqrt(np.clip(tw, 0.0, None))

@@ -14,17 +14,8 @@ from . import harness, measures
 from .errors import QSteerError
 from .states import MEASURES, STREAM_VERSION, SamplerConfig, state_from_json
 
-TABLE_FIELDS = (
-    "concurrence",
-    "f_value",
-    "steerability",
-    "purity",
-    "q_value",
-    "coherence_a",
-    "coherence_b",
-    "lower_bound",
-    "upper_bound",
-)
+# the scalar report fields, concurrence..upper_bound, one table line each
+TABLE_FIELDS = measures.MeasureReport._fields[:9]
 
 
 def _parse_ranks(text: str):

@@ -139,10 +139,16 @@ def _ahead(fn, items, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row flags (S < lower - SLACK, S > upper + SLACK) of a measure table."""
+def bound_margins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row signed margins (S - lower, upper - S) of a measure table."""
     s = rows[:, batch.COL_S]
-    return s < rows[:, batch.COL_LOWER] - SLACK, s > rows[:, batch.COL_UPPER] + SLACK
+    return s - rows[:, batch.COL_LOWER], rows[:, batch.COL_UPPER] - s
+
+
+def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row flags of a measure table: each bound's margin below -SLACK."""
+    margin_lower, margin_upper = bound_margins(rows)
+    return margin_lower < -SLACK, margin_upper < -SLACK
 
 
 def scatter_csv_lines(chunks):
@@ -293,22 +299,19 @@ def write_boundary_csv(path, series) -> None:
 def run_falsification(cfg: SamplerConfig, workers: int = 1) -> FalsificationSummary:
     """Hunt for violations of both steerability bounds over the sampling plan.
 
-    Margins are signed distances: S - lower for theorem1, upper - S for
-    theorem2; violations are the rows bound_violations flags.  Each chunk
-    is folded into the worst margins and the violation list as it arrives.
+    Margins are the bound_margins: S - lower for theorem1, upper - S for
+    theorem2; a violation is a margin below -SLACK, as in bound_violations.
+    Each chunk is folded into the worst margins and the violation list as it
+    arrives.
     """
     worst_lower, worst_upper, violations = [], [], []
     for start, _, rows in scatter_table(cfg, workers=workers):
-        s = rows[:, batch.COL_S]
-        margin_lower = s - rows[:, batch.COL_LOWER]
-        margin_upper = rows[:, batch.COL_UPPER] - s
-        worst_lower.append(margin_lower.min())
-        worst_upper.append(margin_upper.min())
-        for theorem, flags, margin in zip(THEOREMS, bound_violations(rows),
-                                          (margin_lower, margin_upper)):
+        for theorem, margin, worst in zip(THEOREMS, bound_margins(rows),
+                                          (worst_lower, worst_upper)):
+            worst.append(margin.min())
             violations += [{"index": start + int(i), "theorem": theorem,
                             "margin": float(margin[i])}
-                           for i in np.nonzero(flags)[0]]
+                           for i in np.nonzero(margin < -SLACK)[0]]
     violations.sort(key=lambda v: v["index"])
     worst = [float(np.min(w)) if w else 0.0 for w in (worst_lower, worst_upper)]
     return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)

@@ -1,13 +1,13 @@
-"""Scalar measures of a two-qubit state and the closed forms they obey.
+"""Per-state measures of a two-qubit state and the closed forms they obey.
 
-Concurrence follows the spin-flip construction; the mixed-state eigenvalues
-are taken from the Hermitian product sqrt(rho) * flip(rho) * sqrt(rho), never
-from the non-Hermitian product directly.  Steerability is the three-setting
-correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
-
-Every per-state scalar is read from one row of batch.measure_rows, so the
-scalar functions, report() and the harness share a single route.  Raw arrays
-are validated once, by measure_rows; an invalid one raises the
+report() is the entry point for a single state: one MeasureReport holding
+concurrence, F, steerability, purity, Q, the coherences of both qubits, both
+steerability bounds, the correlation singular values, the flip-product
+eigenvalues and the classification, all read from one row of
+batch.measure_rows.  A stack of states goes to batch.measure_rows directly.
+Concurrence follows the spin-flip construction; steerability is the
+three-setting correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
+Raw arrays are validated once, by measure_rows; an invalid one raises the
 ValidationError that names the failed invariant.
 """
 
@@ -27,89 +27,29 @@ CLASS_ENTANGLED = "entangled-unsteerable-by-F"
 CLASS_STEERABLE = "steerable"
 
 
-def _mat(rho) -> np.ndarray:
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    return rho.matrix
-
-
 def _row(rho) -> np.ndarray:
     """The batch.measure_rows row of one state, which measure_rows validates."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     return batch.measure_rows(m[None])[0]
 
 
-def _vec(psi) -> np.ndarray:
-    if not isinstance(psi, PureState):
-        psi = PureState(psi)
-    return psi.amplitudes
-
-
-def spin_flip(rho) -> np.ndarray:
-    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    return batch.spin_flip_matrices(_mat(rho)[None])[0]
-
-
 def concurrence_pure(psi) -> float:
     """|<psi|psi~>| with |psi~> = (sigma_y x sigma_y) conj(|psi>)."""
-    a = _vec(psi)
-    signs = np.array([-1.0, 1.0, 1.0, -1.0])
-    tilde = signs * a[::-1].conj()
-    return float(abs(np.vdot(a, tilde)))
-
-
-def concurrence(rho) -> float:
-    """max(0, 2 sqrt(lam_1) - sum_n sqrt(lam_n)), with lam the descending
-    eigenvalues of rho * flip(rho)."""
-    return float(_row(rho)[batch.COL_C])
+    a = (psi if isinstance(psi, PureState) else PureState(psi)).amplitudes
+    return float(abs(np.vdot(a, batch.FLIP_SIGN * a[::-1].conj())))
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """T[m, n] = Re tr(rho (sigma_m x sigma_n)), a real 3x3 matrix."""
-    m = _mat(rho)
-    return np.einsum("ab,pba->p", m, batch.PAULI_PAIRS).real.reshape(3, 3)
-
-
-def correlation_singular_values(rho) -> np.ndarray:
-    """Descending singular values of the correlation matrix."""
-    return _row(rho)[batch.COL_T1 : batch.COL_T3 + 1]
-
-
-def f_value(rho) -> float:
-    """Frobenius norm of the correlation matrix (= sqrt(t1^2+t2^2+t3^2))."""
-    return float(_row(rho)[batch.COL_F])
-
-
-def steerability(rho) -> float:
-    """sqrt(max(0, F^2 - 1) / 2); positive iff the three-setting test fires."""
-    return float(_row(rho)[batch.COL_S])
-
-
-def purity(rho) -> float:
-    """tr(rho^2)."""
-    return float(_row(rho)[batch.COL_PURITY])
-
-
-def first_order_coherence(rho_qubit) -> float:
-    """Bloch-vector length sqrt(max(0, 2 tr(rho^2) - 1)) of a single qubit."""
-    m = np.asarray(rho_qubit, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ParameterOutOfRange(f"expected a 2x2 matrix, got shape {m.shape}")
-    p = float((m * m.conj()).real.sum())
-    return float(np.sqrt(max(0.0, 2.0 * p - 1.0)))
-
-
-def bound_lower(rho) -> float:
-    """sqrt(max(0, C^2 + tr(rho^2) - 1)), a steerability lower bound."""
-    return float(_row(rho)[batch.COL_LOWER])
-
-
-def bound_upper(rho) -> float:
-    """min(C, sqrt(max(0, 2 tr(rho^2) - 1))), a steerability upper bound."""
-    return float(_row(rho)[batch.COL_UPPER])
+    m = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).matrix
+    return batch.correlation_matrices(m[None])[0]
 
 
 class MeasureReport(NamedTuple):
+    """One state's measures; classification is 'steerable' (S > 0),
+    'entangled-unsteerable-by-F' (C > 0, S = 0) or 'separable-candidate'
+    (C = 0)."""
+
     concurrence: float
     f_value: float
     steerability: float
@@ -155,12 +95,6 @@ def report(rho) -> MeasureReport:
         lam=tuple(float(x) for x in row[batch.COL_L1 : batch.COL_L4 + 1]),
         classification=_classify_from(float(row[batch.COL_C]), float(row[batch.COL_S])),
     )
-
-
-def classify(rho) -> str:
-    """'steerable' (S > 0), 'entangled-unsteerable-by-F' (C > 0, S = 0) or
-    'separable-candidate' (C = 0)."""
-    return report(rho).classification
 
 
 class ClosedForms(NamedTuple):

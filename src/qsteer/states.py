@@ -173,10 +173,16 @@ class KrausChannel:
         object.__setattr__(self, "operators", tuple(_frozen(k) for k in ops))
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_seed(seed) -> None:
-    """Raise ParameterOutOfRange unless ``seed`` fits a Philox key word."""
-    if not 0 <= int(seed) < MAX_SEED:
-        raise ParameterOutOfRange(f"seed must be a uint64, got {seed}")
+    """Raise ParameterOutOfRange unless ``seed`` is an integer that fits a
+    Philox key word."""
+    if not (_is_int(seed) and 0 <= seed < MAX_SEED):
+        raise ParameterOutOfRange(f"seed must be a uint64, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -191,11 +197,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ParameterOutOfRange(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        if self.ranks != "uniform" and self.ranks not in (1, 2, 3, 4):
+        if self.ranks != "uniform" and not (_is_int(self.ranks) and 1 <= self.ranks <= 4):
             raise ParameterOutOfRange(f"ranks must be 1..4 or 'uniform', got {self.ranks!r}")
         _check_seed(self.seed)
-        if int(self.count) < 0:
-            raise ParameterOutOfRange(f"count must be non-negative, got {self.count}")
+        if not (_is_int(self.count) and self.count >= 0):
+            raise ParameterOutOfRange(f"count must be a non-negative integer, got {self.count!r}")
 
 
 def bell_like(theta: float) -> PureState:

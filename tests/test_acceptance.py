@@ -220,7 +220,7 @@ def test_criterion_09_convex_roof_never_beaten():
     rng = np.random.default_rng(909)
     worst = np.inf
     for i in range(n_states):
-        c = measures.concurrence(rhos[i])
+        c = measures.report(rhos[i]).concurrence
         w, v = np.linalg.eigh(rhos[i])
         b = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
         z = rng.standard_normal((n_dec, 4, 4)) + 1j * rng.standard_normal((n_dec, 4, 4))

@@ -1,4 +1,5 @@
-"""sha256 digests of the sample, verify, channel-sweep and wu-scan outputs.
+"""sha256 digests of the analyze, sample, verify, channel-sweep and wu-scan
+outputs.
 
 The sweeps and the scan are built as arrays, and sample and verify stream
 the plan chunk by chunk; these digests pin their output bytes across
@@ -10,10 +11,11 @@ in the last bit.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from qsteer import cli
+from qsteer import cli, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
@@ -53,6 +55,13 @@ VERIFY_GOLDEN = [
      "b2ef96e9d5023a5b58b8e14020bd8e28158776edb94d3e79a1183e26933c15fa"),
 ]
 
+# analyze on record 10 of a rank-2 plan, a state on which both steering
+# tests fire: (format, digest of the report)
+ANALYZE_GOLDEN = [
+    ("table", "08e48b64683f4f94dd655d5bc29afb5a1e34eae8085b6400f18d5c3a68581890"),
+    ("json", "b33ddc6008deb69dce24d11177704570e627cafc9e5dae22e5f4d56462bf86a6"),
+]
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -84,3 +93,13 @@ def test_sample_golden_digest(argv, digest, tmp_path):
 def test_verify_golden_digest(argv, digest, capsys):
     assert cli.main(["verify", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", ANALYZE_GOLDEN, ids=["table", "json"])
+def test_analyze_golden_digest(fmt, digest, tmp_path):
+    rho = states.random_state(states.SamplerConfig("ginibre", 2, seed=11, count=11), 10)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(states.state_to_json(rho)))
+    out = tmp_path / "report.txt"
+    assert cli.main(["analyze", "--in", str(state), "--format", fmt, "--out", str(out)]) == 0
+    assert sha256(out) == digest

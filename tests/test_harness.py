@@ -74,17 +74,23 @@ def test_scatter_csv_rows_match_per_cell_format():
 
 
 def test_bound_violations_set_the_csv_flags():
-    # S beyond, on and inside each bound, by twice the slack
-    rows = np.zeros((4, batch.N_COLS))
-    rows[:, batch.COL_LOWER] = 0.5
-    rows[:, batch.COL_UPPER] = 0.6
-    rows[:, batch.COL_S] = [0.5 - 2 * harness.SLACK, 0.5, 0.6, 0.6 + 2 * harness.SLACK]
+    # S beyond, on and inside each bound, by twice the slack; then S past
+    # each bound by a margin that rounds to just below -SLACK, which the
+    # flag must count as the violation the margin reports
+    rows = np.zeros((6, batch.N_COLS))
+    rows[:, batch.COL_LOWER] = [0.5, 0.5, 0.5, 0.5, 0.2697867137638703, 0.0]
+    rows[:, batch.COL_UPPER] = [0.6, 0.6, 0.6, 0.6, 1.0, 0.31183145201048545]
+    rows[:, batch.COL_S] = [0.5 - 2 * harness.SLACK, 0.5, 0.6, 0.6 + 2 * harness.SLACK,
+                            0.2697867127638703, 0.3118314530104855]
     lower, upper = harness.bound_violations(rows)
-    assert lower.tolist() == [True, False, False, False]
-    assert upper.tolist() == [False, False, False, True]
-    lines = list(harness.scatter_csv_lines([(0, np.ones(4, np.int64), rows)]))[1:]
+    assert lower.tolist() == [True, False, False, False, True, False]
+    assert upper.tolist() == [False, False, False, True, False, True]
+    margin_lower, margin_upper = harness.bound_margins(rows)
+    assert margin_lower[4] < -harness.SLACK and margin_upper[5] < -harness.SLACK
+    lines = list(harness.scatter_csv_lines([(0, np.ones(6, np.int64), rows)]))[1:]
     assert [line.split(",")[11:] for line in lines] == [
-        ["true", "false"], ["false", "false"], ["false", "false"], ["false", "true"]
+        ["true", "false"], ["false", "false"], ["false", "false"], ["false", "true"],
+        ["true", "false"], ["false", "true"],
     ]
 
 

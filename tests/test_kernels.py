@@ -37,15 +37,6 @@ def test_measure_rows_rejects_bad_shapes():
         batch.measure_rows("not a matrix")
 
 
-def test_spin_flip_matrices_matches_kron_form():
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    y = np.kron(sy, sy)
-    rhos = random_rhos(5, 8)
-    flipped = batch.spin_flip_matrices(rhos)
-    for i in range(8):
-        assert np.array_equal(flipped[i], y @ rhos[i].conj() @ y)
-
-
 @pytest.mark.parametrize("bad, error", [
     (np.diag([np.nan, 0.5, 0.25, 0.25]), ValidationError),
     # upper-triangular with trace 1: was measured as C = S = 0
@@ -85,5 +76,5 @@ def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
 
 def test_scalar_on_raw_array_validates_once(monkeypatch):
     # the raw array goes straight to measure_rows, with no 4x4 eigvalsh before it
-    solves = _solves(monkeypatch, lambda: measures.purity(random_rhos(12, 1)[0]))
+    solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
     assert solves == [("eigh", 4), ("eigvalsh", 3)]

@@ -47,12 +47,6 @@ def concurrence_oracle(rho):
     return max(0.0, 2.0 * lam[0] - lam.sum())
 
 
-def test_spin_flip_matches_kron_form():
-    rng = np.random.default_rng(0)
-    rho = random_mixed(rng)
-    assert np.array_equal(measures.spin_flip(rho), YY @ rho.conj() @ YY)
-
-
 def test_concurrence_pure_spot_values():
     assert measures.concurrence_pure(states.bell_like(np.pi / 4)) == pytest.approx(1.0, abs=1e-15)
     assert measures.concurrence_pure(states.bell_like(np.pi / 6)) == pytest.approx(
@@ -82,7 +76,7 @@ def test_concurrence_pure_matches_density_route():
     for _ in range(20):
         psi = haar_pure(rng)
         rho = np.outer(psi, psi.conj())
-        assert measures.concurrence(rho) == pytest.approx(
+        assert measures.report(rho).concurrence == pytest.approx(
             measures.concurrence_pure(psi), abs=1e-12
         )
 
@@ -92,15 +86,16 @@ def test_concurrence_against_non_hermitian_oracle(form):
     rng = np.random.default_rng(2)
     for _ in range(30):
         rho = random_mixed(rng)
-        c = measures.concurrence(FORMS[form](rho))
+        c = measures.report(FORMS[form](rho)).concurrence
         assert c == pytest.approx(concurrence_oracle(rho), abs=1e-7)
 
 
 def test_concurrence_werner_threshold_values():
     phi = states.bell_like(np.pi / 4)
-    assert measures.concurrence(states.werner_like(0.5, phi)) == pytest.approx(0.25, abs=1e-12)
-    assert measures.concurrence(states.werner_like(0.2, phi)) == 0.0
-    assert measures.concurrence(np.eye(4) / 4.0) == 0.0
+    half = measures.report(states.werner_like(0.5, phi))
+    assert half.concurrence == pytest.approx(0.25, abs=1e-12)
+    assert measures.report(states.werner_like(0.2, phi)).concurrence == 0.0
+    assert measures.report(np.eye(4) / 4.0).concurrence == 0.0
 
 
 def test_correlation_matrix_against_trace_loops():
@@ -124,29 +119,32 @@ def test_correlation_matrix_of_product_state():
     rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |01><01|
     t = measures.correlation_matrix(rho)
     assert np.abs(t - np.diag([0.0, 0.0, -1.0])).max() < 1e-14
-    assert measures.f_value(rho) == pytest.approx(1.0, abs=1e-14)
-    assert measures.steerability(rho) == 0.0
+    rep = measures.report(rho)
+    assert rep.f_value == pytest.approx(1.0, abs=1e-14)
+    assert rep.steerability == 0.0
 
 
 @pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
 def test_f_value_equals_singular_value_route(form):
     rng = np.random.default_rng(4)
     for _ in range(25):
-        rho = FORMS[form](random_mixed(rng))
-        sv = measures.correlation_singular_values(rho)
+        rep = measures.report(FORMS[form](random_mixed(rng)))
+        sv = np.array(rep.singular_values)
         assert np.all(np.diff(sv) <= 1e-12)
-        assert measures.f_value(rho) == pytest.approx(
+        assert rep.f_value == pytest.approx(
             float(np.sqrt((sv * sv).sum())), abs=1e-10
         )
 
 
 def test_purity_and_coherence_spot_values():
-    assert measures.purity(np.eye(4) / 4.0) == pytest.approx(0.25, abs=1e-15)
-    assert measures.first_order_coherence(np.diag([0.75, 0.25])) == pytest.approx(0.5, abs=1e-15)
-    assert measures.first_order_coherence(np.eye(2) / 2.0) == 0.0
-    assert measures.first_order_coherence(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ParameterOutOfRange):
-        measures.first_order_coherence(np.eye(4) / 4.0)
+    assert measures.report(np.eye(4) / 4.0).purity == pytest.approx(0.25, abs=1e-15)
+
+    def coherence_a(diag):  # D of qubit A in diag(...) x I/2
+        return measures.report(np.kron(np.diag(diag), np.eye(2) / 2.0)).coherence_a
+
+    assert coherence_a([0.75, 0.25]) == pytest.approx(0.5, abs=1e-15)
+    assert coherence_a([0.5, 0.5]) == 0.0
+    assert coherence_a([1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coherence_matches_bloch_vector_length():
@@ -156,7 +154,7 @@ def test_coherence_matches_bloch_vector_length():
     from qsteer.batch import SIGMA
 
     bloch = np.array([np.trace(ra @ SIGMA[i]).real for i in range(3)])
-    assert measures.first_order_coherence(ra) == pytest.approx(
+    assert measures.report(rho).coherence_a == pytest.approx(
         float(np.linalg.norm(bloch)), abs=1e-12
     )
 
@@ -236,7 +234,6 @@ def test_werner_08_report_spot_values():
     # this family sits exactly on the upper bound
     assert rep.upper_bound == pytest.approx(rep.steerability, abs=1e-12)
     assert rep.classification == "steerable"
-    assert measures.classify(rho) == "steerable"
 
 
 def test_classification_of_unsteerable_entangled_state():
@@ -245,7 +242,7 @@ def test_classification_of_unsteerable_entangled_state():
     assert rep.concurrence == pytest.approx(0.25, abs=1e-12)
     assert rep.steerability == 0.0
     assert rep.classification == "entangled-unsteerable-by-F"
-    assert measures.classify(np.eye(4) / 4.0) == "separable-candidate"
+    assert measures.report(np.eye(4) / 4.0).classification == "separable-candidate"
 
 
 INVALID_MATRICES = [
@@ -259,10 +256,7 @@ INVALID_MATRICES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "fn", [measures.report, measures.classify, measures.concurrence, measures.f_value,
-           measures.steerability, measures.purity, measures.bound_lower]
-)
+@pytest.mark.parametrize("fn", [measures.report, measures.correlation_matrix])
 def test_raw_arrays_name_the_failed_invariant(fn):
     for m, error in INVALID_MATRICES:
         with pytest.raises(error):
@@ -273,8 +267,12 @@ def test_bounds_match_report_columns():
     rng = np.random.default_rng(10)
     rho = random_mixed(rng)
     rep = measures.report(rho)
-    assert measures.bound_lower(rho) == pytest.approx(rep.lower_bound, abs=1e-12)
-    assert measures.bound_upper(rho) == pytest.approx(rep.upper_bound, abs=1e-12)
+    assert rep.lower_bound == pytest.approx(
+        float(np.sqrt(max(0.0, rep.concurrence**2 + rep.purity - 1.0))), abs=1e-12
+    )
+    assert rep.upper_bound == pytest.approx(
+        min(rep.concurrence, float(np.sqrt(max(0.0, 2.0 * rep.purity - 1.0)))), abs=1e-12
+    )
     assert rep.q_value == pytest.approx(
         float(np.sqrt(rep.concurrence**2 + rep.purity)), abs=1e-12
     )

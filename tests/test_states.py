@@ -194,6 +194,29 @@ def test_sampler_config_validation():
         states.SamplerConfig(count=-2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "7"), ("seed", True),
+    ("count", 1.5), ("count", "3"), ("count", True),
+    ("ranks", True), ("ranks", 2.0),
+])
+def test_sampler_config_rejects_non_integers(field, value):
+    # seed=1.5 used to replay seed 1, ranks=True to act as rank 1
+    with pytest.raises(ParameterOutOfRange, match=f"^{field} must"):
+        states.SamplerConfig(**{field: value})
+
+
+def test_sampler_config_accepts_numpy_integers():
+    cfg = states.SamplerConfig(ranks=np.int64(2), seed=np.uint64(2**64 - 1), count=np.int64(3))
+    assert states.draw_matrices(cfg, 0, 3)[1].tolist() == [2, 2, 2]
+    assert states.SamplerConfig(seed=np.int64(5)).seed == 5
+
+
+def test_unitary_stream_rejects_non_integer_seeds():
+    for seed in (2.5, "7", True):
+        with pytest.raises(ParameterOutOfRange, match="^seed must"):
+            states.random_unitary(seed, 0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_uint64_is_a_parameter_error(seed, tmp_path, capsys):
     with pytest.raises(ParameterOutOfRange, match="seed must be a uint64"):

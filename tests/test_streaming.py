@@ -81,15 +81,15 @@ def test_streamed_verify_equals_eager_reference(count, workers):
 
 
 def test_streamed_violations_carry_plan_indices(monkeypatch):
-    # force flags in two chunks, with both theorems on one row of the second
+    # force violating margins in two chunks, with both theorems on one row of
+    # the second
     def flagged(rows):
-        s = rows[:, batch.COL_S]
-        lower, upper = s < -1.0, s > 2.0
-        lower[[3, 2]] = True
-        upper[2] = True
+        lower, upper = np.ones(len(rows)), np.ones(len(rows))
+        lower[[3, 2]] = -1.0
+        upper[2] = -1.0
         return lower, upper
 
-    monkeypatch.setattr(harness, "bound_violations", flagged)
+    monkeypatch.setattr(harness, "bound_margins", flagged)
     cfg = SamplerConfig("ginibre", "uniform", seed=13, count=CHUNK + 5)
     got = harness.run_falsification(cfg, workers=2).violations
     assert [(v["index"], v["theorem"]) for v in got] == [
