@@ -1,11 +1,14 @@
 """Batched evaluation of every per-state scalar.
 
 measure_rows() is the entry point for a stack of states and the single
-route to every per-state scalar; measures.report() reads one of its rows for
-a single state, and the harness reads whole tables.  It returns an (n, 16)
-float64 table with the column layout below, vectorized over the whole stack
-with LAPACK.  It validates the stack with states.validate_stack, taking the
-PSD check from the eigenvalues it computes anyway.
+route to every per-state scalar but the correlation singular values;
+measures.report() reads one of its rows for a single state, and the harness
+reads whole tables.  It returns an (n, 13) float64 table with the column
+layout below, vectorized over the whole stack with LAPACK.  It validates the
+stack with states.validate_stack, taking the PSD check from the eigenvalues
+it computes anyway.  F needs only the Frobenius sum of T, so the singular
+values are not a column: correlation_singular_values() gives them, and only
+report() asks for them.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ COL_DA = 5
 COL_DB = 6
 COL_LOWER = 7
 COL_UPPER = 8
-COL_T1, COL_T2, COL_T3 = 9, 10, 11
-COL_L1, COL_L2, COL_L3, COL_L4 = 12, 13, 14, 15
-N_COLS = 16
+COL_L1, COL_L2, COL_L3, COL_L4 = 9, 10, 11, 12
+N_COLS = 13
 
 SIGMA = np.zeros((3, 2, 2), np.complex128)
 SIGMA[0] = [[0.0, 1.0], [1.0, 0.0]]
@@ -46,6 +48,14 @@ FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 def correlation_matrices(rhos: np.ndarray) -> np.ndarray:
     """T[k, m, n] = Re tr(rho_k (sigma_m x sigma_n)) for an (n, 4, 4) stack."""
     return np.einsum("kab,pba->kp", rhos, PAULI_PAIRS).real.reshape(-1, 3, 3)
+
+
+def correlation_singular_values(tmats: np.ndarray) -> np.ndarray:
+    """Descending singular values t1 >= t2 >= t3 of each matrix of an
+    (n, 3, 3) correlation_matrices stack, as square roots of the
+    eigenvalues of T^T T."""
+    tw = np.linalg.eigvalsh(tmats.transpose(0, 2, 1) @ tmats)[:, ::-1]
+    return np.sqrt(np.clip(tw, 0.0, None))
 
 
 def measure_rows(rhos: np.ndarray) -> np.ndarray:
@@ -76,8 +86,6 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
     conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
     tmat = correlation_matrices(rhos)
     f2 = np.einsum("kij,kij->k", tmat, tmat)
-    tw = np.linalg.eigvalsh(tmat.transpose(0, 2, 1) @ tmat)[:, ::-1]
-    tsv = np.sqrt(np.clip(tw, 0.0, None))
     r5 = rhos.reshape(n, 2, 2, 2, 2)
     rho_a = np.einsum("kabcb->kac", r5)
     rho_b = np.einsum("kabac->kbc", r5)
@@ -92,7 +100,6 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
     out[:, COL_DB] = np.sqrt(np.maximum(0.0, 2.0 * pb - 1.0))
     out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
-    out[:, COL_T1 : COL_T3 + 1] = tsv
     out[:, COL_L1 : COL_L4 + 1] = lam
     return out
 

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import harness, measures
-from .errors import QSteerError
+from .errors import QSteerError, ValidationError
 from .states import MEASURES, STREAM_VERSION, SamplerConfig, state_from_json
 
 # the scalar report fields, concurrence..upper_bound, one table line each
@@ -77,8 +77,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _analyze(args) -> int:
-    with open(args.in_path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(args.in_path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+    # past Python's digit limit; RecursionError: arrays nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"state file is not valid UTF-8 JSON: {exc}") from None
     rho = state_from_json(obj)
     rep = measures.report(rho)
     lower_fires = rep.concurrence**2 + rep.purity > 1.0
@@ -171,7 +176,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (QSteerError, OSError, json.JSONDecodeError) as exc:
+    except (QSteerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

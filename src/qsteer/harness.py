@@ -23,6 +23,7 @@ from .states import (
     DOMAIN_SWEEP,
     SLACK,
     SamplerConfig,
+    _is_int,
     apply_channels,
     bell_like,
     draw_matrices,
@@ -111,8 +112,8 @@ def scatter_table(cfg: SamplerConfig, workers: int = 1):
     worker everything runs in the calling thread; with more, a pool measures
     at most 2 * workers chunks ahead of the consumer.
     """
-    if workers < 1:
-        raise ParameterOutOfRange(f"workers must be >= 1, got {workers}")
+    if not (_is_int(workers) and workers >= 1):
+        raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
     starts = range(0, cfg.count, CHUNK)
 
     def one(start: int):
@@ -192,8 +193,9 @@ def run_family_sweep(
     random (p, theta, unitary) triples from the seeded counter-based stream.
     """
     if family in ("ad", "pd"):
-        if theta_steps < 2 or eta_steps < 2:
-            raise ParameterOutOfRange("theta-steps and eta-steps must both be >= 2")
+        if not (_is_int(theta_steps) and _is_int(eta_steps)
+                and theta_steps >= 2 and eta_steps >= 2):
+            raise ParameterOutOfRange("theta-steps and eta-steps must both be integers >= 2")
         thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
         etas = np.linspace(0.0, 1.0, eta_steps)
         make = make_ad_channel if family == "ad" else make_pd_channel
@@ -205,8 +207,8 @@ def run_family_sweep(
         return SweepTable(family, np.repeat(thetas, eta_steps), np.tile(etas, theta_steps),
                           rows[:, SWEEP_COLS], np.array(closed))
     if family == "wu":
-        if p_steps < 2:
-            raise ParameterOutOfRange("p-steps must be >= 2")
+        if not (_is_int(p_steps) and p_steps >= 2):
+            raise ParameterOutOfRange("p-steps must be an integer >= 2")
         u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
         ps = u01[:, 0]
         thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
@@ -252,8 +254,9 @@ def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanRe
     Emits, besides the grid, the zero crossing of the steering criterion and
     the realizability envelope C = (3p - 1)/2.
     """
-    if purity_steps < 2 or c_steps < 2:
-        raise ParameterOutOfRange("grid must be at least 2x2")
+    if not (_is_int(purity_steps) and _is_int(c_steps)
+            and purity_steps >= 2 and c_steps >= 2):
+        raise ParameterOutOfRange("grid sides must be integers >= 2")
     purities = np.linspace(0.25, 1.0, purity_steps)
     concs = np.linspace(0.0, 1.0, c_steps)
     p = np.sqrt(np.maximum(0.0, (4.0 * purities - 1.0) / 3.0))
@@ -280,7 +283,7 @@ def region_csv_lines(result: RegionScanResult):
              for c in result.concurrences.tolist()]
     for u, codes in zip(result.purities.tolist(), result.regions.tolist()):
         head = f"{u!r},"
-        yield "\n".join([head + cell[k] for cell, k in zip(cells, codes)])
+        yield head + ("\n" + head).join(map(list.__getitem__, cells, codes))
 
 
 def write_region_csv(path, result: RegionScanResult) -> None:

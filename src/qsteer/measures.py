@@ -3,8 +3,10 @@
 report() is the entry point for a single state: one MeasureReport holding
 concurrence, F, steerability, purity, Q, the coherences of both qubits, both
 steerability bounds, the correlation singular values, the flip-product
-eigenvalues and the classification, all read from one row of
-batch.measure_rows.  A stack of states goes to batch.measure_rows directly.
+eigenvalues and the classification.  All but the singular values are read
+from one row of batch.measure_rows; those come from
+batch.correlation_singular_values.  A stack of states goes to
+batch.measure_rows directly.
 Concurrence follows the spin-flip construction; steerability is the
 three-setting correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
 Raw arrays are validated once, by measure_rows; an invalid one raises the
@@ -25,12 +27,6 @@ from .states import RANGE_TOL, SLACK, DensityMatrix, PureState
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
 CLASS_STEERABLE = "steerable"
-
-
-def _row(rho) -> np.ndarray:
-    """The batch.measure_rows row of one state, which measure_rows validates."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    return batch.measure_rows(m[None])[0]
 
 
 def concurrence_pure(psi) -> float:
@@ -79,8 +75,12 @@ def _classify_from(conc: float, steer: float) -> str:
 
 
 def report(rho) -> MeasureReport:
-    """Every scalar quantity for one state, from one batch.measure_rows row."""
-    row = _row(rho)
+    """Every scalar quantity for one state, from one batch.measure_rows row
+    (which validates the state) and its correlation singular values."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    stack = np.ascontiguousarray(m[None])
+    row = batch.measure_rows(stack)[0]
+    tsv = batch.correlation_singular_values(batch.correlation_matrices(stack))[0]
     return MeasureReport(
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),
@@ -91,7 +91,7 @@ def report(rho) -> MeasureReport:
         coherence_b=float(row[batch.COL_DB]),
         lower_bound=float(row[batch.COL_LOWER]),
         upper_bound=float(row[batch.COL_UPPER]),
-        singular_values=tuple(float(x) for x in row[batch.COL_T1 : batch.COL_T3 + 1]),
+        singular_values=tuple(float(x) for x in tsv),
         lam=tuple(float(x) for x in row[batch.COL_L1 : batch.COL_L4 + 1]),
         classification=_classify_from(float(row[batch.COL_C]), float(row[batch.COL_S])),
     )

@@ -287,6 +287,10 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 def stream_block(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
     """The (stop - start, 36) uint64 word blocks of records [start, stop)."""
     _check_seed(seed)
+    if not (_is_int(start) and _is_int(stop)):
+        raise ParameterOutOfRange(f"start and stop must be integers, got {start!r}, {stop!r}")
+    if not 0 <= start <= stop:
+        raise IndexOutOfRange(f"records [{start}, {stop}) need 0 <= start <= stop")
     bitgen = np.random.Philox(key=np.array([seed, domain], np.uint64))
     bitgen.advance(start * BLOCK_STEPS)
     return bitgen.random_raw((stop - start) * BLOCK_WORDS).reshape(-1, BLOCK_WORDS)
@@ -335,6 +339,8 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
 
 def random_state(cfg: SamplerConfig, index: int) -> DensityMatrix:
     """Record ``index`` of the sampling plan, deterministic in (seed, index)."""
+    if not _is_int(index):
+        raise ParameterOutOfRange(f"index must be an integer, got {index!r}")
     if not 0 <= index < cfg.count:
         raise IndexOutOfRange(f"index {index} outside [0, {cfg.count})")
     rhos, _ = draw_matrices(cfg, index, index + 1)
@@ -383,5 +389,9 @@ def state_from_json(obj) -> DensityMatrix:
                 or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
             ):
                 raise ValidationError(f"matrix entry ({i}, {j}) must be a [re, im] pair")
-            m[i, j] = complex(entry[0], entry[1])
+            try:
+                m[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # an integer too large for a float
+                raise ValidationError(
+                    f"matrix entry ({i}, {j}) does not fit a float") from None
     return DensityMatrix(m)

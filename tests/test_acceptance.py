@@ -203,8 +203,10 @@ def test_criterion_07_werner_thresholds():
 
 
 def test_criterion_08_f_value_route_consistency():
-    rows = big_table()["rows"]
-    tsv = rows[:, batch.COL_T1 : batch.COL_T3 + 1]
+    table = big_table()
+    rows = table["rows"]
+    rhos, _ = states.draw_matrices(table["cfg"], 0, BIG_COUNT)
+    tsv = batch.correlation_singular_values(batch.correlation_matrices(rhos))
     f_from_sv = np.sqrt((tsv * tsv).sum(axis=1))
     worst = float(np.abs(f_from_sv - rows[:, batch.COL_F]).max())
     ok = worst <= 1e-10

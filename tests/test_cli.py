@@ -107,6 +107,24 @@ def test_analyze_rejects_boolean_entries(tmp_path, capsys):
     assert "entry (0, 0) must be a [re, im] pair" in capsys.readouterr().err
 
 
+def test_analyze_rejects_integer_too_large_for_a_float(tmp_path, capsys):
+    obj = states.state_to_json(states.DensityMatrix(np.eye(4) / 4.0))
+    obj["matrix"][1][2] = [10**400, 0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert "entry (1, 2) does not fit a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000, b"1" * 5000],
+                         ids=["not-utf8", "nested-too-deep", "too-many-digits"])
+def test_analyze_rejects_unreadable_json(content, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: state file is not valid UTF-8 JSON")
+
+
 def test_analyze_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from qsteer import cli, states
+from qsteer import cli, harness, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
@@ -93,6 +93,18 @@ def test_sample_golden_digest(argv, digest, tmp_path):
 def test_verify_golden_digest(argv, digest, capsys):
     assert cli.main(["verify", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk", [1000, 4097])
+def test_chunk_size_does_not_change_the_bytes(chunk, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    (sample_argv, sample_digest), (verify_argv, verify_digest) = SAMPLE_GOLDEN[0], VERIFY_GOLDEN[0]
+    out = tmp_path / "scatter.csv"
+    assert cli.main(["sample", *sample_argv, "--out", str(out)]) == 0
+    assert sha256(out) == sample_digest
+    capsys.readouterr()
+    assert cli.main(["verify", *verify_argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == verify_digest
 
 
 @pytest.mark.parametrize("fmt, digest", ANALYZE_GOLDEN, ids=["table", "json"])

@@ -169,6 +169,31 @@ def test_region_csv_round_trip(tmp_path):
     assert head == "purity,C"
 
 
+CFG = SamplerConfig("ginibre", "uniform", seed=1, count=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: harness.run_family_sweep("ad", theta_steps=2.5),
+    lambda: harness.run_family_sweep("pd", eta_steps=np.float64(3.0)),
+    lambda: harness.run_family_sweep("wu", p_steps=3.5),
+    lambda: harness.run_region_scan(2.5, 3),
+    lambda: harness.run_region_scan(3, True),
+    lambda: states.random_state(CFG, 1.5),
+    lambda: states.random_state(CFG, True),
+    lambda: states.draw_matrices(CFG, 0.5, 2),
+    lambda: states.draw_matrices(CFG, 0, 2.0),
+    lambda: states.random_unitary(0, True),
+    lambda: states.random_unitary(0, 1.5),
+    lambda: harness.scatter_table(CFG, workers=1.5),
+    lambda: harness.run_falsification(CFG, workers=True),
+], ids=["theta-steps", "eta-steps", "p-steps", "purity-steps", "c-steps",
+        "index-float", "index-bool", "start", "stop", "unitary-bool", "unitary-float",
+        "workers-float", "workers-bool"])
+def test_sizes_and_indices_must_be_integers(call):
+    with pytest.raises(ParameterOutOfRange, match="integer"):
+        call()
+
+
 def test_falsification_clean_run():
     cfg = SamplerConfig("ginibre", "uniform", seed=50, count=800)
     summary = harness.run_falsification(cfg)

@@ -68,13 +68,22 @@ def _solves(monkeypatch, call):
     return solves
 
 
+def test_correlation_singular_values_match_svd():
+    tmats = batch.correlation_matrices(random_rhos(11, 40))
+    tsv = batch.correlation_singular_values(tmats)
+    assert tsv.shape == (40, 3)
+    assert (np.diff(tsv, axis=1) <= 0.0).all()
+    assert np.allclose(tsv, np.linalg.svd(tmats, compute_uv=False), atol=1e-12)
+
+
 def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
     solves = _solves(monkeypatch, lambda: batch.measure_rows(random_rhos(10, 50)))
-    # one 4x4 eigh for the whole stack; the only eigvalsh is the 3x3 T^T T
-    assert sorted(solves) == [("eigh", 4), ("eigvalsh", 3)]
+    # one 4x4 eigh for the whole stack and no eigvalsh: F needs no singular values
+    assert solves == [("eigh", 4)]
 
 
 def test_scalar_on_raw_array_validates_once(monkeypatch):
-    # the raw array goes straight to measure_rows, with no 4x4 eigvalsh before it
+    # the raw array goes straight to measure_rows, with no 4x4 eigvalsh before
+    # it; the 3x3 eigvalsh gives the report's correlation singular values
     solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
     assert solves == [("eigh", 4), ("eigvalsh", 3)]

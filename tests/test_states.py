@@ -329,6 +329,8 @@ def test_random_state_index_bounds():
     for start, stop in ((-1, 2), (2, 1), (0, 4)):
         with pytest.raises(IndexOutOfRange):
             states.draw_matrices(cfg, start, stop)
+    with pytest.raises(IndexOutOfRange):  # advance(-9) would wrap the counter
+        states.random_unitary(0, -1)
 
 
 def test_seeds_give_distinct_streams():
