@@ -31,7 +31,10 @@ def _add_plan_flags(p) -> None:
     p.add_argument("--measure", choices=MEASURES, default="ginibre")
     p.add_argument("--ranks", type=_parse_ranks, default="uniform",
                    help="1..4 or 'uniform'")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=harness.WORKERS,
+                   help="threads that draw and measure the plan "
+                        "(default: %(default)s, the CPUs this process may use, "
+                        "at most 2)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +37,19 @@ from .states import (
     werner_mixtures,
 )
 
-CHUNK = 4096
+# records per drawn and measured chunk.  A pool of N workers holds up to
+# 2 * N chunks in flight (see _ahead), 2 * N * CHUNK records in all.
+CHUNK = 2048
+
+# the default worker count: the CPUs this process may run on, at most two.
+# numpy's LAPACK calls and ufunc loops release the GIL, so each worker keeps
+# one CPU busy.  Two is the most that has been measured; the cap also keeps
+# the default memory in flight the same on every host.
+MAX_DEFAULT_WORKERS = 2
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = min(len(os.sched_getaffinity(0)), MAX_DEFAULT_WORKERS)
+else:
+    WORKERS = min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
 
 SCATTER_HEADER = (
     "index,rank_k,purity,C,F,S,Q,D_A,D_B,lower_bound,upper_bound,"
@@ -103,7 +116,7 @@ class FalsificationSummary:
         }
 
 
-def scatter_table(cfg: SamplerConfig, workers: int = 1):
+def scatter_table(cfg: SamplerConfig, workers: int = WORKERS):
     """The plan's measure table as an iterator of (start, ranks, rows), one
     item per CHUNK of records in index order.
 
@@ -299,7 +312,7 @@ def write_boundary_csv(path, series) -> None:
             fh.write(f"{float(u)!r},{float(c)!r}\n")
 
 
-def run_falsification(cfg: SamplerConfig, workers: int = 1) -> FalsificationSummary:
+def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> FalsificationSummary:
     """Hunt for violations of both steerability bounds over the sampling plan.
 
     Margins are the bound_margins: S - lower for theorem1, upper - S for

@@ -318,6 +318,8 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
     Record i is G G^dag / tr(G G^dag) for the 4x4 Ginibre matrix G of its
     block (row-major) cut to its first k columns; haar-pure keeps column 0.
     """
+    if not (_is_int(start) and _is_int(stop)):
+        raise ParameterOutOfRange(f"start and stop must be integers, got {start!r}, {stop!r}")
     if not 0 <= start <= stop <= cfg.count:
         raise IndexOutOfRange(f"records [{start}, {stop}) outside [0, {cfg.count})")
     blocks = stream_block(cfg.seed, DOMAIN_STATE, start, stop)

@@ -182,12 +182,16 @@ CFG = SamplerConfig("ginibre", "uniform", seed=1, count=4)
     lambda: states.random_state(CFG, True),
     lambda: states.draw_matrices(CFG, 0.5, 2),
     lambda: states.draw_matrices(CFG, 0, 2.0),
+    lambda: states.draw_matrices(CFG, "1", 2),
+    lambda: states.draw_matrices(CFG, 0, "2"),
+    lambda: states.draw_matrices(CFG, None, 2),
     lambda: states.random_unitary(0, True),
     lambda: states.random_unitary(0, 1.5),
     lambda: harness.scatter_table(CFG, workers=1.5),
     lambda: harness.run_falsification(CFG, workers=True),
 ], ids=["theta-steps", "eta-steps", "p-steps", "purity-steps", "c-steps",
-        "index-float", "index-bool", "start", "stop", "unitary-bool", "unitary-float",
+        "index-float", "index-bool", "start", "stop", "start-str", "stop-str",
+        "start-none", "unitary-bool", "unitary-float",
         "workers-float", "workers-bool"])
 def test_sizes_and_indices_must_be_integers(call):
     with pytest.raises(ParameterOutOfRange, match="integer"):

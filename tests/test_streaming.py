@@ -5,7 +5,11 @@ drawn and measured as one table, then fed to the whole-table formatter and
 reducer below.  Peak memory must not grow with the count.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +170,41 @@ def test_peak_memory_is_flat_in_the_count(command, tmp_path, capsys):
     one_table = CHUNK * batch.N_COLS * 8
     assert large < 1.5 * small
     assert large - small < one_table, (small, large)
+
+
+def test_default_pool_peaks_no_higher_than_the_serial_run_it_replaced(monkeypatch, capsys):
+    # Before the pool became the default, one worker drew 4096 records at a
+    # time.  The default of at most two workers holds up to four CHUNK-row
+    # tables in its window and measures two chunks at once; at CHUNK = 2048
+    # that may cost at most one 4096-row table more than the serial run.
+    serial_chunk = 4096
+    argv = ["verify", "--count", str(16 * CHUNK), "--seed", "5"]
+    cli.main(argv[:2] + [str(4 * CHUNK)])  # first-call allocations
+    pooled = _peak_bytes(argv)
+    monkeypatch.setattr(harness, "CHUNK", serial_chunk)
+    serial = _peak_bytes(argv + ["--workers", "1"])
+    capsys.readouterr()
+    assert pooled < serial + serial_chunk * batch.N_COLS * 8, (pooled, serial)
+
+
+def _workers_in_child(setup):
+    code = setup + "; from qsteer import harness; print(harness.WORKERS)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_default_workers_follow_the_affinity_mask():
+    cpu = min(os.sched_getaffinity(0))
+    assert _workers_in_child(f"import os; os.sched_setaffinity(0, {{{cpu}}})") == 1
+    # a mask of 64 CPUs is only reported, so no thread starts
+    assert _workers_in_child("import os; os.sched_getaffinity = lambda pid: set(range(64))") \
+        == harness.MAX_DEFAULT_WORKERS == 2
+    assert harness.WORKERS == min(len(os.sched_getaffinity(0)), 2)
+    parser = cli._build_parser()
+    for command in ("sample", "verify"):
+        args = parser.parse_args([command, "--count", "1", "--out", "unused.csv"])
+        assert args.workers == harness.WORKERS
