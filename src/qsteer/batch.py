@@ -8,7 +8,8 @@ layout below, vectorized over the whole stack with LAPACK.  It validates the
 stack with states.validate_stack, taking the PSD check from the eigenvalues
 it computes anyway.  F needs only the Frobenius sum of T, so the singular
 values are not a column: correlation_singular_values() gives them, and only
-report() asks for them.
+report() asks for them, passing the correlation matrices that _measure()
+formed for the table.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
         Density matrices.  A wrong shape, or the first invalid matrix,
         raises the ValidationError that names the broken invariant.
     """
+    return _measure(rhos)[0]
+
+
+def _measure(rhos) -> tuple[np.ndarray, np.ndarray]:
+    """measure_rows' table, and the correlation matrices it forms for F."""
     rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
     if (rhos.ndim != 3 or rhos.shape[1:] != (4, 4)
             or not np.isfinite(rhos.view(np.float64)).all()):
@@ -101,5 +107,5 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
     out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
     out[:, COL_L1 : COL_L4 + 1] = lam
-    return out
+    return out, tmat
 

@@ -32,7 +32,8 @@ def _add_plan_flags(p) -> None:
     p.add_argument("--ranks", type=_parse_ranks, default="uniform",
                    help="1..4 or 'uniform'")
     p.add_argument("--workers", type=int, default=harness.WORKERS,
-                   help="threads that draw and measure the plan "
+                   help="workers that draw and measure the plan: forked processes "
+                        "that also format sample's CSV, threads for verify "
                         "(default: %(default)s, the CPUs this process may use, "
                         "at most 2)")
 
@@ -121,7 +122,7 @@ def _analyze(args) -> int:
 def _sample(args) -> int:
     cfg = SamplerConfig(measure=args.measure, ranks=args.ranks,
                         seed=args.seed, count=args.count)
-    harness.write_scatter_csv(args.out, harness.scatter_table(cfg, workers=args.workers))
+    harness.write_scatter_csv(args.out, cfg, workers=args.workers)
     return 0
 
 

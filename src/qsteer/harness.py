@@ -9,6 +9,8 @@ Scatter runs and falsification runs stream the plan one chunk at a time.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import os
@@ -116,35 +118,47 @@ class FalsificationSummary:
         }
 
 
+def _check_workers(workers) -> None:
+    if not (_is_int(workers) and workers >= 1):
+        raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _chunk_args(cfg: SamplerConfig) -> list:
+    """(cfg, start, stop) of each CHUNK of the plan, in index order."""
+    return [(cfg, start, min(start + CHUNK, cfg.count)) for start in range(0, cfg.count, CHUNK)]
+
+
+def _scatter_chunk(cfg: SamplerConfig, start: int, stop: int):
+    """Records start..stop-1 of the plan, drawn and measured: (start, ranks, rows)."""
+    rhos, ranks = draw_matrices(cfg, start, stop)
+    return start, ranks, batch.measure_rows(rhos)
+
+
 def scatter_table(cfg: SamplerConfig, workers: int = WORKERS):
     """The plan's measure table as an iterator of (start, ranks, rows), one
     item per CHUNK of records in index order.
 
     Each chunk is drawn and measured when the iterator reaches it, so a
     consumer that folds or writes the chunks holds one at a time.  With one
-    worker everything runs in the calling thread; with more, a pool measures
-    at most 2 * workers chunks ahead of the consumer.
+    worker everything runs in the calling thread; with more, a thread pool
+    measures at most 2 * workers chunks ahead of the consumer.
     """
-    if not (_is_int(workers) and workers >= 1):
-        raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
-    starts = range(0, cfg.count, CHUNK)
-
-    def one(start: int):
-        rhos, ranks = draw_matrices(cfg, start, min(start + CHUNK, cfg.count))
-        return start, ranks, batch.measure_rows(rhos)
-
-    if workers == 1 or len(starts) <= 1:
-        return map(one, starts)
-    return _ahead(one, starts, workers)
+    _check_workers(workers)
+    args = _chunk_args(cfg)
+    if workers == 1 or len(args) <= 1:
+        return itertools.starmap(_scatter_chunk, args)
+    return _ahead(ThreadPoolExecutor, _scatter_chunk, args, workers)
 
 
-def _ahead(fn, items, workers: int):
-    """fn over items in order, computed by a pool at most 2 * workers ahead."""
-    pool = ThreadPoolExecutor(max_workers=workers)
+def _ahead(executor, fn, args, workers: int):
+    """fn(*a) for each a of args in order, computed by a pool of
+    executor(max_workers=workers) at most 2 * workers ahead.  The pool is
+    shut down, its workers joined, when the iterator ends or is closed."""
+    pool = executor(max_workers=workers)
     window = deque()
     try:
-        for item in items:
-            window.append(pool.submit(fn, item))
+        for a in args:
+            window.append(pool.submit(fn, *a))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
         while window:
@@ -169,24 +183,59 @@ def scatter_csv_lines(chunks):
     """The header, then one line per record of the (start, ranks, rows)
     chunks, formatted as each chunk arrives."""
     yield SCATTER_HEADER
+    for chunk in chunks:
+        yield from _chunk_csv_lines(*chunk)
+
+
+def _chunk_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
+    """One CSV line per record of one (start, ranks, rows) chunk."""
     flag = ("false", "true")
+    lower, upper = bound_violations(rows)
     # purity..upper_bound are adjacent measure-table columns in CSV order
-    for start, ranks, rows in chunks:
-        lower, upper = bound_violations(rows)
-        for i, k, values, lo, up in zip(
-            itertools.count(start),
-            ranks.tolist(),
-            rows[:, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
-            lower.tolist(),
-            upper.tolist(),
-        ):
-            yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
+    for i, k, values, lo, up in zip(
+        itertools.count(start),
+        ranks.tolist(),
+        rows[:, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
+        lower.tolist(),
+        upper.tolist(),
+    ):
+        yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
 
 
-def write_scatter_csv(path, chunks) -> None:
+def _scatter_chunk_text(cfg: SamplerConfig, start: int, stop: int) -> str:
+    """The CSV lines of records start..stop-1, drawn, measured and formatted
+    as one text: the work of one forked worker of write_scatter_csv."""
+    return "\n".join(_chunk_csv_lines(*_scatter_chunk(cfg, start, stop))) + "\n"
+
+
+def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
+    """Write the plan's scatter CSV to path, one chunk at a time.
+
+    With more than one worker, a plan of more than one chunk and os.fork,
+    a pool of forked processes draws, measures and formats each chunk, at
+    most 2 * workers chunks ahead, and this process writes their texts in
+    index order.  Otherwise scatter_csv_lines formats scatter_table's
+    chunks in this process.  The bytes are the same either way, and the
+    pool is shut down, its processes joined, before this returns or raises.
+    """
+    _check_workers(workers)
+    args = _chunk_args(cfg)
     with open(path, "w", newline="") as fh:
-        for line in scatter_csv_lines(chunks):
-            fh.write(line + "\n")
+        if workers == 1 or len(args) <= 1 or not hasattr(os, "fork"):
+            for line in scatter_csv_lines(scatter_table(cfg, workers)):
+                fh.write(line + "\n")
+            return
+        # imported here, so that importing qsteer does not pay for them
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        pool = functools.partial(ProcessPoolExecutor,
+                                 mp_context=multiprocessing.get_context("fork"))
+        fh.write(SCATTER_HEADER + "\n")
+        fh.flush()  # the children fork with a copy of fh; leave them nothing to write
+        with contextlib.closing(_ahead(pool, _scatter_chunk_text, args,
+                                       min(workers, len(args)))) as texts:
+            fh.writelines(texts)
 
 
 # the measure-table columns of (C, S, F, purity): SweepTable's and ClosedForms' order

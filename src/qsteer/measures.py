@@ -75,12 +75,14 @@ def _classify_from(conc: float, steer: float) -> str:
 
 
 def report(rho) -> MeasureReport:
-    """Every scalar quantity for one state, from one batch.measure_rows row
-    (which validates the state) and its correlation singular values."""
+    """Every scalar quantity for one state, from one measure-table row (whose
+    computation validates the state) and the singular values of the
+    correlation matrix formed on the way."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     stack = np.ascontiguousarray(m[None])
-    row = batch.measure_rows(stack)[0]
-    tsv = batch.correlation_singular_values(batch.correlation_matrices(stack))[0]
+    rows, tmats = batch._measure(stack)
+    row = rows[0]
+    tsv = batch.correlation_singular_values(tmats)[0]
     return MeasureReport(
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),

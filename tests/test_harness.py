@@ -122,7 +122,7 @@ def test_scatter_table_scales_to_empty_and_invalid():
 def test_write_scatter_csv_round_trip(tmp_path):
     cfg = SamplerConfig("haar-pure", "uniform", seed=2, count=12)
     path = tmp_path / "scatter.csv"
-    harness.write_scatter_csv(path, harness.scatter_table(cfg))
+    harness.write_scatter_csv(path, cfg)
     text = path.read_text()
     assert text == "\n".join(harness.scatter_csv_lines(harness.scatter_table(cfg))) + "\n"
 

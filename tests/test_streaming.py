@@ -2,9 +2,13 @@
 
 The streamed CSV and summary must equal an eager reference: the whole plan
 drawn and measured as one table, then fed to the whole-table formatter and
-reducer below.  Peak memory must not grow with the count.
+reducer below.  Peak memory must not grow with the count.  With more than
+one worker, sample draws, measures and formats its chunks in forked
+processes; its bytes must equal the in-process run's, and no process may
+outlive the command.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -185,6 +189,117 @@ def test_default_pool_peaks_no_higher_than_the_serial_run_it_replaced(monkeypatc
     serial = _peak_bytes(argv + ["--workers", "1"])
     capsys.readouterr()
     assert pooled < serial + serial_chunk * batch.N_COLS * 8, (pooled, serial)
+
+
+def _counted_forks(monkeypatch):
+    """The pids of the processes forked from here on: one per pool worker."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_reaped(pids):
+    """Every pid has exited and been waited for: none running, no zombie."""
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+# CHUNK + 1 has fewer chunks than 3 workers; 7 * CHUNK + 3 has more chunks
+# than either window of 2 * workers
+@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 7 * CHUNK + 3])
+def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, tmp_path):
+    base = ["sample", "--count", str(count), "--seed", "17"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert cli.main(base + ["--workers", "1", "--out", str(serial)]) == 0
+    forks = _counted_forks(monkeypatch)
+    assert cli.main(base + ["--workers", str(workers), "--out", str(pooled)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+    # a plan of one chunk stays in process; a longer one forks a process
+    # per worker, but no more than it has chunks
+    chunks = -(-count // CHUNK)
+    assert len(forks) == (min(workers, chunks) if chunks > 1 else 0)
+    _assert_reaped(forks)
+
+
+def test_without_fork_sample_runs_in_process(monkeypatch, tmp_path):
+    argv = ["sample", "--count", str(2 * CHUNK + 7), "--seed", "17"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert cli.main(argv + ["--workers", "1", "--out", str(serial)]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_no_worker_process_outlives_sample(monkeypatch, tmp_path):
+    argv = ["sample", "--count", str(3 * CHUNK), "--seed", "18", "--workers", "2",
+            "--out", str(tmp_path / "scatter.csv")]
+    forks = _counted_forks(monkeypatch)
+    assert cli.main(argv) == 0
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+    def measure(rhos):
+        raise ParameterOutOfRange("bad chunk")
+
+    monkeypatch.setattr(batch, "measure_rows", measure)
+    assert cli.main(argv) == 2
+    assert len(forks) == 4
+    _assert_reaped(forks)
+
+
+def test_error_in_a_forked_chunk_exits_2_with_its_message(monkeypatch, tmp_path, capsys):
+    def measure(rhos):
+        raise ParameterOutOfRange(f"bad chunk in process {os.getpid()}")
+
+    # patched before the fork, so the children inherit it
+    monkeypatch.setattr(batch, "measure_rows", measure)
+    forks = _counted_forks(monkeypatch)
+    argv = ["sample", "--count", str(3 * CHUNK), "--seed", "19", "--workers", "2",
+            "--out", str(tmp_path / "scatter.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err in {f"error: bad chunk in process {pid}\n" for pid in forks}, (err, forks)
+
+
+def test_forked_sample_peaks_below_the_serial_run(tmp_path):
+    # The parent holds at most 2 * workers chunk texts, each about 340 kB;
+    # the serial run holds a chunk's matrices, its measure table, eigh's
+    # work arrays and the lines being formatted.  Two workers is the
+    # default wherever two CPUs are usable.
+    argv = ["sample", "--count", str(16 * CHUNK), "--seed", "5",
+            "--out", str(tmp_path / "scatter.csv")]
+    pooled_flags = ["--workers", str(harness.MAX_DEFAULT_WORKERS)]
+    for flags in (pooled_flags, ["--workers", "1"]):  # first-call allocations and imports
+        cli.main(argv[:2] + [str(4 * CHUNK)] + argv[3:] + flags)
+    pooled = _peak_bytes(argv + pooled_flags)
+    serial = _peak_bytes(argv + ["--workers", "1"])
+    assert pooled < serial, (pooled, serial)
+
+
+@pytest.mark.parametrize("workers", ["0", "1.5"])
+def test_bad_worker_count_leaves_the_output_alone(workers, tmp_path):
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("an earlier run\n")
+    for out in (kept, absent):
+        argv = ["sample", "--count", str(3 * CHUNK), "--workers", workers, "--out", str(out)]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a worker count that is not an integer
+            code = exc.code
+        assert code == 2
+    assert kept.read_text() == "an earlier run\n"
+    assert not absent.exists()
 
 
 def _workers_in_child(setup):
