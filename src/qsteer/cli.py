@@ -32,10 +32,9 @@ def _add_plan_flags(p) -> None:
     p.add_argument("--ranks", type=_parse_ranks, default="uniform",
                    help="1..4 or 'uniform'")
     p.add_argument("--workers", type=int, default=harness.WORKERS,
-                   help="workers that draw and measure the plan: forked processes "
-                        "that also format sample's CSV, threads for verify "
-                        "(default: %(default)s, the CPUs this process may use, "
-                        "at most 2)")
+                   help="forked processes that draw and measure the plan, and "
+                        "also format sample's CSV (default: %(default)s, the CPUs "
+                        "this process may use, at most 2)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

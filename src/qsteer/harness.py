@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,9 @@ from .states import (
 CHUNK = 2048
 
 # the default worker count: the CPUs this process may run on, at most two.
-# numpy's LAPACK calls and ufunc loops release the GIL, so each worker keeps
-# one CPU busy.  Two is the most that has been measured; the cap also keeps
-# the default memory in flight the same on every host.
+# Each worker is a forked process (see _run_chunks) that keeps one CPU busy.
+# Two is the most that has been measured; the cap also keeps the default
+# memory in flight the same on every host.
 MAX_DEFAULT_WORKERS = 2
 if hasattr(os, "sched_getaffinity"):
     WORKERS = min(len(os.sched_getaffinity(0)), MAX_DEFAULT_WORKERS)
@@ -136,18 +135,48 @@ def _scatter_chunk(cfg: SamplerConfig, start: int, stop: int):
 
 def scatter_table(cfg: SamplerConfig, workers: int = WORKERS):
     """The plan's measure table as an iterator of (start, ranks, rows), one
-    item per CHUNK of records in index order.
+    item per CHUNK of records in index order, computed by _run_chunks.
 
-    Each chunk is drawn and measured when the iterator reaches it, so a
-    consumer that folds or writes the chunks holds one at a time.  With one
-    worker everything runs in the calling thread; with more, a thread pool
-    measures at most 2 * workers chunks ahead of the consumer.
+    Each chunk is drawn and measured when the iterator reaches it, or at
+    most 2 * workers ahead of it, so a consumer that folds or writes the
+    chunks holds a bounded window of them.
+    """
+    return _run_chunks(_scatter_chunk, cfg, workers)
+
+
+def _in_process(cfg: SamplerConfig, workers: int) -> bool:
+    """Whether _run_chunks runs the plan in the calling thread, with no pool."""
+    return workers == 1 or cfg.count <= CHUNK
+
+
+def _run_chunks(fn, cfg: SamplerConfig, workers: int):
+    """fn(cfg, start, stop) for each CHUNK of the plan, as an iterator in
+    index order.
+
+    With one worker, or a plan of at most one chunk, each call runs in the
+    calling thread when the iterator reaches it.  Otherwise a pool of
+    min(workers, chunks) forked processes makes the calls, at most
+    2 * workers ahead (see _ahead), and fn must be a module-level function
+    whose result pickles.  Where os.fork does not exist the pool is one of
+    threads.  The executors are imported here, so that importing qsteer
+    does not pay for them.
     """
     _check_workers(workers)
     args = _chunk_args(cfg)
-    if workers == 1 or len(args) <= 1:
-        return itertools.starmap(_scatter_chunk, args)
-    return _ahead(ThreadPoolExecutor, _scatter_chunk, args, workers)
+    if _in_process(cfg, workers):
+        return (fn(*a) for a in args)
+    if hasattr(os, "fork"):
+        # fork, not spawn: a spawned child imports numpy and qsteer again,
+        # about 0.2 s a run.  The pool forks all its workers before it
+        # starts its manager thread, so the parent runs one thread then.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        executor = functools.partial(ProcessPoolExecutor,
+                                     mp_context=multiprocessing.get_context("fork"))
+    else:
+        from concurrent.futures import ThreadPoolExecutor as executor
+    return _ahead(executor, fn, args, min(workers, len(args)))
 
 
 def _ahead(executor, fn, args, workers: int):
@@ -204,37 +233,28 @@ def _chunk_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
 
 def _scatter_chunk_text(cfg: SamplerConfig, start: int, stop: int) -> str:
     """The CSV lines of records start..stop-1, drawn, measured and formatted
-    as one text: the work of one forked worker of write_scatter_csv."""
+    as one text: the work of one pool worker of write_scatter_csv."""
     return "\n".join(_chunk_csv_lines(*_scatter_chunk(cfg, start, stop))) + "\n"
 
 
 def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
     """Write the plan's scatter CSV to path, one chunk at a time.
 
-    With more than one worker, a plan of more than one chunk and os.fork,
-    a pool of forked processes draws, measures and formats each chunk, at
-    most 2 * workers chunks ahead, and this process writes their texts in
-    index order.  Otherwise scatter_csv_lines formats scatter_table's
-    chunks in this process.  The bytes are the same either way, and the
-    pool is shut down, its processes joined, before this returns or raises.
+    When _run_chunks runs the plan in process, scatter_csv_lines formats
+    scatter_table's chunks here.  Otherwise its pool draws, measures and
+    formats each chunk, and this process writes their texts in index
+    order.  The bytes are the same either way, and the pool is shut down,
+    its workers joined, before this returns or raises.
     """
     _check_workers(workers)
-    args = _chunk_args(cfg)
     with open(path, "w", newline="") as fh:
-        if workers == 1 or len(args) <= 1 or not hasattr(os, "fork"):
+        if _in_process(cfg, workers):
             for line in scatter_csv_lines(scatter_table(cfg, workers)):
                 fh.write(line + "\n")
             return
-        # imported here, so that importing qsteer does not pay for them
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        pool = functools.partial(ProcessPoolExecutor,
-                                 mp_context=multiprocessing.get_context("fork"))
         fh.write(SCATTER_HEADER + "\n")
-        fh.flush()  # the children fork with a copy of fh; leave them nothing to write
-        with contextlib.closing(_ahead(pool, _scatter_chunk_text, args,
-                                       min(workers, len(args)))) as texts:
+        fh.flush()  # forked children get a copy of fh; leave them nothing to write
+        with contextlib.closing(_run_chunks(_scatter_chunk_text, cfg, workers)) as texts:
             fh.writelines(texts)
 
 
@@ -361,22 +381,33 @@ def write_boundary_csv(path, series) -> None:
             fh.write(f"{float(u)!r},{float(c)!r}\n")
 
 
+def _fold_chunk(cfg: SamplerConfig, start: int, stop: int):
+    """Records start..stop-1, drawn, measured and folded: each theorem's
+    least margin, then the chunk's violations in index order per theorem."""
+    _, _, rows = _scatter_chunk(cfg, start, stop)
+    least, violations = [], []
+    for theorem, margin in zip(THEOREMS, bound_margins(rows)):
+        least.append(float(margin.min()))
+        violations += [{"index": start + int(i), "theorem": theorem,
+                        "margin": float(margin[i])}
+                       for i in np.nonzero(margin < -SLACK)[0]]
+    return least, violations
+
+
 def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> FalsificationSummary:
     """Hunt for violations of both steerability bounds over the sampling plan.
 
     Margins are the bound_margins: S - lower for theorem1, upper - S for
     theorem2; a violation is a margin below -SLACK, as in bound_violations.
-    Each chunk is folded into the worst margins and the violation list as it
-    arrives.
+    _run_chunks folds each chunk with _fold_chunk, and the folds are merged
+    in index order as they arrive.
     """
     worst_lower, worst_upper, violations = [], [], []
-    for start, _, rows in scatter_table(cfg, workers=workers):
-        for theorem, margin, worst in zip(THEOREMS, bound_margins(rows),
-                                          (worst_lower, worst_upper)):
-            worst.append(margin.min())
-            violations += [{"index": start + int(i), "theorem": theorem,
-                            "margin": float(margin[i])}
-                           for i in np.nonzero(margin < -SLACK)[0]]
+    with contextlib.closing(_run_chunks(_fold_chunk, cfg, workers)) as folds:
+        for (lower, upper), found in folds:
+            worst_lower.append(lower)
+            worst_upper.append(upper)
+            violations += found
     violations.sort(key=lambda v: v["index"])
     worst = [float(np.min(w)) if w else 0.0 for w in (worst_lower, worst_upper)]
     return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)

@@ -3,15 +3,17 @@
 The streamed CSV and summary must equal an eager reference: the whole plan
 drawn and measured as one table, then fed to the whole-table formatter and
 reducer below.  Peak memory must not grow with the count.  With more than
-one worker, sample draws, measures and formats its chunks in forked
-processes; its bytes must equal the in-process run's, and no process may
-outlive the command.
+one worker, both commands run their chunks in forked processes: sample
+draws, measures and formats each chunk, verify draws, measures and folds
+it.  Their bytes must equal the in-process run's, the parent must run one
+thread when it forks, and no process may outlive the command.
 """
 
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from qsteer.errors import ParameterOutOfRange
 from qsteer.states import SamplerConfig
 
 CHUNK = harness.CHUNK
+COMMANDS = ("sample", "verify")
 
 
 def eager_table(cfg):
@@ -78,11 +81,13 @@ def test_streamed_sample_equals_eager_reference(count, workers, tmp_path):
         assert out.read_text() == harness.SCATTER_HEADER + "\n"
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", COUNTS, ids=COUNT_IDS)
-def test_streamed_verify_equals_eager_reference(count, workers):
+def test_streamed_verify_equals_eager_reference(count, workers, monkeypatch):
     cfg = SamplerConfig("ginibre", "uniform", seed=12, count=count)
+    forks = _counted_forks(monkeypatch)
     summary = harness.run_falsification(cfg, workers=workers)
+    _assert_forks_fit_the_plan(forks, count, workers)
     assert summary.as_dict() == eager_summary(cfg, eager_table(cfg)[1])
     if count == 0:
         assert (summary.worst_margin_lower, summary.worst_margin_upper) == (0.0, 0.0)
@@ -106,35 +111,40 @@ def test_streamed_violations_carry_plan_indices(monkeypatch):
     ]
 
 
-def test_one_worker_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+def test_one_worker_starts_no_pool(monkeypatch, tmp_path):
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "_ahead", no_pool)
     cfg = SamplerConfig("ginibre", "uniform", seed=14, count=3 * CHUNK)
-    assert [start for start, _, _ in harness.scatter_table(cfg, workers=1)] == [
-        0, CHUNK, 2 * CHUNK]
     # a plan of one chunk needs no pool at any worker count
     small = SamplerConfig("ginibre", "uniform", seed=14, count=CHUNK)
-    assert len(list(harness.scatter_table(small, workers=4))) == 1
+    for plan, workers in ((cfg, 1), (small, 4)):
+        chunks = list(harness.scatter_table(plan, workers=workers))
+        assert [start for start, _, _ in chunks] == list(range(0, plan.count, CHUNK))
+        assert harness.run_falsification(plan, workers=workers).checked == plan.count
+        harness.write_scatter_csv(tmp_path / "scatter.csv", plan, workers=workers)
 
 
 def test_pool_measures_a_bounded_window_ahead(monkeypatch):
-    drawn = []
+    # the children draw and measure; the parent submits, so count there
+    from concurrent.futures.process import ProcessPoolExecutor
 
-    def draw(cfg, start, stop):
-        drawn.append(start)
-        return states.draw_matrices(cfg, start, stop)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
 
-    monkeypatch.setattr(harness, "draw_matrices", draw)
+    def counted(self, fn, cfg, start, stop):
+        submitted.append(start)
+        return submit(self, fn, cfg, start, stop)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
     workers = 2
     cfg = SamplerConfig("ginibre", "uniform", seed=15, count=20 * CHUNK)
     chunks = harness.scatter_table(cfg, workers=workers)
     start, _, _ = next(chunks)
     assert start == 0
     chunks.close()  # cancels what has not started; waits for what has
-    assert len(drawn) <= 2 * workers
-    assert sorted(drawn) == [CHUNK * i for i in range(len(drawn))]
+    assert submitted == [CHUNK * i for i in range(2 * workers)]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -214,6 +224,19 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _assert_forks_fit_the_plan(forks, count, workers):
+    """A plan of one chunk stays in process; a longer one forks a process
+    per worker, but no more than it has chunks, and reaps them all."""
+    chunks = -(-count // CHUNK)
+    assert len(forks) == (min(workers, chunks) if chunks > 1 and workers > 1 else 0)
+    _assert_reaped(forks)
+
+
+def _argv(command, count, seed, workers, out):
+    return [command, "--count", str(count), "--seed", str(seed),
+            "--workers", str(workers), "--out", str(out)]
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 # CHUNK + 1 has fewer chunks than 3 workers; 7 * CHUNK + 3 has more chunks
 # than either window of 2 * workers
@@ -225,11 +248,7 @@ def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, 
     forks = _counted_forks(monkeypatch)
     assert cli.main(base + ["--workers", str(workers), "--out", str(pooled)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
-    # a plan of one chunk stays in process; a longer one forks a process
-    # per worker, but no more than it has chunks
-    chunks = -(-count // CHUNK)
-    assert len(forks) == (min(workers, chunks) if chunks > 1 else 0)
-    _assert_reaped(forks)
+    _assert_forks_fit_the_plan(forks, count, workers)
 
 
 def test_without_fork_sample_runs_in_process(monkeypatch, tmp_path):
@@ -241,9 +260,9 @@ def test_without_fork_sample_runs_in_process(monkeypatch, tmp_path):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
-def test_no_worker_process_outlives_sample(monkeypatch, tmp_path):
-    argv = ["sample", "--count", str(3 * CHUNK), "--seed", "18", "--workers", "2",
-            "--out", str(tmp_path / "scatter.csv")]
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
+    argv = _argv(command, 3 * CHUNK, 18, 2, tmp_path / "out")
     forks = _counted_forks(monkeypatch)
     assert cli.main(argv) == 0
     assert len(forks) == 2
@@ -258,18 +277,36 @@ def test_no_worker_process_outlives_sample(monkeypatch, tmp_path):
     _assert_reaped(forks)
 
 
-def test_error_in_a_forked_chunk_exits_2_with_its_message(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, tmp_path,
+                                                          capsys):
     def measure(rhos):
         raise ParameterOutOfRange(f"bad chunk in process {os.getpid()}")
 
     # patched before the fork, so the children inherit it
     monkeypatch.setattr(batch, "measure_rows", measure)
     forks = _counted_forks(monkeypatch)
-    argv = ["sample", "--count", str(3 * CHUNK), "--seed", "19", "--workers", "2",
-            "--out", str(tmp_path / "scatter.csv")]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err in {f"error: bad chunk in process {pid}\n" for pid in forks}, (err, forks)
+    assert cli.main(_argv(command, 3 * CHUNK, 19, 2, tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.err in {f"error: bad chunk in process {pid}\n" for pid in forks}, (
+        captured.err, forks)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_parent_runs_one_thread_at_every_fork(command, monkeypatch, tmp_path):
+    # fork copies only the calling thread, so a lock that another thread
+    # holds at the fork stays held in the child
+    threads = []
+    fork = os.fork
+
+    def counted():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert cli.main(_argv(command, 7 * CHUNK + 3, 20, 3, tmp_path / "out")) == 0
+    assert threads == [1, 1, 1]
 
 
 def test_forked_sample_peaks_below_the_serial_run(tmp_path):
