@@ -26,7 +26,6 @@ from .measures import (
     bad_closed_forms,
     bpd_closed_forms,
     concurrence_pure,
-    correlation_matrix,
     report,
     wu_closed_forms,
     wu_steerability_from_c_purity,

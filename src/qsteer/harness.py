@@ -4,7 +4,10 @@ bound-falsification harness.
 Output formatting is byte-stable: floats are written with repr() (shortest
 round-trip), workers own disjoint index chunks and chunks are consumed in
 index order, so reruns and different worker counts produce identical files.
-Scatter runs and falsification runs stream the plan one chunk at a time.
+Scatter runs and falsification runs stream the plan one chunk at a time:
+scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
+the one place that chooses between the calling thread and a pool, runs it
+inside each chunk's formatter (sample) or fold (verify).
 """
 
 from __future__ import annotations
@@ -117,53 +120,33 @@ class FalsificationSummary:
         }
 
 
-def _check_workers(workers) -> None:
-    if not (_is_int(workers) and workers >= 1):
-        raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
+def scatter_table(cfg: SamplerConfig, start: int, stop: int):
+    """Records start..stop-1 of the plan, drawn and measured: (start, ranks, rows).
 
-
-def _chunk_args(cfg: SamplerConfig) -> list:
-    """(cfg, start, stop) of each CHUNK of the plan, in index order."""
-    return [(cfg, start, min(start + CHUNK, cfg.count)) for start in range(0, cfg.count, CHUNK)]
-
-
-def _scatter_chunk(cfg: SamplerConfig, start: int, stop: int):
-    """Records start..stop-1 of the plan, drawn and measured: (start, ranks, rows)."""
+    sample and verify run it on each CHUNK of the plan through _run_chunks.
+    """
     rhos, ranks = draw_matrices(cfg, start, stop)
     return start, ranks, batch.measure_rows(rhos)
 
 
-def scatter_table(cfg: SamplerConfig, workers: int = WORKERS):
-    """The plan's measure table as an iterator of (start, ranks, rows), one
-    item per CHUNK of records in index order, computed by _run_chunks.
-
-    Each chunk is drawn and measured when the iterator reaches it, or at
-    most 2 * workers ahead of it, so a consumer that folds or writes the
-    chunks holds a bounded window of them.
-    """
-    return _run_chunks(_scatter_chunk, cfg, workers)
-
-
-def _in_process(cfg: SamplerConfig, workers: int) -> bool:
-    """Whether _run_chunks runs the plan in the calling thread, with no pool."""
-    return workers == 1 or cfg.count <= CHUNK
-
-
 def _run_chunks(fn, cfg: SamplerConfig, workers: int):
     """fn(cfg, start, stop) for each CHUNK of the plan, as an iterator in
-    index order.
+    index order.  An empty plan has one empty chunk, (0, 0), so that sample
+    still writes its header.
 
-    With one worker, or a plan of at most one chunk, each call runs in the
-    calling thread when the iterator reaches it.  Otherwise a pool of
-    min(workers, chunks) forked processes makes the calls, at most
-    2 * workers ahead (see _ahead), and fn must be a module-level function
-    whose result pickles.  Where os.fork does not exist the pool is one of
-    threads.  The executors are imported here, so that importing qsteer
-    does not pay for them.
+    The worker count is checked at the call.  With one worker, or a plan of
+    one chunk, each call runs in the calling thread when the iterator
+    reaches it.  Otherwise a pool of min(workers, chunks) forked processes
+    makes the calls, at most 2 * workers ahead (see _ahead), and fn must be
+    a module-level function whose result pickles.  Where os.fork does not
+    exist the pool is one of threads.  The executors are imported here, so
+    that importing qsteer does not pay for them.
     """
-    _check_workers(workers)
-    args = _chunk_args(cfg)
-    if _in_process(cfg, workers):
+    if not (_is_int(workers) and workers >= 1):
+        raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
+    args = [(cfg, start, min(start + CHUNK, cfg.count))
+            for start in range(0, max(cfg.count, 1), CHUNK)]
+    if workers == 1 or len(args) == 1:
         return (fn(*a) for a in args)
     if hasattr(os, "fork"):
         # fork, not spawn: a spawned child imports numpy and qsteer again,
@@ -208,16 +191,11 @@ def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin_lower < -SLACK, margin_upper < -SLACK
 
 
-def scatter_csv_lines(chunks):
-    """The header, then one line per record of the (start, ranks, rows)
-    chunks, formatted as each chunk arrives."""
-    yield SCATTER_HEADER
-    for chunk in chunks:
-        yield from _chunk_csv_lines(*chunk)
-
-
-def _chunk_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
-    """One CSV line per record of one (start, ranks, rows) chunk."""
+def scatter_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
+    """One CSV line per record of one (start, ranks, rows) chunk, after the
+    header when the chunk starts at record 0."""
+    if start == 0:
+        yield SCATTER_HEADER
     flag = ("false", "true")
     lower, upper = bound_violations(rows)
     # purity..upper_bound are adjacent measure-table columns in CSV order
@@ -231,31 +209,24 @@ def _chunk_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
         yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
 
 
-def _scatter_chunk_text(cfg: SamplerConfig, start: int, stop: int) -> str:
-    """The CSV lines of records start..stop-1, drawn, measured and formatted
-    as one text: the work of one pool worker of write_scatter_csv."""
-    return "\n".join(_chunk_csv_lines(*_scatter_chunk(cfg, start, stop))) + "\n"
+def _scatter_text(cfg: SamplerConfig, start: int, stop: int) -> str:
+    """The CSV text of records start..stop-1, drawn, measured and formatted:
+    one chunk of write_scatter_csv."""
+    return "\n".join(scatter_csv_lines(*scatter_table(cfg, start, stop))) + "\n"
 
 
 def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
-    """Write the plan's scatter CSV to path, one chunk at a time.
+    """Write the plan's scatter CSV to path: the texts of _scatter_text's
+    chunks, in index order.
 
-    When _run_chunks runs the plan in process, scatter_csv_lines formats
-    scatter_table's chunks here.  Otherwise its pool draws, measures and
-    formats each chunk, and this process writes their texts in index
-    order.  The bytes are the same either way, and the pool is shut down,
-    its workers joined, before this returns or raises.
+    _run_chunks makes them in this thread or on its pool, with the same
+    bytes either way; the pool is shut down, its workers joined, before
+    this returns or raises.  Nothing is written to path before the pool
+    forks, so the children inherit no buffered output.
     """
-    _check_workers(workers)
-    with open(path, "w", newline="") as fh:
-        if _in_process(cfg, workers):
-            for line in scatter_csv_lines(scatter_table(cfg, workers)):
-                fh.write(line + "\n")
-            return
-        fh.write(SCATTER_HEADER + "\n")
-        fh.flush()  # forked children get a copy of fh; leave them nothing to write
-        with contextlib.closing(_run_chunks(_scatter_chunk_text, cfg, workers)) as texts:
-            fh.writelines(texts)
+    texts = _run_chunks(_scatter_text, cfg, workers)
+    with contextlib.closing(texts), open(path, "w", newline="") as fh:
+        fh.writelines(texts)
 
 
 # the measure-table columns of (C, S, F, purity): SweepTable's and ClosedForms' order
@@ -384,10 +355,10 @@ def write_boundary_csv(path, series) -> None:
 def _fold_chunk(cfg: SamplerConfig, start: int, stop: int):
     """Records start..stop-1, drawn, measured and folded: each theorem's
     least margin, then the chunk's violations in index order per theorem."""
-    _, _, rows = _scatter_chunk(cfg, start, stop)
+    _, _, rows = scatter_table(cfg, start, stop)
     least, violations = [], []
     for theorem, margin in zip(THEOREMS, bound_margins(rows)):
-        least.append(float(margin.min()))
+        least.append(float(margin.min(initial=math.inf)))
         violations += [{"index": start + int(i), "theorem": theorem,
                         "margin": float(margin[i])}
                        for i in np.nonzero(margin < -SLACK)[0]]
@@ -409,5 +380,6 @@ def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> Falsificati
             worst_upper.append(upper)
             violations += found
     violations.sort(key=lambda v: v["index"])
-    worst = [float(np.min(w)) if w else 0.0 for w in (worst_lower, worst_upper)]
+    # an empty plan's one empty chunk has least margins inf
+    worst = [float(np.min(w)) if cfg.count else 0.0 for w in (worst_lower, worst_upper)]
     return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)

@@ -35,12 +35,6 @@ def concurrence_pure(psi) -> float:
     return float(abs(np.vdot(a, batch.FLIP_SIGN * a[::-1].conj())))
 
 
-def correlation_matrix(rho) -> np.ndarray:
-    """T[m, n] = Re tr(rho (sigma_m x sigma_n)), a real 3x3 matrix."""
-    m = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).matrix
-    return batch.correlation_matrices(m[None])[0]
-
-
 class MeasureReport(NamedTuple):
     """One state's measures; classification is 'steerable' (S > 0),
     'entangled-unsteerable-by-F' (C > 0, S = 0) or 'separable-candidate'
@@ -164,9 +158,17 @@ def wu_steering_margin(conc, pur):
     """Signed argument x + Q^2 - 1 of the (C, purity) steering criterion.
 
     Elementwise over arrays that broadcast together; a float for scalars.
+    Raises NotRealizable, naming the value, for the first purity outside
+    [1/4, 1], then the first concurrence outside [0, 1], by more than
+    RANGE_TOL; a non-finite value is outside.
     """
     conc = np.asarray(conc, dtype=np.float64)
     pur = np.asarray(pur, dtype=np.float64)
+    for name, values, box, lo, hi in (("purity", pur, "[1/4, 1]", 0.25, 1.0),
+                                      ("concurrence", conc, "[0, 1]", 0.0, 1.0)):
+        bad = ~((values >= lo - RANGE_TOL) & (values <= hi + RANGE_TOL))
+        if bad.any():
+            raise NotRealizable(f"{name} {values[bad].flat[0]} outside {box}")
     p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
     x = 0.5 * (1.0 + 2.0 * conc) * (1.0 - p)
     margin = x + conc * conc + pur - 1.0
@@ -176,17 +178,15 @@ def wu_steering_margin(conc, pur):
 def wu_steerability_from_c_purity(conc: float, pur: float) -> float:
     """Steerability of the isotropic-mixture family from (C, purity) alone.
 
-    Raises NotRealizable when no such state exists, i.e. when C exceeds
-    max(0, (3p - 1)/2) for p = sqrt((4 purity - 1)/3).
+    Raises NotRealizable when no such state exists: when (C, purity) lies
+    outside [0, 1] x [1/4, 1], or C exceeds max(0, (3p - 1)/2) for
+    p = sqrt((4 purity - 1)/3).
     """
-    if not 0.25 - RANGE_TOL <= pur <= 1.0 + RANGE_TOL:
-        raise NotRealizable(f"purity {pur} outside [1/4, 1]")
-    if not -RANGE_TOL <= conc <= 1.0 + RANGE_TOL:
-        raise NotRealizable(f"concurrence {conc} outside [0, 1]")
+    margin = wu_steering_margin(conc, pur)  # checks the box
     p = np.sqrt(max(0.0, (4.0 * pur - 1.0) / 3.0))
     cmax = max(0.0, (3.0 * p - 1.0) / 2.0)
     if conc > cmax + SLACK:
         raise NotRealizable(
             f"no state of this family has concurrence {conc} at purity {pur} (max {cmax:.6g})"
         )
-    return float(np.sqrt(max(0.0, wu_steering_margin(conc, pur))))
+    return float(np.sqrt(max(0.0, margin)))

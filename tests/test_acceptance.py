@@ -20,8 +20,9 @@ _CACHE = {}
 
 
 def whole_table(cfg):
-    """(ranks, rows) of the plan, the streamed chunks concatenated."""
-    chunks = list(harness.scatter_table(cfg, workers=1))
+    """(ranks, rows) of the plan, drawn and measured a CHUNK at a time."""
+    chunks = [harness.scatter_table(cfg, start, min(start + harness.CHUNK, cfg.count))
+              for start in range(0, cfg.count, harness.CHUNK)]
     return np.concatenate([c[1] for c in chunks]), np.vstack([c[2] for c in chunks])
 
 

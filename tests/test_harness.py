@@ -1,18 +1,26 @@
+import os
+
 import numpy as np
 import pytest
 
 from qsteer import batch, harness, measures, states
-from qsteer.errors import ParameterOutOfRange
+from qsteer.errors import IndexOutOfRange, ParameterOutOfRange
 from qsteer.states import SamplerConfig
 
 
+def plan_chunks(cfg, workers=1):
+    """The plan's (start, ranks, rows) chunks, in index order."""
+    return list(harness._run_chunks(harness.scatter_table, cfg, workers))
+
+
 def csv_text(cfg, workers=1):
-    return "\n".join(harness.scatter_csv_lines(harness.scatter_table(cfg, workers=workers)))
+    return "\n".join(line for chunk in plan_chunks(cfg, workers)
+                     for line in harness.scatter_csv_lines(*chunk))
 
 
 def whole_table(cfg):
     """(ranks, rows) of the plan, the streamed chunks concatenated."""
-    chunks = list(harness.scatter_table(cfg))
+    chunks = plan_chunks(cfg)
     return np.concatenate([c[1] for c in chunks]), np.vstack([c[2] for c in chunks])
 
 
@@ -70,7 +78,10 @@ def test_scatter_csv_rows_match_per_cell_format():
     ]
     chunks = [(0, ranks[: harness.CHUNK], rows[: harness.CHUNK]),
               (harness.CHUNK, ranks[harness.CHUNK :], rows[harness.CHUNK :])]
-    assert list(harness.scatter_csv_lines(chunks)) == expect
+    head, tail = [list(harness.scatter_csv_lines(*chunk)) for chunk in chunks]
+    # only the chunk that starts at record 0 carries the header
+    assert head[0] == harness.SCATTER_HEADER and tail[0] == expect[harness.CHUNK + 1]
+    assert head + tail == expect
 
 
 def test_bound_violations_set_the_csv_flags():
@@ -87,7 +98,7 @@ def test_bound_violations_set_the_csv_flags():
     assert upper.tolist() == [False, False, False, True, False, True]
     margin_lower, margin_upper = harness.bound_margins(rows)
     assert margin_lower[4] < -harness.SLACK and margin_upper[5] < -harness.SLACK
-    lines = list(harness.scatter_csv_lines([(0, np.ones(6, np.int64), rows)]))[1:]
+    lines = list(harness.scatter_csv_lines(0, np.ones(6, np.int64), rows))[1:]
     assert [line.split(",")[11:] for line in lines] == [
         ["true", "false"], ["false", "false"], ["false", "false"], ["false", "true"],
         ["true", "false"], ["false", "true"],
@@ -96,9 +107,12 @@ def test_bound_violations_set_the_csv_flags():
 
 def test_scatter_table_records_recompute():
     cfg = SamplerConfig("ginibre", "uniform", seed=42, count=30)
-    starts = [start for start, _, _ in harness.scatter_table(cfg)]
-    ranks, rows = whole_table(cfg)
-    assert starts == [0] and len(rows) == 30  # indices 0..29, in one chunk
+    start, ranks, rows = harness.scatter_table(cfg, 0, 30)
+    assert start == 0 and len(ranks) == len(rows) == 30
+    # a chunk that starts inside the plan holds the same records
+    start, mid_ranks, mid_rows = harness.scatter_table(cfg, 10, 20)
+    assert start == 10 and mid_ranks.tolist() == ranks[10:20].tolist()
+    assert np.abs(mid_rows - rows[10:20]).max() <= 1e-12
     pick = rows[17]
     rep = measures.report(states.random_state(cfg, 17))
     assert pick[batch.COL_C] == pytest.approx(rep.concurrence, abs=1e-12)
@@ -112,11 +126,15 @@ def test_scatter_table_records_recompute():
 
 def test_scatter_table_scales_to_empty_and_invalid():
     cfg = SamplerConfig("ginibre", "uniform", seed=1, count=0)
-    assert list(harness.scatter_table(cfg)) == []
-    assert list(harness.scatter_table(cfg, workers=3)) == []
+    # an empty plan is one empty chunk at every worker count
+    for workers in (1, 3):
+        [(start, ranks, rows)] = plan_chunks(cfg, workers)
+        assert start == 0 and ranks.shape == (0,) and rows.shape == (0, batch.N_COLS)
+    with pytest.raises(IndexOutOfRange):
+        harness.scatter_table(cfg, 0, 1)
     # a bad worker count is rejected at the call, before any chunk is drawn
     with pytest.raises(ParameterOutOfRange):
-        harness.scatter_table(cfg, workers=0)
+        harness._run_chunks(harness.scatter_table, cfg, 0)
 
 
 def test_write_scatter_csv_round_trip(tmp_path):
@@ -124,7 +142,7 @@ def test_write_scatter_csv_round_trip(tmp_path):
     path = tmp_path / "scatter.csv"
     harness.write_scatter_csv(path, cfg)
     text = path.read_text()
-    assert text == "\n".join(harness.scatter_csv_lines(harness.scatter_table(cfg))) + "\n"
+    assert text == "\n".join(harness.scatter_csv_lines(*harness.scatter_table(cfg, 0, 12))) + "\n"
 
 
 def test_sweep_csv_fields(tmp_path):
@@ -187,7 +205,7 @@ CFG = SamplerConfig("ginibre", "uniform", seed=1, count=4)
     lambda: states.draw_matrices(CFG, None, 2),
     lambda: states.random_unitary(0, True),
     lambda: states.random_unitary(0, 1.5),
-    lambda: harness.scatter_table(CFG, workers=1.5),
+    lambda: harness.write_scatter_csv(os.devnull, CFG, workers=1.5),
     lambda: harness.run_falsification(CFG, workers=True),
 ], ids=["theta-steps", "eta-steps", "p-steps", "purity-steps", "c-steps",
         "index-float", "index-bool", "start", "stop", "start-str", "stop-str",

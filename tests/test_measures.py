@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsteer import measures, states
+from qsteer import batch, measures, states
 from qsteer.errors import (
     NotHermitian,
     NotNormalized,
@@ -98,26 +98,31 @@ def test_concurrence_werner_threshold_values():
     assert measures.report(np.eye(4) / 4.0).concurrence == 0.0
 
 
+def correlation_matrix(rho):
+    """T[m, n] = Re tr(rho (sigma_m x sigma_n)) of one state, by the stack
+    route on a validated stack of one."""
+    m = rho.matrix if isinstance(rho, states.DensityMatrix) else rho
+    return batch.correlation_matrices(states.validate_stack(np.asarray(m)[None]))[0]
+
+
 def test_correlation_matrix_against_trace_loops():
     rng = np.random.default_rng(3)
     rho = random_mixed(rng)
-    t = measures.correlation_matrix(rho)
-    from qsteer.batch import SIGMA
-
+    t = correlation_matrix(rho)
     for m, n in itertools.product(range(3), range(3)):
-        direct = np.trace(rho @ np.kron(SIGMA[m], SIGMA[n])).real
+        direct = np.trace(rho @ np.kron(batch.SIGMA[m], batch.SIGMA[n])).real
         assert t[m, n] == pytest.approx(direct, abs=1e-13)
 
 
 def test_correlation_matrix_of_bell_state():
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    t = measures.correlation_matrix(np.outer(psi, psi))
+    t = correlation_matrix(np.outer(psi, psi))
     assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 1e-14
 
 
 def test_correlation_matrix_of_product_state():
     rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |01><01|
-    t = measures.correlation_matrix(rho)
+    t = correlation_matrix(rho)
     assert np.abs(t - np.diag([0.0, 0.0, -1.0])).max() < 1e-14
     rep = measures.report(rho)
     assert rep.f_value == pytest.approx(1.0, abs=1e-14)
@@ -256,7 +261,7 @@ INVALID_MATRICES = [
 ]
 
 
-@pytest.mark.parametrize("fn", [measures.report, measures.correlation_matrix])
+@pytest.mark.parametrize("fn", [measures.report])
 def test_raw_arrays_name_the_failed_invariant(fn):
     for m, error in INVALID_MATRICES:
         with pytest.raises(error):
@@ -328,7 +333,7 @@ def test_pd_closed_forms_match_pipeline():
         assert rep.steerability == pytest.approx(forms.concurrence, abs=1e-10)
         assert rep.f_value == pytest.approx(forms.f_value, abs=1e-10)
         assert rep.purity == pytest.approx(forms.purity, abs=1e-12)
-        t = measures.correlation_matrix(rho)
+        t = correlation_matrix(rho)
         c = forms.concurrence
         assert np.abs(t - np.diag([c, -c, 1.0])).max() < 1e-10
 
@@ -380,6 +385,29 @@ def test_wu_steerability_from_c_purity():
         measures.wu_steerability_from_c_purity(0.1, 0.1)
     with pytest.raises(NotRealizable):
         measures.wu_steerability_from_c_purity(-0.5, 0.5)
+
+
+@pytest.mark.parametrize("conc, pur, named", [
+    (np.nan, 0.5, "concurrence nan"),
+    (0.5, np.nan, "purity nan"),
+    (2.0, 5.0, "purity 5.0"),
+    (2.0, 0.5, "concurrence 2.0"),
+    (-1e-9, 0.5, "concurrence -1e-09"),
+    (0.5, 0.25 - 1e-9, "purity 0.249999999"),
+    (np.inf, 1.0, "concurrence inf"),
+])
+def test_wu_steering_margin_rejects_a_point_off_the_box(conc, pur, named):
+    # (C, purity) must lie in [0, 1] x [1/4, 1] within RANGE_TOL, as a scalar
+    # pair, inside an array, and on the route through the closed form
+    grid = np.linspace(0.25, 1.0, 4)
+    for call in (lambda: measures.wu_steering_margin(conc, pur),
+                 lambda: measures.wu_steering_margin(np.append(grid / 2, conc),
+                                                     np.append(grid, pur)),
+                 lambda: measures.wu_steerability_from_c_purity(conc, pur)):
+        with pytest.raises(NotRealizable, match=named):
+            call()
+    edge = states.RANGE_TOL / 2
+    assert np.isfinite(measures.wu_steering_margin(-edge, 1.0 + edge))
 
 
 def test_wu_steering_margin_sign():

@@ -120,7 +120,7 @@ def test_one_worker_starts_no_pool(monkeypatch, tmp_path):
     # a plan of one chunk needs no pool at any worker count
     small = SamplerConfig("ginibre", "uniform", seed=14, count=CHUNK)
     for plan, workers in ((cfg, 1), (small, 4)):
-        chunks = list(harness.scatter_table(plan, workers=workers))
+        chunks = list(harness._run_chunks(harness.scatter_table, plan, workers))
         assert [start for start, _, _ in chunks] == list(range(0, plan.count, CHUNK))
         assert harness.run_falsification(plan, workers=workers).checked == plan.count
         harness.write_scatter_csv(tmp_path / "scatter.csv", plan, workers=workers)
@@ -140,7 +140,7 @@ def test_pool_measures_a_bounded_window_ahead(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
     workers = 2
     cfg = SamplerConfig("ginibre", "uniform", seed=15, count=20 * CHUNK)
-    chunks = harness.scatter_table(cfg, workers=workers)
+    chunks = harness._run_chunks(harness.scatter_table, cfg, workers)
     start, _, _ = next(chunks)
     assert start == 0
     chunks.close()  # cancels what has not started; waits for what has
