@@ -13,7 +13,6 @@ inside each chunk's formatter (sample) or fold (verify).
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -134,20 +133,26 @@ def _run_chunks(fn, cfg: SamplerConfig, workers: int):
     index order.  An empty plan has one empty chunk, (0, 0), so that sample
     still writes its header.
 
-    The worker count is checked at the call.  With one worker, or a plan of
-    one chunk, each call runs in the calling thread when the iterator
-    reaches it.  Otherwise a pool of min(workers, chunks) forked processes
-    makes the calls, at most 2 * workers ahead (see _ahead), and fn must be
-    a module-level function whose result pickles.  Where os.fork does not
-    exist the pool is one of threads.  The executors are imported here, so
-    that importing qsteer does not pay for them.
+    The worker count is checked at the call.  The plan is a range of chunk
+    starts, the same few objects at any count.  With one worker, or a plan
+    of one chunk, each call runs in the calling thread when the iterator
+    reaches it; otherwise on _ahead's pool of min(workers, chunks).
     """
     if not (_is_int(workers) and workers >= 1):
         raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
-    args = [(cfg, start, min(start + CHUNK, cfg.count))
-            for start in range(0, max(cfg.count, 1), CHUNK)]
-    if workers == 1 or len(args) == 1:
+    starts = range(0, max(cfg.count, 1), CHUNK)
+    args = ((cfg, start, min(start + CHUNK, cfg.count)) for start in starts)
+    if workers == 1 or len(starts) == 1:
         return (fn(*a) for a in args)
+    return _ahead(fn, args, min(workers, len(starts)))
+
+
+def _ahead(fn, args, workers: int):
+    """fn(*a) for each a of args in order, at most 2 * workers ahead, on a
+    pool of forked processes (fn must be module-level, its result must
+    pickle), or of threads where os.fork does not exist.  The executors are
+    imported here, so importing qsteer does not pay for them.  The pool is
+    shut down, its workers joined, when the iterator ends or is closed."""
     if hasattr(os, "fork"):
         # fork, not spawn: a spawned child imports numpy and qsteer again,
         # about 0.2 s a run.  The pool forks all its workers before it
@@ -155,18 +160,11 @@ def _run_chunks(fn, cfg: SamplerConfig, workers: int):
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        executor = functools.partial(ProcessPoolExecutor,
-                                     mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     else:
-        from concurrent.futures import ThreadPoolExecutor as executor
-    return _ahead(executor, fn, args, min(workers, len(args)))
+        from concurrent.futures import ThreadPoolExecutor
 
-
-def _ahead(executor, fn, args, workers: int):
-    """fn(*a) for each a of args in order, computed by a pool of
-    executor(max_workers=workers) at most 2 * workers ahead.  The pool is
-    shut down, its workers joined, when the iterator ends or is closed."""
-    pool = executor(max_workers=workers)
+        pool = ThreadPoolExecutor(workers)
     window = deque()
     try:
         for a in args:
@@ -371,15 +369,16 @@ def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> Falsificati
     Margins are the bound_margins: S - lower for theorem1, upper - S for
     theorem2; a violation is a margin below -SLACK, as in bound_violations.
     _run_chunks folds each chunk with _fold_chunk, and the folds are merged
-    in index order as they arrive.
+    in index order as they arrive, into each theorem's running least margin.
     """
-    worst_lower, worst_upper, violations = [], [], []
+    least_lower = least_upper = math.inf
+    violations = []
     with contextlib.closing(_run_chunks(_fold_chunk, cfg, workers)) as folds:
         for (lower, upper), found in folds:
-            worst_lower.append(lower)
-            worst_upper.append(upper)
+            least_lower = min(least_lower, lower)
+            least_upper = min(least_upper, upper)
             violations += found
     violations.sort(key=lambda v: v["index"])
     # an empty plan's one empty chunk has least margins inf
-    worst = [float(np.min(w)) if cfg.count else 0.0 for w in (worst_lower, worst_upper)]
+    worst = (least_lower, least_upper) if cfg.count else (0.0, 0.0)
     return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)

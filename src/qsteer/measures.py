@@ -21,8 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch
-from .errors import NotRealizable, ParameterOutOfRange
+from .errors import NotRealizable
 from .states import RANGE_TOL, SLACK, DensityMatrix, PureState
+from .states import _check_theta, _check_unit, _outside
 
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
@@ -102,13 +103,6 @@ class ClosedForms(NamedTuple):
     purity: float
 
 
-def _check_theta_eta(theta: float, eta: float) -> None:
-    if not 0.0 < theta < np.pi / 2.0:
-        raise ParameterOutOfRange(f"theta must lie strictly inside (0, pi/2), got {theta}")
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
-
-
 def bad_closed_forms(theta: float, eta: float) -> ClosedForms:
     """Closed forms for a Bell-like state with qubit A amplitude-damped.
 
@@ -117,7 +111,8 @@ def bad_closed_forms(theta: float, eta: float) -> ClosedForms:
     diagonal, sqrt(1-eta) sin cos in the corners); S saturates the lower
     bound sqrt(max(0, C^2 + purity - 1)), so F = sqrt(2 C^2 + 2 purity - 1).
     """
-    _check_theta_eta(theta, eta)
+    _check_theta(theta)
+    _check_unit("eta", eta)
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
     conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
@@ -132,7 +127,8 @@ def bpd_closed_forms(theta: float, eta: float) -> ClosedForms:
     S equals C exactly; the correlation matrix is diag(C, -C, 1), so
     F = sqrt(1 + 2 C^2).
     """
-    _check_theta_eta(theta, eta)
+    _check_theta(theta)
+    _check_unit("eta", eta)
     conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
     pur = float(1.0 - 0.5 * eta * np.sin(2.0 * theta) ** 2)
     return ClosedForms(conc, conc, math.sqrt(1.0 + 2.0 * conc**2), pur)
@@ -144,8 +140,7 @@ def wu_closed_forms(p: float, phi) -> ClosedForms:
     C = max(0, p C(phi) - (1-p)/2), F = p sqrt(1 + 2 C(phi)^2),
     S = sqrt(max(0, p^2 (1 + 2 C(phi)^2) - 1) / 2), purity = (1 + 3p^2)/4.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRange(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     cphi = concurrence_pure(phi)
     conc = float(max(0.0, p * cphi - (1.0 - p) / 2.0))
     fval = float(p * np.sqrt(1.0 + 2.0 * cphi * cphi))
@@ -162,13 +157,13 @@ def wu_steering_margin(conc, pur):
     [1/4, 1], then the first concurrence outside [0, 1], by more than
     RANGE_TOL; a non-finite value is outside.
     """
-    conc = np.asarray(conc, dtype=np.float64)
-    pur = np.asarray(pur, dtype=np.float64)
+    conc, pur = np.asarray(conc), np.asarray(pur)
     for name, values, box, lo, hi in (("purity", pur, "[1/4, 1]", 0.25, 1.0),
                                       ("concurrence", conc, "[0, 1]", 0.0, 1.0)):
-        bad = ~((values >= lo - RANGE_TOL) & (values <= hi + RANGE_TOL))
+        bad = _outside(values, lo - RANGE_TOL, hi + RANGE_TOL)
         if bad.any():
-            raise NotRealizable(f"{name} {values[bad].flat[0]} outside {box}")
+            raise NotRealizable(f"{name} {values[bad].tolist()[0]!r} outside {box}")
+    conc, pur = np.asarray(conc, np.float64), np.asarray(pur, np.float64)
     p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
     x = 0.5 * (1.0 + 2.0 * conc) * (1.0 - p)
     margin = x + conc * conc + pur - 1.0

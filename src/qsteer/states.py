@@ -178,6 +178,31 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _check_theta(theta) -> None:
+    """Raise ParameterOutOfRange unless theta is a real number in (0, pi/2)."""
+    if not (_is_real(theta) and 0.0 < theta < np.pi / 2.0):
+        raise ParameterOutOfRange(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+
+
+def _check_unit(name: str, x) -> None:
+    """Raise ParameterOutOfRange unless eta or p is a real number in [0, 1]."""
+    if not (_is_real(x) and 0.0 <= x <= 1.0):
+        raise ParameterOutOfRange(f"{name} must lie in [0, 1], got {x!r}")
+
+
+def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the entries of ``values`` outside [lo, hi].  A NaN is outside,
+    and so is every entry of an array of strings, bools or objects."""
+    if values.dtype.kind not in "iuf":
+        return np.ones(values.shape, bool)
+    return ~((values >= lo) & (values <= hi))
+
+
 def _check_seed(seed) -> None:
     """Raise ParameterOutOfRange unless ``seed`` is an integer that fits a
     Philox key word."""
@@ -206,8 +231,7 @@ class SamplerConfig:
 
 def bell_like(theta: float) -> PureState:
     """cos(theta)|00> + sin(theta)|11>, theta strictly inside (0, pi/2)."""
-    if not 0.0 < theta < np.pi / 2.0:
-        raise ParameterOutOfRange(f"theta must lie strictly inside (0, pi/2), got {theta}")
+    _check_theta(theta)
     a = np.zeros(4, np.complex128)
     a[0] = np.cos(theta)
     a[3] = np.sin(theta)
@@ -226,12 +250,12 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
 
 def werner_mixtures(ps, amps) -> np.ndarray:
     """Raw p |phi><phi| + (1 - p) I/4 for each p and row phi of ``amps``."""
-    ps = np.asarray(ps, dtype=np.float64)
-    outside = ~((0.0 <= ps) & (ps <= 1.0))
+    ps = np.asarray(ps)
+    outside = _outside(ps, 0.0, 1.0)
     if outside.any():
         i = int(np.argmax(outside))
-        raise ParameterOutOfRange(f"p must lie in [0, 1], got {ps[i]} at index {i}")
-    ps = ps[:, None, None]
+        raise ParameterOutOfRange(f"p must lie in [0, 1], got {ps.tolist()[i]!r} at index {i}")
+    ps = np.asarray(ps, np.float64)[:, None, None]
     return ps * pure_projectors(amps) + (1.0 - ps) * np.eye(4) / 4.0
 
 
@@ -240,22 +264,23 @@ def werner_like(p: float, phi: PureState) -> DensityMatrix:
     return DensityMatrix(werner_mixtures([p], phi.amplitudes[None])[0])
 
 
+def _damping_channel(eta, row: int) -> KrausChannel:
+    """K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|row><1|."""
+    _check_unit("eta", eta)
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
+    k1 = np.zeros((2, 2), np.complex128)
+    k1[row, 1] = np.sqrt(eta)
+    return KrausChannel((k0, k1))
+
+
 def make_ad_channel(eta: float) -> KrausChannel:
     """Amplitude damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|0><1|."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
-    k1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], np.complex128)
-    return KrausChannel((k0, k1))
+    return _damping_channel(eta, 0)
 
 
 def make_pd_channel(eta: float) -> KrausChannel:
     """Phase damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|1><1|."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterOutOfRange(f"eta must lie in [0, 1], got {eta}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
-    k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(eta)]], np.complex128)
-    return KrausChannel((k0, k1))
+    return _damping_channel(eta, 1)
 
 
 def apply_channels(rhos, channels) -> np.ndarray:
@@ -269,7 +294,7 @@ def apply_channels(rhos, channels) -> np.ndarray:
     """
     rhos = np.asarray(rhos, dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
-    n_ops = max(len(ch.operators) for ch in channels)
+    n_ops = max((len(ch.operators) for ch in channels), default=0)
     ops = np.zeros((n_ops, len(channels), 4, 4), np.complex128)
     for j, ch in enumerate(channels):
         for k, op in enumerate(ch.operators):

@@ -58,6 +58,14 @@ def test_analyze_json(tmp_path, capsys):
     assert len(payload["lam"]) == 4 and len(payload["singular_values"]) == 3
 
 
+def test_analyze_table_says_no_for_the_maximally_mixed_state(tmp_path, capsys):
+    path = write_state(tmp_path / "mixed.json", states.DensityMatrix(np.eye(4) / 4.0))
+    assert main(["analyze", "--in", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "steering (C,purity)   no (C^2 + purity <= 1)" in lines
+    assert "steering (S > 0)      no (S = 0)" in lines
+
+
 def test_analyze_separable_json(tmp_path, capsys):
     path = write_state(tmp_path / "mixed.json", states.DensityMatrix(np.eye(4) / 4.0))
     code = main(["analyze", "--in", path, "--format", "json"])

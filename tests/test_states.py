@@ -11,6 +11,7 @@ from qsteer.errors import (
     NotHermitian,
     NotNormalized,
     NotPSD,
+    NotRealizable,
     ParameterOutOfRange,
     TraceNotOne,
     ValidationError,
@@ -148,6 +149,34 @@ def test_channel_constructors_are_complete():
             make(-0.1)
         with pytest.raises(ParameterOutOfRange):
             make(1.1)
+
+
+def test_apply_channels_to_no_channels_is_an_empty_stack():
+    rhos = np.stack([np.eye(4) / 4.0] * 3)
+    assert states.apply_channels(rhos, []).shape == (3, 0, 4, 4)
+
+
+# a bool, a string or None is not an angle, a damping strength or a weight,
+# and a string must not be parsed as one
+AMPS = np.array([[np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)]])
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: states.bell_like(True), ParameterOutOfRange, "theta .* got True$"),
+    (lambda: states.bell_like("0.5"), ParameterOutOfRange, "theta .* got '0.5'$"),
+    (lambda: states.make_ad_channel(True), ParameterOutOfRange, "eta .* got True$"),
+    (lambda: states.make_pd_channel("0.2"), ParameterOutOfRange, "eta .* got '0.2'$"),
+    (lambda: measures.bad_closed_forms(0.5, None), ParameterOutOfRange, "eta .* got None$"),
+    (lambda: measures.bpd_closed_forms(True, 0.1), ParameterOutOfRange, "theta .* got True$"),
+    (lambda: measures.wu_closed_forms(True, AMPS[0]), ParameterOutOfRange, "p .* got True$"),
+    (lambda: states.werner_mixtures(["0.5"], AMPS), ParameterOutOfRange,
+     "p .* got '0.5' at index 0$"),
+    (lambda: measures.wu_steering_margin("0.5", 0.9), NotRealizable, "concurrence '0.5'"),
+], ids=["bell_like-bool", "bell_like-str", "ad-bool", "pd-str", "bad-None", "bpd-bool",
+        "wu-bool", "werner_mixtures-str", "wu_steering_margin-str"])
+def test_parameters_must_be_real_numbers(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
 
 
 def test_kraus_channel_validation():
@@ -404,6 +433,10 @@ def test_state_from_json_names_the_failed_invariant():
         states.state_from_json({**good, "dim": 2})
     with pytest.raises(ValidationError, match="rows"):
         states.state_from_json({**good, "matrix": good["matrix"][:3]})
+    short = json.loads(json.dumps(good))
+    short["matrix"][2] = short["matrix"][2][:3]
+    with pytest.raises(ValidationError, match="row 2 must be a list of 4 entries"):
+        states.state_from_json(short)
     broken = json.loads(json.dumps(good))
     broken["matrix"][1][2] = [0.0]
     with pytest.raises(ValidationError, match=r"\(1, 2\)"):

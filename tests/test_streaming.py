@@ -159,12 +159,43 @@ def test_error_in_a_chunk_reaches_the_consumer(workers, monkeypatch):
 
 
 def _peak_bytes(argv) -> int:
+    return _traced(lambda: cli.main(argv))[1]
+
+
+def _traced(call):
+    """call()'s result, and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
-        cli.main(argv)
-        return tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_plan_holds_the_same_few_objects_at_any_count():
+    # a million chunks: a plan built as a list of (cfg, start, stop) tuples
+    # holds over 100 MB before the first chunk runs
+    def first(cfg, start, stop):
+        return start, stop
+
+    cfg = SamplerConfig(count=CHUNK * 10**6)
+    chunk, peak = _traced(lambda: next(harness._run_chunks(first, cfg, 1)))
+    assert chunk == (0, CHUNK)
+    assert peak < 2**20, peak
+
+
+def test_the_merge_keeps_nothing_per_chunk_but_the_violations(monkeypatch):
+    # 50000 chunks, each folded by a stub: the merge keeps each theorem's
+    # running least margin, not one number per chunk
+    def fold(cfg, start, stop):
+        return (0.5 if start else 0.25, 0.75), []
+
+    monkeypatch.setattr(harness, "_fold_chunk", fold)
+    cfg = SamplerConfig(count=CHUNK * 50000)
+    summary, peak = _traced(lambda: harness.run_falsification(cfg, workers=1))
+    assert summary.as_dict() == {
+        "checked": cfg.count, "theorems": list(harness.THEOREMS),
+        "worst_margin_lower": 0.25, "worst_margin_upper": 0.75, "violations": []}
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("command", ["sample", "verify"])
@@ -251,13 +282,24 @@ def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, 
     _assert_forks_fit_the_plan(forks, count, workers)
 
 
-def test_without_fork_sample_runs_in_process(monkeypatch, tmp_path):
+def test_without_fork_sample_runs_on_threads(monkeypatch, tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counted(self, fn, cfg, start, stop):
+        submitted.append(start)
+        return submit(self, fn, cfg, start, stop)
+
     argv = ["sample", "--count", str(2 * CHUNK + 7), "--seed", "17"]
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     assert cli.main(argv + ["--workers", "1", "--out", str(serial)]) == 0
     monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
     assert cli.main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
+    assert submitted == [0, CHUNK, 2 * CHUNK]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
