@@ -39,6 +39,7 @@ from .states import (
     SamplerConfig,
     apply_channel,
     bell_like,
+    bell_like_amplitudes,
     density_from_pure,
     make_ad_channel,
     make_pd_channel,

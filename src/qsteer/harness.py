@@ -29,7 +29,7 @@ from .states import (
     SamplerConfig,
     _is_int,
     apply_channels,
-    bell_like,
+    bell_like_amplitudes,
     draw_matrices,
     make_ad_channel,
     make_pd_channel,
@@ -250,24 +250,24 @@ def run_family_sweep(
         thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
         etas = np.linspace(0.0, 1.0, eta_steps)
         make = make_ad_channel if family == "ad" else make_pd_channel
-        bases = pure_projectors([bell_like(th).amplitudes for th in thetas])
+        bases = pure_projectors(bell_like_amplitudes(thetas))
         mats = apply_channels(bases, [make(eta) for eta in etas])
         rows = batch.measure_rows(mats.reshape(-1, 4, 4))
         forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
-        closed = [forms(th, eta) for th in thetas for eta in etas]
-        return SweepTable(family, np.repeat(thetas, eta_steps), np.tile(etas, theta_steps),
-                          rows[:, SWEEP_COLS], np.array(closed))
+        grid_thetas, grid_etas = np.repeat(thetas, eta_steps), np.tile(etas, theta_steps)
+        return SweepTable(family, grid_thetas, grid_etas, rows[:, SWEEP_COLS],
+                          np.column_stack(forms(grid_thetas, grid_etas)))
     if family == "wu":
         if not (_is_int(p_steps) and p_steps >= 2):
             raise ParameterOutOfRange("p-steps must be an integer >= 2")
         u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
         ps = u01[:, 0]
         thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
-        amps = np.array([bell_like(theta).amplitudes for theta in thetas.tolist()])
+        amps = bell_like_amplitudes(thetas)
         phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
         rows = batch.measure_rows(werner_mixtures(ps, phis))  # checks the phis' norms
-        closed = [measures.wu_closed_forms(p, phi) for p, phi in zip(ps.tolist(), phis)]
-        return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS], np.array(closed))
+        return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS],
+                          np.column_stack(measures.wu_closed_forms(ps, phis)))
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
 
 

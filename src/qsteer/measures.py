@@ -15,25 +15,35 @@ ValidationError that names the failed invariant.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import batch
 from .errors import NotRealizable
-from .states import RANGE_TOL, SLACK, DensityMatrix, PureState
-from .states import _check_theta, _check_unit, _outside
+from .states import RANGE_TOL, SLACK, DensityMatrix, PureState, validate_amplitudes
+from .states import _check_broadcast, _check_range, _outside
 
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
 CLASS_STEERABLE = "steerable"
 
 
-def concurrence_pure(psi) -> float:
-    """|<psi|psi~>| with |psi~> = (sigma_y x sigma_y) conj(|psi>)."""
-    a = (psi if isinstance(psi, PureState) else PureState(psi)).amplitudes
-    return float(abs(np.vdot(a, batch.FLIP_SIGN * a[::-1].conj())))
+def concurrence_pure(psi):
+    """|<psi|psi~>| with |psi~> = (sigma_y x sigma_y) conj(|psi>).
+
+    A float for a PureState or a (4,) vector, an array for each row of an
+    (n, 4) stack.
+    """
+    a = np.asarray(psi.amplitudes if isinstance(psi, PureState) else psi, np.complex128)
+    one = a.ndim == 1
+    a = validate_amplitudes(a[None] if one else a)
+    tilde = batch.FLIP_SIGN * a[:, ::-1].conj()
+    # np.vdot's BLAS dot, row by row; np.vecdot and einsum round differently
+    dots = (a.conj()[:, None, :] @ tilde[:, :, None])[:, 0, 0]
+    # hypot, as scalar abs(); array np.abs takes a SIMD kernel that rounds differently
+    conc = np.hypot(dots.real, dots.imag)
+    return float(conc[0]) if one else conc
 
 
 class MeasureReport(NamedTuple):
@@ -95,7 +105,8 @@ def report(rho) -> MeasureReport:
 
 
 class ClosedForms(NamedTuple):
-    """A family's closed forms, in SweepTable's column order."""
+    """A family's closed forms, in SweepTable's column order: floats for
+    numbers, arrays of the broadcast shape for arrays."""
 
     concurrence: float
     steerability: float
@@ -103,50 +114,73 @@ class ClosedForms(NamedTuple):
     purity: float
 
 
-def bad_closed_forms(theta: float, eta: float) -> ClosedForms:
+def _closed_forms(*columns) -> ClosedForms:
+    columns = np.broadcast_arrays(*columns)
+    if columns[0].ndim == 0:
+        return ClosedForms(*map(float, columns))
+    return ClosedForms(*columns)
+
+
+def _theta_eta(theta, eta):
+    """theta and eta as float64 arrays once each lies in range and the two
+    broadcast together."""
+    theta = _check_range("theta", theta, 0.0, np.pi / 2.0, strict=True)
+    eta = _check_range("eta", eta, 0.0, 1.0)
+    _check_broadcast(theta=theta.shape, eta=eta.shape)
+    return theta, eta
+
+
+def bad_closed_forms(theta, eta) -> ClosedForms:
     """Closed forms for a Bell-like state with qubit A amplitude-damped.
 
     C scales by sqrt(1-eta); purity is the squared Frobenius norm of the
     explicit damped matrix (entries cos^2, eta sin^2, (1-eta) sin^2 on the
     diagonal, sqrt(1-eta) sin cos in the corners); S saturates the lower
     bound sqrt(max(0, C^2 + purity - 1)), so F = sqrt(2 C^2 + 2 purity - 1).
+    Elementwise over arrays that broadcast together.
     """
-    _check_theta(theta)
-    _check_unit("eta", eta)
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
-    conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
-    pur = float(c2 * c2 + s2 * s2 * ((1.0 - eta) ** 2 + eta * eta) + 2.0 * (1.0 - eta) * s2 * c2)
-    steer = float(np.sqrt(max(0.0, conc * conc + pur - 1.0)))
-    return ClosedForms(conc, steer, math.sqrt(2.0 * conc**2 + 2.0 * pur - 1.0), pur)
+    theta, eta = _theta_eta(theta, eta)
+    # squares through libm pow, as a scalar x ** 2; an array's ** 2 rounds as x * x
+    s2 = np.float_power(np.sin(theta), 2.0)
+    c2 = np.float_power(np.cos(theta), 2.0)
+    conc = np.sqrt(1.0 - eta) * np.sin(2.0 * theta)
+    pur = (c2 * c2 + s2 * s2 * (np.float_power(1.0 - eta, 2.0) + eta * eta)
+           + 2.0 * (1.0 - eta) * s2 * c2)
+    steer = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
+    fval = np.sqrt(2.0 * np.float_power(conc, 2.0) + 2.0 * pur - 1.0)
+    return _closed_forms(conc, steer, fval, pur)
 
 
-def bpd_closed_forms(theta: float, eta: float) -> ClosedForms:
+def bpd_closed_forms(theta, eta) -> ClosedForms:
     """Closed forms for a Bell-like state with qubit A phase-damped.
 
     S equals C exactly; the correlation matrix is diag(C, -C, 1), so
-    F = sqrt(1 + 2 C^2).
+    F = sqrt(1 + 2 C^2).  Elementwise over arrays that broadcast together.
     """
-    _check_theta(theta)
-    _check_unit("eta", eta)
-    conc = float(np.sqrt(1.0 - eta) * np.sin(2.0 * theta))
-    pur = float(1.0 - 0.5 * eta * np.sin(2.0 * theta) ** 2)
-    return ClosedForms(conc, conc, math.sqrt(1.0 + 2.0 * conc**2), pur)
+    theta, eta = _theta_eta(theta, eta)
+    conc = np.sqrt(1.0 - eta) * np.sin(2.0 * theta)
+    # squares through libm pow, as a scalar x ** 2; an array's ** 2 rounds as x * x
+    pur = 1.0 - 0.5 * eta * np.float_power(np.sin(2.0 * theta), 2.0)
+    fval = np.sqrt(1.0 + 2.0 * np.float_power(conc, 2.0))
+    return _closed_forms(conc, conc, fval, pur)
 
 
-def wu_closed_forms(p: float, phi) -> ClosedForms:
+def wu_closed_forms(p, phi) -> ClosedForms:
     """Closed forms for p |phi><phi| + (1-p) I/4 with |phi> pure.
 
     C = max(0, p C(phi) - (1-p)/2), F = p sqrt(1 + 2 C(phi)^2),
     S = sqrt(max(0, p^2 (1 + 2 C(phi)^2) - 1) / 2), purity = (1 + 3p^2)/4.
+    ``phi`` is a PureState, a (4,) vector or an (n, 4) stack, which takes
+    one p for all rows or one per row (see concurrence_pure).
     """
-    _check_unit("p", p)
+    p = _check_range("p", p, 0.0, 1.0)
     cphi = concurrence_pure(phi)
-    conc = float(max(0.0, p * cphi - (1.0 - p) / 2.0))
-    fval = float(p * np.sqrt(1.0 + 2.0 * cphi * cphi))
-    steer = float(np.sqrt(0.5 * max(0.0, fval * fval - 1.0)))
-    pur = float((1.0 + 3.0 * p * p) / 4.0)
-    return ClosedForms(conc, steer, fval, pur)
+    _check_broadcast(p=p.shape, vectors=np.shape(cphi))
+    conc = np.maximum(0.0, p * cphi - (1.0 - p) / 2.0)
+    fval = p * np.sqrt(1.0 + 2.0 * cphi * cphi)
+    steer = np.sqrt(0.5 * np.maximum(0.0, fval * fval - 1.0))
+    pur = (1.0 + 3.0 * p * p) / 4.0
+    return _closed_forms(conc, steer, fval, pur)
 
 
 def wu_steering_margin(conc, pur):

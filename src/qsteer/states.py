@@ -178,29 +178,49 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    """A Python or numpy integer or float; a bool is not one."""
-    return _is_int(x) or isinstance(x, (float, np.floating))
-
-
-def _check_theta(theta) -> None:
-    """Raise ParameterOutOfRange unless theta is a real number in (0, pi/2)."""
-    if not (_is_real(theta) and 0.0 < theta < np.pi / 2.0):
-        raise ParameterOutOfRange(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
-
-
-def _check_unit(name: str, x) -> None:
-    """Raise ParameterOutOfRange unless eta or p is a real number in [0, 1]."""
-    if not (_is_real(x) and 0.0 <= x <= 1.0):
-        raise ParameterOutOfRange(f"{name} must lie in [0, 1], got {x!r}")
-
-
-def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mask of the entries of ``values`` outside [lo, hi].  A NaN is outside,
-    and so is every entry of an array of strings, bools or objects."""
+def _outside(values: np.ndarray, lo: float, hi: float, strict: bool = False) -> np.ndarray:
+    """Mask of the entries of ``values`` outside [lo, hi], or outside (lo, hi)
+    when ``strict``.  A NaN is outside, and so is every entry of an array of
+    strings, bools or objects."""
     if values.dtype.kind not in "iuf":
         return np.ones(values.shape, bool)
+    if strict:
+        return ~((values > lo) & (values < hi))
     return ~((values >= lo) & (values <= hi))
+
+
+# how a range bound reads in an error message, where "{:g}" would not do
+_BOUND_TEXT = {np.pi / 2.0: "pi/2"}
+
+
+def _check_range(name: str, values, lo: float, hi: float, strict: bool = False) -> np.ndarray:
+    """Return ``values`` as float64 if every entry is a real number in
+    [lo, hi], or strictly inside (lo, hi) when ``strict``.
+
+    Otherwise raise ParameterOutOfRange naming the first bad entry; for an
+    array the message ends in "at index i", i counted in C order.
+    """
+    arr = np.asarray(values)
+    bad = _outside(arr, lo, hi, strict)
+    if bad.any():
+        lo_text, hi_text = (_BOUND_TEXT.get(b, f"{b:g}") for b in (lo, hi))
+        box = f"strictly inside ({lo_text}, {hi_text})" if strict else f"in [{lo_text}, {hi_text}]"
+        if arr.ndim == 0:
+            raise ParameterOutOfRange(f"{name} must lie {box}, got {values!r}")
+        i = int(np.argmax(bad.ravel()))
+        raise ParameterOutOfRange(
+            f"{name} must lie {box}, got {arr.ravel().tolist()[i]!r} at index {i}")
+    return np.asarray(arr, np.float64)
+
+
+def _check_broadcast(**shapes) -> None:
+    """Raise ValidationError, naming each shape, unless the named shapes
+    broadcast together."""
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        named = " and ".join(f"{name} of shape {shape}" for name, shape in shapes.items())
+        raise ValidationError(f"{named} do not broadcast together") from None
 
 
 def _check_seed(seed) -> None:
@@ -229,13 +249,19 @@ class SamplerConfig:
             raise ParameterOutOfRange(f"count must be a non-negative integer, got {self.count!r}")
 
 
+def bell_like_amplitudes(thetas) -> np.ndarray:
+    """cos(theta)|00> + sin(theta)|11> for each theta strictly inside
+    (0, pi/2): an (n, 4) stack for n thetas, one (4,) vector for a number."""
+    thetas = _check_range("theta", thetas, 0.0, np.pi / 2.0, strict=True)
+    a = np.zeros(thetas.shape + (4,), np.complex128)
+    a[..., 0] = np.cos(thetas)
+    a[..., 3] = np.sin(thetas)
+    return a
+
+
 def bell_like(theta: float) -> PureState:
     """cos(theta)|00> + sin(theta)|11>, theta strictly inside (0, pi/2)."""
-    _check_theta(theta)
-    a = np.zeros(4, np.complex128)
-    a[0] = np.cos(theta)
-    a[3] = np.sin(theta)
-    return PureState(a)
+    return PureState(bell_like_amplitudes(theta))
 
 
 def pure_projectors(amps) -> np.ndarray:
@@ -249,14 +275,13 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
 
 
 def werner_mixtures(ps, amps) -> np.ndarray:
-    """Raw p |phi><phi| + (1 - p) I/4 for each p and row phi of ``amps``."""
-    ps = np.asarray(ps)
-    outside = _outside(ps, 0.0, 1.0)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ParameterOutOfRange(f"p must lie in [0, 1], got {ps.tolist()[i]!r} at index {i}")
-    ps = np.asarray(ps, np.float64)[:, None, None]
-    return ps * pure_projectors(amps) + (1.0 - ps) * np.eye(4) / 4.0
+    """Raw p |phi><phi| + (1 - p) I/4 for each row phi of ``amps``, with one
+    p for all rows or one per row."""
+    ps = _check_range("p", ps, 0.0, 1.0)
+    projectors = pure_projectors(amps)
+    _check_broadcast(p=ps.shape, vectors=projectors.shape[:1])
+    ps = ps[..., None, None]
+    return ps * projectors + (1.0 - ps) * np.eye(4) / 4.0
 
 
 def werner_like(p: float, phi: PureState) -> DensityMatrix:
@@ -266,7 +291,8 @@ def werner_like(p: float, phi: PureState) -> DensityMatrix:
 
 def _damping_channel(eta, row: int) -> KrausChannel:
     """K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|row><1|."""
-    _check_unit("eta", eta)
+    if _check_range("eta", eta, 0.0, 1.0).ndim:
+        raise ParameterOutOfRange(f"eta must be one number, got shape {np.shape(eta)}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
     k1 = np.zeros((2, 2), np.complex128)
     k1[row, 1] = np.sqrt(eta)

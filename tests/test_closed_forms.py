@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsteer import harness, measures, states
-from qsteer.errors import ParameterOutOfRange
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+from qsteer import batch, harness, measures, states
+from qsteer.errors import ParameterOutOfRange, ValidationError
 
 
 def test_ad_sweep_small_grid():
@@ -113,3 +122,103 @@ def test_werner_family_walks_the_envelope():
         rep = measures.report(states.werner_like(p, phi))
         assert rep.concurrence == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12)
         assert rep.purity == pytest.approx((1.0 + 3.0 * p * p) / 4.0, abs=1e-12)
+
+
+def _grid(steps=51):
+    """The theta-major (theta, eta) grid of an ad or pd sweep."""
+    thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, steps)
+    etas = np.linspace(0.0, 1.0, steps)
+    return np.repeat(thetas, steps), np.tile(etas, steps)
+
+
+def _wu_inputs(seed, n):
+    """The p and phi of each point of a wu sweep, drawn as run_family_sweep draws them."""
+    u01 = states.open_uniforms(states.stream_block(seed, states.DOMAIN_SWEEP, 0, n)[:, :2])
+    amps = states.bell_like_amplitudes(0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1])
+    return u01[:, 0], (states.random_unitaries(seed, 0, n) @ amps[:, :, None])[:, :, 0]
+
+
+@pytest.mark.parametrize("family", ["ad", "pd"])
+def test_array_closed_forms_equal_the_scalar_calls_bit_for_bit(family):
+    forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
+    thetas, etas = _grid()
+    array = np.column_stack(forms(thetas, etas))
+    scalar = [forms(th, eta) for th, eta in zip(thetas.tolist(), etas.tolist())]
+    assert all(type(x) is float for x in scalar[0])
+    assert array.tobytes() == np.array(scalar).tobytes()
+    table = harness.run_family_sweep(family, theta_steps=51, eta_steps=51)
+    assert table.closed.tobytes() == array.tobytes()
+
+
+def test_array_wu_closed_forms_equal_the_scalar_calls_bit_for_bit():
+    ps, phis = _wu_inputs(0, 1000)
+    array = np.column_stack(measures.wu_closed_forms(ps, phis))
+    scalar = [measures.wu_closed_forms(p, phi) for p, phi in zip(ps.tolist(), phis)]
+    assert all(type(x) is float for x in scalar[0])
+    assert array.tobytes() == np.array(scalar).tobytes()
+    table = harness.run_family_sweep("wu", p_steps=1000, seed=0)
+    assert table.closed.tobytes() == array.tobytes()
+
+
+def test_concurrence_pure_on_a_stack_equals_vdot_per_row_bit_for_bit():
+    _, phis = _wu_inputs(0, 1000)
+    want = [abs(np.vdot(a, batch.FLIP_SIGN * a[::-1].conj())) for a in phis]
+    got = measures.concurrence_pure(phis)
+    assert got.shape == (1000,)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert [measures.concurrence_pure(a) for a in phis[:50]] == want[:50]
+    assert type(measures.concurrence_pure(phis[0])) is float
+
+
+def test_closed_forms_broadcast_a_scalar_and_reject_a_length_mismatch():
+    thetas, etas = _grid(4)
+    ps, phis = _wu_inputs(5, 4)
+    for forms in (measures.bad_closed_forms, measures.bpd_closed_forms):
+        assert np.array_equal(np.column_stack(forms(thetas, 0.5)),
+                              np.column_stack(forms(thetas, np.full(16, 0.5))))
+        with pytest.raises(ValidationError, match=r"theta of shape \(16,\) and eta of shape "
+                                                  r"\(3,\) do not broadcast"):
+            forms(thetas, etas[:3])
+    one_p = np.column_stack(measures.wu_closed_forms(0.7, phis))
+    assert one_p.shape == (4, 4)
+    assert np.array_equal(one_p, np.column_stack(measures.wu_closed_forms(np.full(4, 0.7), phis)))
+    with pytest.raises(ValidationError, match=r"p of shape \(3,\) and vectors of shape \(4,\)"):
+        measures.wu_closed_forms(ps[:3], phis)
+
+
+# numpy's AVX-512 kernels, switched off in the child below
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# evaluates the closed forms on the sweep inputs in argv[1] and saves them to argv[2]
+CLOSED_FORMS_CHILD = """
+import sys
+import numpy as np
+from qsteer import measures
+with np.load(sys.argv[1]) as d:
+    np.savez(sys.argv[2],
+             ad=np.column_stack(measures.bad_closed_forms(d["theta"], d["eta"])),
+             pd=np.column_stack(measures.bpd_closed_forms(d["theta"], d["eta"])),
+             wu=np.column_stack(measures.wu_closed_forms(d["p"], d["phi"])))
+"""
+
+
+@pytest.mark.skipif(not any(__cpu_features__.get(f) for f in AVX512_FEATURES),
+                    reason="this host has no AVX-512 to switch off")
+def test_closed_forms_do_not_depend_on_the_simd_level(tmp_path):
+    # the child gets this process's inputs: the wu draw itself goes through
+    # np.log, whose AVX-512 kernel rounds differently
+    thetas, etas = _grid()
+    ps, phis = _wu_inputs(0, 1000)
+    np.savez(tmp_path / "inputs.npz", theta=thetas, eta=etas, p=ps, phi=phis)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FEATURES)}
+    proc = subprocess.run([sys.executable, "-c", CLOSED_FORMS_CHILD, str(tmp_path / "inputs.npz"),
+                           str(tmp_path / "closed.npz")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(tmp_path / "closed.npz") as child:
+        for family in ("ad", "pd"):
+            table = harness.run_family_sweep(family, theta_steps=51, eta_steps=51)
+            assert child[family].tobytes() == table.closed.tobytes(), family
+        wu = np.column_stack(measures.wu_closed_forms(ps, phis))
+        assert child["wu"].tobytes() == wu.tobytes()

@@ -5,9 +5,10 @@ The sweeps and the scan are built as arrays, and sample and verify stream
 the plan chunk by chunk; these digests pin their output bytes across
 commits, so a change to how the stacks are drawn, built, validated,
 measured, formatted or reduced that moves a single bit fails here.  The closed forms and the
-Bell-like amplitudes pass through numpy's sin/cos/sqrt; the digests were
-taken with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ
-in the last bit.
+Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
+np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
+with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
+last bit.
 """
 
 import hashlib

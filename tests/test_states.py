@@ -179,6 +179,63 @@ def test_parameters_must_be_real_numbers(call, error, named):
         call()
 
 
+# the array entry points of theta, eta and p: (call with that one argument, its name)
+PHIS = np.repeat(AMPS, 3, axis=0)
+GOOD = {"theta": [0.3, 0.7, 1.2], "eta": [0.0, 0.5, 1.0], "p": [0.2, 0.6, 1.0]}
+ARRAY_ARGS = {
+    "bell_like_amplitudes": (states.bell_like_amplitudes, "theta"),
+    "ad-theta": (lambda v: measures.bad_closed_forms(v, GOOD["eta"]), "theta"),
+    "ad-eta": (lambda v: measures.bad_closed_forms(GOOD["theta"], v), "eta"),
+    "pd-theta": (lambda v: measures.bpd_closed_forms(v, GOOD["eta"]), "theta"),
+    "pd-eta": (lambda v: measures.bpd_closed_forms(GOOD["theta"], v), "eta"),
+    "wu-p": (lambda v: measures.wu_closed_forms(v, PHIS), "p"),
+    "werner_mixtures-p": (lambda v: states.werner_mixtures(v, PHIS), "p"),
+}
+OUT_OF_RANGE = {"theta": (0.0, np.pi / 2), "eta": (np.nan, -0.1), "p": (1.5, np.nan)}
+BOX = {"theta": r"strictly inside \(0, pi/2\)", "eta": r"in \[0, 1\]", "p": r"in \[0, 1\]"}
+
+
+@pytest.mark.parametrize("arg", ARRAY_ARGS)
+def test_array_parameters_name_the_first_bad_entry(arg):
+    call, name = ARRAY_ARGS[arg]
+    good = GOOD[name]
+    call(good)
+    for bad in OUT_OF_RANGE[name]:
+        # an array names the index of its first bad entry; a number only the value
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"^{name} must lie {BOX[name]}, got {bad!r} at index 1$"):
+            call([good[0], bad, bad])
+        with pytest.raises(ParameterOutOfRange, match=rf"^{name} must lie {BOX[name]}, got "):
+            call(bad)
+    with pytest.raises(ParameterOutOfRange, match=rf"^{name} .* got False at index 0$"):
+        call(np.array([False, True, True]))
+
+
+def test_bell_like_amplitudes_stack_the_one_row_calls():
+    thetas = np.linspace(0.05, np.pi / 2 - 0.05, 7)
+    amps = states.bell_like_amplitudes(thetas)
+    assert amps.shape == (7, 4)
+    for theta, row in zip(thetas.tolist(), amps):
+        assert np.array_equal(row, states.bell_like(theta).amplitudes)
+    assert states.bell_like_amplitudes(0.4).shape == (4,)
+
+
+def test_a_channel_takes_one_eta():
+    for make in (states.make_ad_channel, states.make_pd_channel):
+        with pytest.raises(ParameterOutOfRange, match=r"eta must be one number, got shape \(2,\)$"):
+            make(np.array([0.1, 0.2]))
+
+
+def test_werner_mixtures_take_one_p_or_one_per_row():
+    one_p = states.werner_mixtures(0.4, PHIS)
+    assert one_p.shape == (3, 4, 4)
+    assert np.array_equal(one_p, states.werner_mixtures([0.4] * 3, PHIS))
+    # two weights for three vectors used to fail inside numpy's broadcasting
+    with pytest.raises(ValidationError,
+                       match=r"p of shape \(2,\) and vectors of shape \(3,\) do not broadcast"):
+        states.werner_mixtures([0.5, 0.2], PHIS)
+
+
 def test_kraus_channel_validation():
     with pytest.raises(ChannelIncomplete):
         states.KrausChannel((np.eye(2) * 0.9,))
