@@ -1,22 +1,31 @@
 """Batched evaluation of every per-state scalar.
 
-measure_rows() is the entry point for a stack of states and the single
-route to every per-state scalar but the correlation singular values;
-measures.report() reads one of its rows for a single state, and the harness
-reads whole tables.  It returns an (n, 13) float64 table with the column
-layout below, vectorized over the whole stack with LAPACK.  It validates the
-stack with states.validate_stack, taking the PSD check from the eigenvalues
-it computes anyway.  F needs only the Frobenius sum of T, so the singular
-values are not a column: correlation_singular_values() gives them, and only
-report() asks for them, passing the correlation matrices that _measure()
-formed for the table.
+One kernel measures every state: _measure(x, rhos) takes a stack of
+factors x, each with rhos = x x^dag, and returns an (n, 13) float64 table
+with the column layout below, vectorized over the whole stack with LAPACK.
+Purity, the correlation matrix T and the marginals are read from rhos; C
+and the flip-product eigenvalues come from the singular values of the
+symmetric matrices x^T (sigma_y x sigma_y) x (Wootters, PRL 80, 2245
+(1998)), which stay accurate at zero.
+
+measure_factors() is the entry point for drawn states, which come with
+their factors: it checks only that each factor is finite with
+||x||_F^2 = 1, since x x^dag is Hermitian and PSD by construction.
+measure_rows() is the entry point for any stack of density matrices: it
+validates the stack with states.validate_stack, taking the PSD check from
+the eigh it needs for the factor V sqrt(w).  measures.report() reads one
+of its rows for a single state.  F needs only the Frobenius sum of T, so
+the singular values of T are not a column: correlation_singular_values()
+gives them, and only report() asks for them, passing the correlation
+matrices that _measure() formed for the table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import validate_stack
+from .errors import TraceNotOne, ValidationError
+from .states import TRACE_TOL, _raise_first, gram, validate_stack
 
 # column layout of the measure table
 COL_PURITY = 0
@@ -47,7 +56,11 @@ FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def correlation_matrices(rhos: np.ndarray) -> np.ndarray:
-    """T[k, m, n] = Re tr(rho_k (sigma_m x sigma_n)) for an (n, 4, 4) stack."""
+    """T[k, m, n] = Re tr(rho_k (sigma_m x sigma_n)) for an (n, 4, 4) stack.
+
+    An einsum, not one (n, 16) x (16, 9) BLAS product: that product is big
+    enough for OpenBLAS to start its threads, which then spin in every forked
+    worker of the chunk pool; on two CPUs verify ran 1.2 s against 0.75 s."""
     return np.einsum("kab,pba->kp", rhos, PAULI_PAIRS).real.reshape(-1, 3, 3)
 
 
@@ -59,7 +72,34 @@ def correlation_singular_values(tmats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(tw, 0.0, None))
 
 
-def measure_rows(rhos: np.ndarray) -> np.ndarray:
+def measure_factors(x) -> np.ndarray:
+    """Measure table for the states x x^dag of a stack of factors.
+
+    Parameters
+    ----------
+    x : (n, 4, m) complex array
+        Factors, m >= 1.  A wrong shape raises ValidationError; the first
+        factor with a non-finite entry raises ValidationError, and the first
+        with | ||x||_F^2 - 1 | > TRACE_TOL raises TraceNotOne, each naming
+        its index.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] < 1:
+        raise ValidationError(f"factors must have shape (n, 4, m), got {x.shape}")
+    norm_dev = np.abs((x.real * x.real + x.imag * x.imag).sum(axis=(1, 2)) - 1.0)
+    if not (norm_dev <= TRACE_TOL).all():  # a non-finite factor fails this too
+        finite = np.isfinite(x).all(axis=(1, 2))
+        _raise_first((
+            (~finite, lambda i: ValidationError(
+                f"factor contains non-finite entries at index {i}")),
+            (norm_dev > TRACE_TOL, lambda i: TraceNotOne(
+                f"squared norm of the factor deviates from 1 by {norm_dev[i]:.3e} "
+                f"at index {i}")),
+        ))
+    return _measure(x, gram(x))[0]
+
+
+def measure_rows(rhos) -> np.ndarray:
     """Measure table for a stack of density matrices.
 
     Parameters
@@ -68,44 +108,60 @@ def measure_rows(rhos: np.ndarray) -> np.ndarray:
         Density matrices.  A wrong shape, or the first invalid matrix,
         raises the ValidationError that names the broken invariant.
     """
-    return _measure(rhos)[0]
+    return _measure_matrices(rhos)[0]
 
 
-def _measure(rhos) -> tuple[np.ndarray, np.ndarray]:
-    """measure_rows' table, and the correlation matrices it forms for F."""
+def _measure_matrices(rhos) -> tuple[np.ndarray, np.ndarray]:
+    """measure_rows' table, and the correlation matrices it forms for F.
+
+    The factor of each matrix is V sqrt(w) from its eigh, which also gives
+    validate_stack its eigenvalues."""
     rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
     if (rhos.ndim != 3 or rhos.shape[1:] != (4, 4)
             or not np.isfinite(rhos.view(np.float64)).all()):
         validate_stack(rhos)  # raises; eigh needs a finite stack
     w, v = np.linalg.eigh(rhos)
     validate_stack(rhos, eigenvalues=w)
+    return _measure(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :], rhos)
+
+
+def _measure(x: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The measure table of the (n, 4, 4) stack rhos = x x^dag, given its
+    (n, 4, m) factors x, and the correlation matrices it forms for F."""
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
-    np.clip(w, 0.0, None, out=w)
-    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    # sqrt(rho) flip(rho) sqrt(rho) = W W^dag; its sqrt-eigenvalues are the
-    # singular values of W, which stay accurate at zero
-    yc = FLIP_SIGN[:, None] * root[:, ::-1, :].conj()
-    sig = np.linalg.svd(root @ yc, compute_uv=False)
-    lam = sig * sig
+    # the singular values of tau = x^T (sigma_y x sigma_y) x are the square
+    # roots of the eigenvalues of rho flip(rho); tau has rank at most 4
+    tau = x.transpose(0, 2, 1) @ (FLIP_SIGN[:, None] * x[:, ::-1, :])
+    sig = np.linalg.svd(tau, compute_uv=False)[:, :4]
     conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
     tmat = correlation_matrices(rhos)
     f2 = np.einsum("kij,kij->k", tmat, tmat)
+    # F^2 - 1 without the cancellation at F = 1: T_zz^2 - (tr rho)^2 is
+    # -4 (rho00 + rho33)(rho11 + rho22), so the (z, z) term drops out
+    tflat = tmat.reshape(n, 9)[:, :8]
+    diag = np.einsum("kii->ki", rhos).real
+    f2m1 = (np.einsum("ki,ki->k", tflat, tflat)
+            - 4.0 * (diag[:, 0] + diag[:, 3]) * (diag[:, 1] + diag[:, 2]))
     r5 = rhos.reshape(n, 2, 2, 2, 2)
-    rho_a = np.einsum("kabcb->kac", r5)
-    rho_b = np.einsum("kabac->kbc", r5)
-    pa = np.einsum("kij,kij->k", rho_a, rho_a.conj()).real
-    pb = np.einsum("kij,kij->k", rho_b, rho_b.conj()).real
     out[:, COL_PURITY] = pur
     out[:, COL_C] = conc
     out[:, COL_F] = np.sqrt(f2)
-    out[:, COL_S] = np.sqrt(0.5 * np.maximum(0.0, f2 - 1.0))
+    out[:, COL_S] = np.sqrt(0.5 * np.maximum(0.0, f2m1))
     out[:, COL_Q] = np.sqrt(conc * conc + pur)
-    out[:, COL_DA] = np.sqrt(np.maximum(0.0, 2.0 * pa - 1.0))
-    out[:, COL_DB] = np.sqrt(np.maximum(0.0, 2.0 * pb - 1.0))
+    # the coherences are Bloch-vector lengths, exact 0 at a maximally mixed qubit
+    out[:, COL_DA] = _bloch_length(np.einsum("kabcb->kac", r5))
+    out[:, COL_DB] = _bloch_length(np.einsum("kabac->kbc", r5))
     out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
-    out[:, COL_L1 : COL_L4 + 1] = lam
+    out[:, COL_L1 : COL_L4 + 1] = 0.0  # a factor of width m < 4 has m singular values
+    out[:, COL_L1 : COL_L1 + sig.shape[1]] = sig * sig
     return out, tmat
 
+
+def _bloch_length(red: np.ndarray) -> np.ndarray:
+    """sqrt((r00 - r11)^2 + 4 |r01|^2) for each 2x2 matrix of a stack."""
+    z = (red[:, 0, 0] - red[:, 1, 1]).real
+    off = red[:, 0, 1]
+    return np.sqrt(z * z + 4.0 * (off.real * off.real + off.imag * off.imag))

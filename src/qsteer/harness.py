@@ -120,12 +120,13 @@ class FalsificationSummary:
 
 
 def scatter_table(cfg: SamplerConfig, start: int, stop: int):
-    """Records start..stop-1 of the plan, drawn and measured: (start, ranks, rows).
+    """Records start..stop-1 of the plan, drawn and measured from their
+    factors: (start, ranks, rows).
 
     sample and verify run it on each CHUNK of the plan through _run_chunks.
     """
-    rhos, ranks = draw_matrices(cfg, start, stop)
-    return start, ranks, batch.measure_rows(rhos)
+    x, ranks = draw_matrices(cfg, start, stop)
+    return start, ranks, batch.measure_factors(x)
 
 
 def _run_chunks(fn, cfg: SamplerConfig, workers: int):

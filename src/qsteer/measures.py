@@ -85,7 +85,7 @@ def report(rho) -> MeasureReport:
     correlation matrix formed on the way."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     stack = np.ascontiguousarray(m[None])
-    rows, tmats = batch._measure(stack)
+    rows, tmats = batch._measure_matrices(stack)
     row = rows[0]
     tsv = batch.correlation_singular_values(tmats)[0]
     return MeasureReport(

@@ -1,6 +1,6 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream version 2).  Each (seed, domain) pair keys
+Sampling is counter-based (stream version 3).  Each (seed, domain) pair keys
 one Philox4x64 generator; domains keep state draws, Haar unitaries and sweep
 parameters apart.  Record i of a domain owns a fixed block of 9 counter steps
 (36 uint64 words) starting at counter step 9 i, so record i is reproducible
@@ -34,7 +34,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
@@ -363,11 +363,18 @@ def _gaussians(blocks: np.ndarray) -> np.ndarray:
     return z
 
 
-def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw matrices and rank draws for records [start, stop), unvalidated.
+def gram(x) -> np.ndarray:
+    """The (n, 4, 4) stack x x^dag of an (n, 4, m) stack of factors."""
+    return x @ x.conj().transpose(0, 2, 1)
 
-    Record i is G G^dag / tr(G G^dag) for the 4x4 Ginibre matrix G of its
-    block (row-major) cut to its first k columns; haar-pure keeps column 0.
+
+def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors and rank draws for records [start, stop), unvalidated.
+
+    Record i is the state x x^dag of its factor x = G_k / ||G_k||_F, for the
+    4x4 Ginibre matrix G of its block (row-major) with the columns from k on
+    set to zero: an (n, 4, 4) stack.  haar-pure keeps column 0 alone, an
+    (n, 4, 1) stack.
     """
     if not (_is_int(start) and _is_int(stop)):
         raise ParameterOutOfRange(f"start and stop must be integers, got {start!r}, {stop!r}")
@@ -377,17 +384,16 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
     g = _gaussians(blocks).reshape(-1, 4, 4)
     n = g.shape[0]
     if cfg.measure == "haar-pure":
-        z = g[:, :, 0]
-        z /= np.sqrt((z * z.conj()).real.sum(axis=1))[:, None]
-        return z[:, :, None] * z.conj()[:, None, :], np.ones(n, np.int64)
-    if cfg.ranks == "uniform":
+        g = np.ascontiguousarray(g[:, :, :1])
+        ranks = np.ones(n, np.int64)
+    elif cfg.ranks == "uniform":
         ranks = 1 + (blocks[:, RANK_WORD] >> np.uint64(62)).astype(np.int64)
     else:
         ranks = np.full(n, cfg.ranks, np.int64)
-    g *= (np.arange(4) < ranks[:, None])[:, None, :]
-    rhos = np.einsum("nrc,nsc->nrs", g, g.conj())
-    rhos /= np.einsum("nii->n", rhos).real[:, None, None]
-    return rhos, ranks
+    g *= (np.arange(g.shape[2]) < ranks[:, None])[:, None, :]
+    parts = g.view(np.float64).reshape(n, 8 * g.shape[2])  # re, im of each entry
+    g /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None, None]
+    return g, ranks
 
 
 def random_state(cfg: SamplerConfig, index: int) -> DensityMatrix:
@@ -396,8 +402,8 @@ def random_state(cfg: SamplerConfig, index: int) -> DensityMatrix:
         raise ParameterOutOfRange(f"index must be an integer, got {index!r}")
     if not 0 <= index < cfg.count:
         raise IndexOutOfRange(f"index {index} outside [0, {cfg.count})")
-    rhos, _ = draw_matrices(cfg, index, index + 1)
-    return DensityMatrix(rhos[0])
+    x, _ = draw_matrices(cfg, index, index + 1)
+    return DensityMatrix(gram(x)[0])
 
 
 def random_unitaries(seed: int, start: int, stop: int) -> np.ndarray:

@@ -8,7 +8,9 @@ measured, formatted or reduced that moves a single bit fails here.  The closed f
 Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
 np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
 with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.
+last bit.  The analyze, sample, verify and channel-sweep digests are those of
+stream version 3: C from the singular values of a factor's
+x^T (sigma_y x sigma_y) x, and S and the coherences in their exact forms.
 """
 
 import hashlib
@@ -20,17 +22,17 @@ from qsteer import cli, harness, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
-     "d6b000ec06b75416d4a65c89a0098871e2596043b54b3bd9548685f381e491da"),
+     "2efc8240f40ebf8c1825e03c08724f3f895f845ab6cb8f1f532af60d5bc16ed4"),
     (["--family", "ad", "--theta-steps", "50", "--eta-steps", "50"],
-     "1113a62c6f994ef68bb8f9350e4725fa00755aa2531fce7b11a96d6fa706631c"),
+     "1fc2d55d24614f8d4efbf9622c11fa7afbb83e9be0c9bf36e9dff72bc6c0e901"),
     (["--family", "pd", "--theta-steps", "8", "--eta-steps", "8"],
-     "ba1482f9deaf7200145bfe55d9f366214b6dee06c1798fa6d6c1e1f9b1204c48"),
+     "660c48ed1c30e0ebcef802b16403592b4e933443ad410f836226e736520828f2"),
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
-     "515ef83140a1d2d43fdb587da7c0b7cc8cab2c12b236e13f19e9d9f050808ca0"),
+     "fe89a48ca46da6db41b802e2bd87d701062ed040c2796cb6d5a4bcaf3956b857"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
-     "44fb8f47fb63b19888bb4de989e2c93d7ec69dd3f1cb4921b0a1f5fb45dc4b92"),
+     "68d912512de570adb07ee7c43086d221f138fff34041e6185d621a3a9a85832b"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
-     "061869dc24f1590e7cb9e6e48f53551bd5d13ea464f87fe05a47987010365cf9"),
+     "dcdff86118a5ffdccedf11909bfe793dffb3e06425a6a6b05713d6df1db0d975"),
 ]
 
 # (grid, digests of region.csv, region_boundary.csv, region_werner.csv)
@@ -47,20 +49,20 @@ SCAN_GOLDEN = [
 # sample runs: (argv, digest of the CSV); verify runs: (argv, digest of stdout)
 SAMPLE_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "f35c2132900214535689ed7b291acb1e10f2a9677747c6b622f66785db598d0c"),
+     "0eaca5fd9e44aec599ced860d3573cc3e980b673c3689de5f5da9e229a16d92e"),
     (["--measure", "haar-pure", "--count", "5000", "--seed", "3", "--workers", "2"],
-     "40112a0c30cb87f638cbe83841ac02396f327ad0c7b60ebe71b706b38baca89b"),
+     "0ed49f4c0812919e0dbffa807641848f96ac3ec1aa3d5fabb8f90520962b07e7"),
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "b2ef96e9d5023a5b58b8e14020bd8e28158776edb94d3e79a1183e26933c15fa"),
+     "b3dd6de2fbe108eb2be83d79be23a36646e816b422728fe5c0c6d15213a2d114"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering
 # tests fire: (format, digest of the report)
 ANALYZE_GOLDEN = [
-    ("table", "08e48b64683f4f94dd655d5bc29afb5a1e34eae8085b6400f18d5c3a68581890"),
-    ("json", "b33ddc6008deb69dce24d11177704570e627cafc9e5dae22e5f4d56462bf86a6"),
+    ("table", "f8d6ba4e8f23ca4ef996dfb049a17c96b5a10fd0b0633f9663e7b45fe4474b1f"),
+    ("json", "f44b45cd0e629f8953956e4946028554a2973af61719dbc42504e82a1053aa74"),
 ]
 
 

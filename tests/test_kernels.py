@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsteer import batch, measures
+from qsteer import batch, harness, measures, states
 from qsteer.errors import NotHermitian, NotPSD, TraceNotOne, ValidationError
 
 from conftest import FORMS
@@ -87,3 +87,59 @@ def test_scalar_on_raw_array_validates_once(monkeypatch):
     # it; the 3x3 eigvalsh gives the report's correlation singular values
     solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
     assert solves == [("eigh", 4), ("eigvalsh", 3)]
+
+
+def random_factors(seed, n, m=4):
+    """n random (4, m) factors with ||x||_F = 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 4, m)) + 1j * rng.standard_normal((n, 4, m))
+    return x / np.sqrt((np.abs(x) ** 2).sum(axis=(1, 2)))[:, None, None]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.inf, ValidationError),
+    (np.nan, ValidationError),
+    (2.0, TraceNotOne),
+    (1.0 + 1e-9, TraceNotOne),
+], ids=["inf", "nan", "doubled", "just-too-long"])
+def test_measure_factors_rejects_invalid_factors(bad, error):
+    x = random_factors(3, 6)
+    x[4] *= bad  # scales the whole factor, or fills it with inf or nan
+    x[5] *= bad
+    with pytest.raises(error, match="at index 4$") as err:
+        batch.measure_factors(x)
+    assert type(err.value) is error
+
+
+def test_measure_factors_rejects_bad_shapes():
+    for bad in (np.zeros((2, 3, 4)), np.zeros((2, 4, 0)), np.zeros((4, 4))):
+        with pytest.raises(ValidationError, match="shape"):
+            batch.measure_factors(bad)
+
+
+@pytest.mark.parametrize("m", [1, 4, 5])
+def test_measure_factors_takes_any_width(m):
+    x = random_factors(4, 30, m)
+    rows = batch.measure_factors(x)
+    assert rows.shape == (30, batch.N_COLS)
+    assert np.abs(rows - batch.measure_rows(states.gram(x))).max() <= 1e-12
+    if m == 1:  # a pure state: C = |x^T (sigma_y x sigma_y) x| and S = C
+        assert np.abs(rows[:, batch.COL_C] - measures.concurrence_pure(x[:, :, 0])).max() <= 1e-14
+        assert not rows[:, batch.COL_L2 : batch.COL_L4 + 1].any()
+
+
+def test_measure_rows_matches_the_factor_route_on_full_rank_draws():
+    x, ranks = states.draw_matrices(states.SamplerConfig(ranks=4, seed=8, count=2000), 0, 2000)
+    assert (ranks == 4).all()
+    assert np.abs(batch.measure_rows(states.gram(x)) - batch.measure_factors(x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_drawn_states_are_measured_with_no_eigensolver(command, monkeypatch, tmp_path):
+    cfg = states.SamplerConfig(seed=9, count=2 * harness.CHUNK + 5)
+    if command == "verify":
+        solves = _solves(monkeypatch, lambda: harness.run_falsification(cfg, workers=1))
+    else:
+        solves = _solves(monkeypatch, lambda: harness.write_scatter_csv(
+            tmp_path / "scatter.csv", cfg, workers=1))
+    assert solves == []

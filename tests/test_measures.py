@@ -164,6 +164,20 @@ def test_coherence_matches_bloch_vector_length():
     )
 
 
+# the Bell basis Phi+, Phi-, Psi+, Psi-, one state per row
+BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+
+
+def test_bell_diagonal_states_have_no_coherence():
+    # both marginals of a Bell-diagonal state are I/2; the coherences once
+    # read up to 2.1e-8 here, the square root of a rounding error of 2 tr(rho_A^2) - 1
+    weights = np.random.default_rng(21).dirichlet(np.ones(4), size=20_000)
+    factors = BELL.T[None] * np.sqrt(weights)[:, None, :]
+    for rows in (batch.measure_rows(states.gram(factors)), batch.measure_factors(factors)):
+        worst = rows[:, [batch.COL_DA, batch.COL_DB]].max()
+        assert worst <= 1e-14, worst
+
+
 @pytest.mark.parametrize("form", ["numpy", "DensityMatrix"])
 def test_pure_state_identities(form):
     # S = C, F^2 = 1 + 2C^2, C^2 + D^2 = 1, D_A = D_B
@@ -234,7 +248,12 @@ def test_werner_08_report_spot_values():
     assert rep.f_value == pytest.approx(WERNER_08_F, abs=1e-12)
     assert rep.purity == pytest.approx(0.73, abs=1e-12)
     assert rep.q_value == pytest.approx(WERNER_08_Q, abs=1e-12)
-    assert rep.coherence_a == 0.0 and rep.coherence_b == 0.0
+    # cos(pi/4)^2 and sin(pi/4)^2 differ in the last bit, so the stored
+    # marginals sit that far from I/2: D is that difference, exactly
+    m = rho.matrix
+    gap = abs(((m[0, 0] + m[1, 1]) - (m[2, 2] + m[3, 3])).real)
+    assert 0.0 < gap <= np.finfo(float).eps
+    assert rep.coherence_a == rep.coherence_b == gap
     assert rep.lower_bound == pytest.approx(WERNER_08_LOWER, abs=1e-12)
     # this family sits exactly on the upper bound
     assert rep.upper_bound == pytest.approx(rep.steerability, abs=1e-12)

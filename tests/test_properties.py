@@ -1,19 +1,22 @@
 """Properties of the measure table that random Ginibre sampling does not pin.
 
 Hypothesis draws states of every rank, exact zeros and product states
-included, and local unitaries from their angles.  Runs are deterministic:
-derandomize=True and no example database.  The tolerance is the table's
-rounding, 1e-12, where the quantity is well conditioned:
+included, as 4 x k factors X with rho = X X^dag, and local unitaries from
+their angles.  Runs are deterministic: derandomize=True and no example
+database.  The tolerance is the table's rounding, 1e-12, where the quantity
+is well conditioned:
 - S and the coherences are square roots, so near F = 1 (or a maximally
   mixed qubit) a rounding error of F^2 moves them far more; the tests
   compare their squares.
-- C reads sqrt(rho) from eigh, which returns an eigenvalue at 0 as a few
-  eps of either sign; its clipped square root, up to about 3e-8, enters
-  sqrt(rho).  Where sqrt(rho) flip(rho) sqrt(rho) has a lower rank than rho,
-  for example (2/3)|Psi+><Psi+| + (1/3)|11><11| turned by a local unitary,
-  C moves by that much (3.1e-8 at most over 200k such states).  So a state
-  with an eigenvalue below 1e-4 gets ROOT_TOL for C; above it the square
-  root moves by at most 4 eps / (2 sqrt(1e-4)), well inside TOL.
+- measure_factors reads C from the singular values of X^T (sigma_y x
+  sigma_y) X, accurate at every rank.  measure_rows has no factor: it takes
+  V sqrt(w) from eigh, which returns an eigenvalue at 0 as a few eps of
+  either sign; its clipped square root, up to about 3e-8, enters the factor.
+  Where rho flip(rho) has a lower rank than rho, for example
+  (2/3)|Psi+><Psi+| + (1/3)|11><11| turned by a local unitary, C moves by
+  that much (3.1e-8 at most over 200k such states).  So a matrix with an
+  eigenvalue below 1e-4 gets ROOT_TOL for C; above it the square root moves
+  by at most 4 eps / (2 sqrt(1e-4)), well inside TOL.
 """
 
 import numpy as np
@@ -44,16 +47,22 @@ INVARIANTS = {
 
 
 @st.composite
-def density_matrices(draw):
-    """G G^dag / tr(G G^dag) for a 4 x k complex G, k = 1..4."""
+def factors(draw):
+    """G / ||G||_F for a 4 x k complex G, k = 1..4."""
     k = draw(st.integers(1, 4))
     parts = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
                           min_size=8 * k, max_size=8 * k))
     g = (np.array(parts[: 4 * k]) + 1j * np.array(parts[4 * k :])).reshape(4, k)
-    rho = g @ g.conj().T
-    trace = np.trace(rho).real
-    assume(trace > 1e-6)
-    return rho / trace
+    norm = np.sqrt((np.abs(g) ** 2).sum())
+    assume(norm > 1e-3)
+    return g / norm
+
+
+@st.composite
+def density_matrices(draw):
+    """X X^dag for a factors() draw X."""
+    x = draw(factors())
+    return x @ x.conj().T
 
 
 @st.composite
@@ -67,6 +76,41 @@ def local_unitaries(draw):
         ])
 
     return np.kron(qubit(), qubit())
+
+
+@PROPERTIES
+@given(x=factors(), u=local_unitaries())
+def test_local_unitaries_leave_the_factor_measures_alone(x, u):
+    # every rank at the table's rounding: the factor needs no eigensolver
+    rows = batch.measure_factors(np.stack([x, u @ x]))
+    for name, value in INVARIANTS.items():
+        before, after = value(rows)
+        assert abs(after - before) <= TOL, (name, x.shape[1], before, after)
+
+
+@PROPERTIES
+@given(x=factors())
+def test_purity_is_one_quarter_of_the_bloch_sum(x):
+    # 4 P = 1 + D_A^2 + D_B^2 + F^2 ties four columns: a wrong T, rho_A,
+    # rho_B or purity breaks it.  Each term is a sum of squares of entries
+    # of size at most 1, rounded to a few eps of its own size.
+    rows = batch.measure_factors(x[None])[0]
+    terms = (1.0, rows[batch.COL_DA] ** 2, rows[batch.COL_DB] ** 2, rows[batch.COL_F] ** 2)
+    tol = 8.0 * np.finfo(float).eps * sum(terms)
+    assert abs(4.0 * rows[batch.COL_PURITY] - sum(terms)) <= tol, (rows, tol)
+
+
+@PROPERTIES
+@given(u=local_unitaries())
+def test_the_exact_factor_measures_c_at_a_rank_drop(u):
+    # (2/3)|Psi+><Psi+| + (1/3)|11><11| has C = 2/3, and rho flip(rho) has
+    # rank 1 where rho has rank 2: through its factor C keeps TOL, where the
+    # matrix route needs ROOT_TOL
+    x = np.zeros((4, 2))
+    x[[1, 2], 0] = np.sqrt(1.0 / 3.0)
+    x[3, 1] = np.sqrt(1.0 / 3.0)
+    rows = batch.measure_factors((u @ x)[None])
+    assert abs(rows[0, batch.COL_C] - 2.0 / 3.0) <= TOL, rows[0, batch.COL_C]
 
 
 @PROPERTIES

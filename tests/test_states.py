@@ -322,33 +322,33 @@ def test_draws_are_deterministic_and_chunk_independent():
     tail, kt = states.draw_matrices(cfg, 4, 10)
     assert np.array_equal(a, np.concatenate([head, tail]))
     assert np.array_equal(ka, np.concatenate([kh, kt]))
-    assert np.array_equal(states.random_state(cfg, 5).matrix, a[5])
+    assert np.array_equal(states.random_state(cfg, 5).matrix, states.gram(a)[5])
 
 
-# sha256 over draw_matrices(cfg, start, stop): the matrix bytes, then the
-# rank bytes.  A change to the stream version 2 layout, the Box-Muller map or
-# the rank bits changes these digests and has to be made on purpose.  The
-# matrices pass through numpy's log/cos/sin; the digests were taken with
-# numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-# last bit.
+# sha256 over draw_matrices(cfg, start, stop): the factor bytes, then the
+# rank bytes.  A change to the stream version 3 layout, the Box-Muller map,
+# the rank bits or the normalisation of the factors changes these digests
+# and has to be made on purpose.  The factors pass through numpy's
+# log/cos/sin; the digests were taken with numpy 2.4 on x86-64 (AVX-512),
+# and other SIMD kernels may differ in the last bit.
 STREAM_GOLDEN = [
     (("ginibre", "uniform", 7, 0, 64),
-     "45cc9bb7a780cabd46dbf2669a31ae3d35245e67a14d447b7aa1f40ea82dd510"),
+     "5dbb6a488bec85b30d297c1f7f344523ab171a45d9dceeacadd35e4b1afb68db"),
     (("ginibre", 3, 2**64 - 1, 4093, 4101),
-     "6207bfdd9ec45c6c04b0e8689a8f4bbb5b09ef80344db5050b2d6e981b403fe1"),
+     "cb97afc844c756af5237c7ec59339ae05be84b78a1d2813684c5d7589f5c29fb"),
     (("haar-pure", "uniform", 0, 100_000, 100_016),
-     "41fe9326b367dbc7b9b7a7e6a8e8d15dc78f345b72a646ce805dededac570e6e"),
+     "17a7d9887946ee832a03d264925c3effada7ac6f4a96001b4d3a1ced404307dc"),
 ]
 
 
 @pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
                          ids=["ginibre-uniform", "ginibre-rank3-max-seed", "haar-pure"])
-def test_stream_v2_golden_digests(plan, digest):
-    assert states.STREAM_VERSION == 2
+def test_stream_golden_digests(plan, digest):
+    assert states.STREAM_VERSION == 3
     measure, ranks, seed, start, stop = plan
     cfg = states.SamplerConfig(measure, ranks, seed=seed, count=stop)
-    rhos, ks = states.draw_matrices(cfg, start, stop)
-    h = hashlib.sha256(rhos.tobytes())
+    x, ks = states.draw_matrices(cfg, start, stop)
+    h = hashlib.sha256(x.tobytes())
     h.update(ks.tobytes())
     assert h.hexdigest() == digest
 
@@ -379,8 +379,9 @@ def test_slices_match_the_whole_draw(measure):
         part, kpart = states.draw_matrices(cfg, start, stop)
         assert np.array_equal(part, whole[start:stop])
         assert np.array_equal(kpart, ranks[start:stop])
+    rhos = states.gram(whole)
     for i in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
-        assert np.array_equal(states.random_state(cfg, i).matrix, whole[i])
+        assert np.array_equal(states.random_state(cfg, i).matrix, rhos[i])
     unitaries = states.random_unitaries(2024, chunk - 2, chunk + 3)
     for j, u in enumerate(unitaries):
         assert np.array_equal(u, states.random_unitary(2024, chunk - 2 + j))
@@ -395,7 +396,8 @@ def test_ginibre_rank_and_purity_distribution():
     purity = np.empty(n)
     ranks = np.empty(n, np.int64)
     for start in range(0, n, 50_000):
-        rhos, ranks[start : start + 50_000] = states.draw_matrices(cfg, start, start + 50_000)
+        x, ranks[start : start + 50_000] = states.draw_matrices(cfg, start, start + 50_000)
+        rhos = states.gram(x)
         purity[start : start + 50_000] = np.einsum("kij,kij->k", rhos, rhos.conj()).real
     sigma = np.sqrt(n * 0.25 * 0.75)
     for k in (1, 2, 3, 4):
@@ -427,9 +429,10 @@ def test_seeds_give_distinct_streams():
 
 def test_rank_policy():
     cfg = states.SamplerConfig("ginibre", 2, seed=9, count=50)
-    rhos, ranks = states.draw_matrices(cfg, 0, 50)
+    x, ranks = states.draw_matrices(cfg, 0, 50)
     assert np.all(ranks == 2)
-    for rho in rhos:
+    assert not x[:, :, 2:].any()
+    for rho in states.gram(x):
         w = np.linalg.eigvalsh(rho)
         assert (w > 1e-12).sum() == 2
 
@@ -445,9 +448,9 @@ def test_uniform_rank_frequencies():
 
 def test_haar_pure_draws_are_pure():
     cfg = states.SamplerConfig("haar-pure", "uniform", seed=2, count=20)
-    rhos, ranks = states.draw_matrices(cfg, 0, 20)
-    assert np.all(ranks == 1)
-    for rho in rhos:
+    x, ranks = states.draw_matrices(cfg, 0, 20)
+    assert np.all(ranks == 1) and x.shape == (20, 4, 1)
+    for rho in states.gram(x):
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 

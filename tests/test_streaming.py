@@ -32,8 +32,8 @@ def eager_table(cfg):
     """(ranks, rows) of the whole plan from one draw and one measure call."""
     if cfg.count == 0:
         return np.empty(0, np.int64), np.empty((0, batch.N_COLS))
-    rhos, ranks = states.draw_matrices(cfg, 0, cfg.count)
-    return ranks, batch.measure_rows(rhos)
+    x, ranks = states.draw_matrices(cfg, 0, cfg.count)
+    return ranks, batch.measure_factors(x)
 
 
 def eager_csv(ranks, rows):
@@ -149,10 +149,10 @@ def test_pool_measures_a_bounded_window_ahead(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_error_in_a_chunk_reaches_the_consumer(workers, monkeypatch):
-    def measure(rhos):
+    def measure(x):
         raise ParameterOutOfRange("bad chunk")
 
-    monkeypatch.setattr(batch, "measure_rows", measure)
+    monkeypatch.setattr(batch, "measure_factors", measure)
     cfg = SamplerConfig("ginibre", "uniform", seed=16, count=3 * CHUNK)
     with pytest.raises(ParameterOutOfRange, match="bad chunk"):
         harness.run_falsification(cfg, workers=workers)
@@ -310,10 +310,10 @@ def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
     assert len(forks) == 2
     _assert_reaped(forks)
 
-    def measure(rhos):
+    def measure(x):
         raise ParameterOutOfRange("bad chunk")
 
-    monkeypatch.setattr(batch, "measure_rows", measure)
+    monkeypatch.setattr(batch, "measure_factors", measure)
     assert cli.main(argv) == 2
     assert len(forks) == 4
     _assert_reaped(forks)
@@ -322,11 +322,11 @@ def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, tmp_path,
                                                           capsys):
-    def measure(rhos):
+    def measure(x):
         raise ParameterOutOfRange(f"bad chunk in process {os.getpid()}")
 
     # patched before the fork, so the children inherit it
-    monkeypatch.setattr(batch, "measure_rows", measure)
+    monkeypatch.setattr(batch, "measure_factors", measure)
     forks = _counted_forks(monkeypatch)
     assert cli.main(_argv(command, 3 * CHUNK, 19, 2, tmp_path / "out")) == 2
     captured = capsys.readouterr()
@@ -353,8 +353,8 @@ def test_the_parent_runs_one_thread_at_every_fork(command, monkeypatch, tmp_path
 
 def test_forked_sample_peaks_below_the_serial_run(tmp_path):
     # The parent holds at most 2 * workers chunk texts, each about 340 kB;
-    # the serial run holds a chunk's matrices, its measure table, eigh's
-    # work arrays and the lines being formatted.  Two workers is the
+    # the serial run holds a chunk's factors and states, its measure table,
+    # the SVD's work arrays and the lines being formatted.  Two workers is the
     # default wherever two CPUs are usable.
     argv = ["sample", "--count", str(16 * CHUNK), "--seed", "5",
             "--out", str(tmp_path / "scatter.csv")]
