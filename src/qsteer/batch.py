@@ -13,11 +13,9 @@ their factors: it checks only that each factor is finite with
 ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by construction.
 measure_rows() is the entry point for any stack of density matrices: it
 validates the stack with states.validate_stack, taking the PSD check from
-the eigh it needs for the factor V sqrt(w).  measures.report() reads one
-of its rows for a single state.  F needs only the Frobenius sum of T, so
-the singular values of T are not a column: correlation_singular_values()
-gives them, and only report() asks for them, passing the correlation
-matrices that _measure() formed for the table.
+the eigh it needs for the factor V sqrt(w).  F needs only the Frobenius sum
+of T, so the singular values of T are not a column:
+correlation_singular_values() gives them.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TraceNotOne, ValidationError
-from .states import TRACE_TOL, _raise_first, gram, validate_stack
+from .states import TRACE_TOL, _complex_array, _raise_first, gram, validate_stack
 
 # column layout of the measure table
 COL_PURITY = 0
@@ -83,7 +81,7 @@ def measure_factors(x) -> np.ndarray:
         with | ||x||_F^2 - 1 | > TRACE_TOL raises TraceNotOne, each naming
         its index.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = _complex_array(x, "factors")
     if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] < 1:
         raise ValidationError(f"factors must have shape (n, 4, m), got {x.shape}")
     norm_dev = np.abs((x.real * x.real + x.imag * x.imag).sum(axis=(1, 2)) - 1.0)
@@ -96,7 +94,7 @@ def measure_factors(x) -> np.ndarray:
                 f"squared norm of the factor deviates from 1 by {norm_dev[i]:.3e} "
                 f"at index {i}")),
         ))
-    return _measure(x, gram(x))[0]
+    return _measure(x, gram(x))
 
 
 def measure_rows(rhos) -> np.ndarray:
@@ -108,15 +106,7 @@ def measure_rows(rhos) -> np.ndarray:
         Density matrices.  A wrong shape, or the first invalid matrix,
         raises the ValidationError that names the broken invariant.
     """
-    return _measure_matrices(rhos)[0]
-
-
-def _measure_matrices(rhos) -> tuple[np.ndarray, np.ndarray]:
-    """measure_rows' table, and the correlation matrices it forms for F.
-
-    The factor of each matrix is V sqrt(w) from its eigh, which also gives
-    validate_stack its eigenvalues."""
-    rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
+    rhos = np.ascontiguousarray(_complex_array(rhos, "matrices"))
     if (rhos.ndim != 3 or rhos.shape[1:] != (4, 4)
             or not np.isfinite(rhos.view(np.float64)).all()):
         validate_stack(rhos)  # raises; eigh needs a finite stack
@@ -125,9 +115,9 @@ def _measure_matrices(rhos) -> tuple[np.ndarray, np.ndarray]:
     return _measure(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :], rhos)
 
 
-def _measure(x: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """The measure table of the (n, 4, 4) stack rhos = x x^dag, given its
-    (n, 4, m) factors x, and the correlation matrices it forms for F."""
+    (n, 4, m) factors x."""
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
@@ -157,7 +147,7 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
     out[:, COL_L1 : COL_L4 + 1] = 0.0  # a factor of width m < 4 has m singular values
     out[:, COL_L1 : COL_L1 + sig.shape[1]] = sig * sig
-    return out, tmat
+    return out
 
 
 def _bloch_length(red: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 
 from . import harness, measures
 from .errors import QSteerError, ValidationError
-from .states import MEASURES, STREAM_VERSION, SamplerConfig, state_from_json
+from .states import STREAM_VERSION, SamplerConfig, state_from_json
 
 # the scalar report fields, concurrence..upper_bound, one table line each
 TABLE_FIELDS = measures.MeasureReport._fields[:9]
@@ -28,7 +28,6 @@ def _add_plan_flags(p) -> None:
     """The sampling-plan flags that sample and verify share."""
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", choices=MEASURES, default="ginibre")
     p.add_argument("--ranks", type=_parse_ranks, default="uniform",
                    help="1..4 or 'uniform'")
     p.add_argument("--workers", type=int, default=harness.WORKERS,
@@ -119,8 +118,7 @@ def _analyze(args) -> int:
 
 
 def _sample(args) -> int:
-    cfg = SamplerConfig(measure=args.measure, ranks=args.ranks,
-                        seed=args.seed, count=args.count)
+    cfg = SamplerConfig(ranks=args.ranks, seed=args.seed, count=args.count)
     harness.write_scatter_csv(args.out, cfg, workers=args.workers)
     return 0
 
@@ -152,12 +150,11 @@ def _wu_scan(args) -> int:
 
 
 def _verify(args) -> int:
-    cfg = SamplerConfig(measure=args.measure, ranks=args.ranks,
-                        seed=args.seed, count=args.count)
+    cfg = SamplerConfig(ranks=args.ranks, seed=args.seed, count=args.count)
     summary = harness.run_falsification(cfg, workers=args.workers)
     payload = summary.as_dict()
     payload["seed"] = args.seed
-    payload["measure"] = args.measure
+    payload["measure"] = cfg.measure
     payload["ranks"] = str(args.ranks)
     payload["stream"] = STREAM_VERSION
     text = json.dumps(payload, indent=2) + "\n"

@@ -311,8 +311,7 @@ def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanRe
         raise ParameterOutOfRange("grid sides must be integers >= 2")
     purities = np.linspace(0.25, 1.0, purity_steps)
     concs = np.linspace(0.0, 1.0, c_steps)
-    p = np.sqrt(np.maximum(0.0, (4.0 * purities - 1.0) / 3.0))
-    cmax = np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
+    p, cmax = measures.isotropic_envelope(purities)
     margin = measures.wu_steering_margin(concs[None, :], purities[:, None])
     # the first condition that holds picks the region
     regions = np.select(

@@ -3,8 +3,7 @@
 report() is the entry point for a single state: one MeasureReport holding
 concurrence, F, steerability, purity, Q, the coherences of both qubits, both
 steerability bounds, the correlation singular values, the flip-product
-eigenvalues and the classification.  All but the singular values are read
-from one row of batch.measure_rows; those come from
+eigenvalues and the classification, from batch.measure_rows and
 batch.correlation_singular_values.  A stack of states goes to
 batch.measure_rows directly.
 Concurrence follows the spin-flip construction; steerability is the
@@ -20,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch
-from .errors import NotRealizable
+from .errors import NotRealizable, ValidationError
 from .states import RANGE_TOL, SLACK, DensityMatrix, PureState, validate_amplitudes
-from .states import _check_broadcast, _check_range, _outside
+from .states import _check_broadcast, _check_range, _complex_array, _outside
 
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
@@ -35,7 +34,7 @@ def concurrence_pure(psi):
     A float for a PureState or a (4,) vector, an array for each row of an
     (n, 4) stack.
     """
-    a = np.asarray(psi.amplitudes if isinstance(psi, PureState) else psi, np.complex128)
+    a = psi.amplitudes if isinstance(psi, PureState) else _complex_array(psi, "amplitudes")
     one = a.ndim == 1
     a = validate_amplitudes(a[None] if one else a)
     tilde = batch.FLIP_SIGN * a[:, ::-1].conj()
@@ -80,14 +79,14 @@ def _classify_from(conc: float, steer: float) -> str:
 
 
 def report(rho) -> MeasureReport:
-    """Every scalar quantity for one state, from one measure-table row (whose
-    computation validates the state) and the singular values of the
-    correlation matrix formed on the way."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    """Every scalar quantity for one state: a DensityMatrix or a 4x4 array,
+    which measure_rows validates."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else _complex_array(rho, "matrix")
+    if m.shape != (4, 4):
+        raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
     stack = np.ascontiguousarray(m[None])
-    rows, tmats = batch._measure_matrices(stack)
-    row = rows[0]
-    tsv = batch.correlation_singular_values(tmats)[0]
+    row = batch.measure_rows(stack)[0]
+    tsv = batch.correlation_singular_values(batch.correlation_matrices(stack))[0]
     return MeasureReport(
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),
@@ -183,6 +182,13 @@ def wu_closed_forms(p, phi) -> ClosedForms:
     return _closed_forms(conc, steer, fval, pur)
 
 
+def isotropic_envelope(pur):
+    """p = sqrt(max(0, (4 purity - 1)/3)) of the isotropic mixture of each
+    purity, and its largest concurrence C_max = max(0, (3p - 1)/2)."""
+    p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
+    return p, np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
+
+
 def wu_steering_margin(conc, pur):
     """Signed argument x + Q^2 - 1 of the (C, purity) steering criterion.
 
@@ -198,7 +204,7 @@ def wu_steering_margin(conc, pur):
         if bad.any():
             raise NotRealizable(f"{name} {values[bad].tolist()[0]!r} outside {box}")
     conc, pur = np.asarray(conc, np.float64), np.asarray(pur, np.float64)
-    p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
+    p, _ = isotropic_envelope(pur)
     x = 0.5 * (1.0 + 2.0 * conc) * (1.0 - p)
     margin = x + conc * conc + pur - 1.0
     return float(margin) if margin.ndim == 0 else margin
@@ -212,8 +218,7 @@ def wu_steerability_from_c_purity(conc: float, pur: float) -> float:
     p = sqrt((4 purity - 1)/3).
     """
     margin = wu_steering_margin(conc, pur)  # checks the box
-    p = np.sqrt(max(0.0, (4.0 * pur - 1.0) / 3.0))
-    cmax = max(0.0, (3.0 * p - 1.0) / 2.0)
+    _, cmax = isotropic_envelope(pur)
     if conc > cmax + SLACK:
         raise NotRealizable(
             f"no state of this family has concurrence {conc} at purity {pur} (max {cmax:.6g})"

@@ -43,7 +43,6 @@ BLOCK_WORDS = 4 * BLOCK_STEPS  # uint64 words per record
 N_GAUSS = 16  # complex normals per record: words [0, 16) radii, [16, 32) angles
 RANK_WORD = 32  # its top two bits pick the rank under ranks="uniform"
 
-MEASURES = ("ginibre", "haar-pure")
 MAX_SEED = 2**64
 
 
@@ -67,13 +66,27 @@ def _raise_first(checks) -> None:
             raise error(i)
 
 
+def _complex_array(a, what: str) -> np.ndarray:
+    """``a`` as a complex128 array; ValidationError naming ``what`` when it
+    holds anything but numbers: strings, a ragged nesting, or an integer
+    past the float range."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind in "biufcO":
+            return arr.astype(np.complex128, copy=False)
+        reason = f"dtype {arr.dtype}"
+    except (TypeError, ValueError, OverflowError) as exc:
+        reason = str(exc)
+    raise ValidationError(f"{what} must be an array of numbers ({reason})")
+
+
 def validate_amplitudes(a) -> np.ndarray:
     """Check an (n, 4) stack of state vectors; return it as complex128.
 
     Each row must be finite with norm 1 within NORM_TOL.  The first bad row
     raises ValidationError or NotNormalized, naming its index.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = _complex_array(a, "amplitudes")
     if a.ndim != 2 or a.shape[1] != 4:
         raise ValidationError(f"amplitudes must have shape (n, 4), got {a.shape}")
     dev = np.abs(np.sqrt((a * a.conj()).real.sum(axis=1)) - 1.0)
@@ -99,7 +112,7 @@ def validate_stack(m, eigenvalues=None) -> np.ndarray:
     eigenvalues of each matrix when the caller has them already; without
     them the Hermitian parts of the stack are solved here in one call.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = _complex_array(m, "matrices")
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValidationError(f"matrices must have shape (n, 4, 4), got {m.shape}")
     n = m.shape[0]
@@ -135,7 +148,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
+        a = _complex_array(self.amplitudes, "amplitudes")
         if a.shape != (4,):
             raise ValidationError(f"amplitudes must have shape (4,), got {a.shape}")
         validate_amplitudes(a[None])
@@ -149,7 +162,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _complex_array(self.matrix, "matrix")
         if m.shape != (4, 4):
             raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
         validate_stack(m[None])
@@ -163,7 +176,7 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.operators)
+        ops = tuple(_complex_array(k, "operators") for k in self.operators)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("operators must be a non-empty tuple of 2x2 matrices")
         total = sum(k.conj().T @ k for k in ops)
@@ -232,7 +245,8 @@ def _check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling plan: measure, rank policy, seed, count."""
+    """Deterministic sampling plan: measure ("ginibre" only), rank policy,
+    seed, count."""
 
     measure: str = "ginibre"
     ranks: int | str = "uniform"
@@ -240,8 +254,9 @@ class SamplerConfig:
     count: int = 0
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ParameterOutOfRange(f"measure must be one of {MEASURES}, got {self.measure!r}")
+        if self.measure != "ginibre":
+            raise ParameterOutOfRange(f"measure must be 'ginibre', got {self.measure!r}; "
+                                      "ranks=1 (--ranks 1) draws Haar-random pure states")
         if self.ranks != "uniform" and not (_is_int(self.ranks) and 1 <= self.ranks <= 4):
             raise ParameterOutOfRange(f"ranks must be 1..4 or 'uniform', got {self.ranks!r}")
         _check_seed(self.seed)
@@ -373,8 +388,8 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
 
     Record i is the state x x^dag of its factor x = G_k / ||G_k||_F, for the
     4x4 Ginibre matrix G of its block (row-major) with the columns from k on
-    set to zero: an (n, 4, 4) stack.  haar-pure keeps column 0 alone, an
-    (n, 4, 1) stack.
+    set to zero: an (n, 4, 4) stack.  At k = 1 it is a Haar-random pure state
+    (Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).
     """
     if not (_is_int(start) and _is_int(stop)):
         raise ParameterOutOfRange(f"start and stop must be integers, got {start!r}, {stop!r}")
@@ -383,15 +398,12 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
     blocks = stream_block(cfg.seed, DOMAIN_STATE, start, stop)
     g = _gaussians(blocks).reshape(-1, 4, 4)
     n = g.shape[0]
-    if cfg.measure == "haar-pure":
-        g = np.ascontiguousarray(g[:, :, :1])
-        ranks = np.ones(n, np.int64)
-    elif cfg.ranks == "uniform":
+    if cfg.ranks == "uniform":
         ranks = 1 + (blocks[:, RANK_WORD] >> np.uint64(62)).astype(np.int64)
     else:
         ranks = np.full(n, cfg.ranks, np.int64)
-    g *= (np.arange(g.shape[2]) < ranks[:, None])[:, None, :]
-    parts = g.view(np.float64).reshape(n, 8 * g.shape[2])  # re, im of each entry
+    g *= (np.arange(4) < ranks[:, None])[:, None, :]
+    parts = g.view(np.float64).reshape(n, 32)  # re, im of each entry
     g /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None, None]
     return g, ranks
 

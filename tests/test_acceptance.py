@@ -55,7 +55,7 @@ def damping_grid(family, steps=50):
 
 
 def test_criterion_01_pure_state_equality():
-    cfg = SamplerConfig("haar-pure", "uniform", seed=101, count=10_000)
+    cfg = SamplerConfig("ginibre", 1, seed=101, count=10_000)
     t0 = time.perf_counter()
     _, rows = whole_table(cfg)
     dt = time.perf_counter() - t0

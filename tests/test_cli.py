@@ -9,6 +9,7 @@ import pytest
 
 from qsteer import states
 from qsteer.cli import main
+from qsteer.errors import ParameterOutOfRange
 
 
 def write_state(path, rho):
@@ -157,10 +158,22 @@ def test_sample_writes_csv(tmp_path):
 def test_sample_reruns_identically(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    args = ["sample", "--count", "200", "--seed", "9", "--measure", "haar-pure"]
+    args = ["sample", "--count", "200", "--seed", "9", "--ranks", "1"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_the_haar_pure_plan_is_gone(command, tmp_path, capsys):
+    # --ranks 1 draws the same Haar-random pure states
+    with pytest.raises(SystemExit) as err:
+        main([command, "--count", "5", "--measure", "haar-pure",
+              "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "--measure" in capsys.readouterr().err
+    with pytest.raises(ParameterOutOfRange, match="--ranks 1"):
+        states.SamplerConfig("haar-pure")
 
 
 def test_sample_worker_count_does_not_change_bytes(tmp_path):

@@ -138,7 +138,7 @@ def test_scatter_table_scales_to_empty_and_invalid():
 
 
 def test_write_scatter_csv_round_trip(tmp_path):
-    cfg = SamplerConfig("haar-pure", "uniform", seed=2, count=12)
+    cfg = SamplerConfig("ginibre", 1, seed=2, count=12)
     path = tmp_path / "scatter.csv"
     harness.write_scatter_csv(path, cfg)
     text = path.read_text()

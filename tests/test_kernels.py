@@ -33,8 +33,61 @@ def test_measure_rows_rejects_bad_shapes():
     for bad in (np.eye(3), np.zeros((2, 4, 5)), np.eye(4) / 4.0):
         with pytest.raises(ValidationError, match="shape"):
             batch.measure_rows(bad)
-    with pytest.raises(ValueError):  # not convertible to complex at all
+    with pytest.raises(ValidationError, match="numbers"):  # not convertible at all
         batch.measure_rows("not a matrix")
+
+
+# each public array entry and the shape it takes
+ARRAY_ENTRIES = {
+    "measure_rows": (batch.measure_rows, (1, 4, 4)),
+    "measure_factors": (batch.measure_factors, (1, 4, 4)),
+    "validate_stack": (states.validate_stack, (1, 4, 4)),
+    "validate_amplitudes": (states.validate_amplitudes, (1, 4)),
+    "report": (measures.report, (4, 4)),
+    "concurrence_pure": (measures.concurrence_pure, (1, 4)),
+    "PureState": (states.PureState, (4,)),
+    "DensityMatrix": (states.DensityMatrix, (4, 4)),
+    "KrausChannel": (lambda k: states.KrausChannel((k,)), (2, 2)),
+}
+
+
+def _ragged(shape):
+    rows = np.zeros(shape).tolist()
+    if len(shape) == 1:
+        return rows[:-1] + [[0.0, 0.0]]  # a pair where a number belongs
+    return rows + [rows[-1][:-1]]  # one more item, one entry short
+
+
+def _huge_integer(shape):
+    rows = np.zeros(shape, int).tolist()
+    first = rows
+    while isinstance(first[0], list):
+        first = first[0]
+    first[0] = 10**400
+    return rows
+
+
+NOT_NUMBERS = {
+    "strings": lambda shape: np.full(shape, "a"),
+    "numeric-strings": lambda shape: np.full(shape, "0.25"),
+    "ragged": _ragged,
+    "huge-integer": _huge_integer,
+}
+
+
+@pytest.mark.parametrize("make", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+def test_array_entries_reject_input_that_is_not_numbers(entry, make):
+    # not numpy's own ValueError or OverflowError
+    fn, shape = ARRAY_ENTRIES[entry]
+    with pytest.raises(ValidationError, match="must be an array of numbers"):
+        fn(make(shape))
+
+
+def test_report_names_the_shape_it_was_given():
+    # the caller's shape, not that of the stack of one report builds
+    with pytest.raises(ValidationError, match=r"got \(2, 4, 4\)$"):
+        measures.report(np.zeros((2, 4, 4)))
 
 
 @pytest.mark.parametrize("bad, error", [

@@ -3,8 +3,9 @@
 Hypothesis draws states of every rank, exact zeros and product states
 included, as 4 x k factors X with rho = X X^dag, and local unitaries from
 their angles.  Runs are deterministic: derandomize=True and no example
-database.  The tolerance is the table's rounding, 1e-12, where the quantity
-is well conditioned:
+database.  The steerability bounds hold within SLACK, as verify checks
+them.  The tolerance is the table's rounding, 1e-12, where the quantity is
+well conditioned:
 - S and the coherences are square roots, so near F = 1 (or a maximally
   mixed qubit) a rounding error of F^2 moves them far more; the tests
   compare their squares.
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qsteer import batch  # noqa: E402
+from qsteer.states import SLACK  # noqa: E402
 
 TOL = 1e-12
 ROOT_TOL = 4.0 * np.sqrt(4.0 * np.finfo(float).eps)  # 1.2e-7: four times sqrt(4 eps)
@@ -111,6 +113,25 @@ def test_the_exact_factor_measures_c_at_a_rank_drop(u):
     x[3, 1] = np.sqrt(1.0 / 3.0)
     rows = batch.measure_factors((u @ x)[None])
     assert abs(rows[0, batch.COL_C] - 2.0 / 3.0) <= TOL, rows[0, batch.COL_C]
+
+
+@PROPERTIES
+@given(x=factors())
+def test_steerability_lies_between_its_bounds(x):
+    # sqrt(max(0, C^2 + P - 1)) <= S <= min(C, sqrt(2P - 1)) at every rank
+    row = batch.measure_factors(x[None])[0]
+    lower, upper = row[batch.COL_LOWER], row[batch.COL_UPPER]
+    assert lower - SLACK <= row[batch.COL_S] <= upper + SLACK, (x.shape[1], row)
+
+
+@PROPERTIES
+@given(x1=factors(), x2=factors(), lam=st.floats(0.0, 1.0))
+def test_concurrence_is_convex_under_mixing(x1, x2, lam):
+    # lam rho1 + (1 - lam) rho2 has the 4 x (k1 + k2) factor
+    # [sqrt(lam) X1, sqrt(1 - lam) X2]
+    mix = np.hstack([np.sqrt(lam) * x1, np.sqrt(1.0 - lam) * x2])
+    c1, c2, c_mix = (batch.measure_factors(x[None])[0, batch.COL_C] for x in (x1, x2, mix))
+    assert c_mix <= lam * c1 + (1.0 - lam) * c2 + TOL, (lam, c1, c2, c_mix)
 
 
 @PROPERTIES

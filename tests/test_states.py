@@ -336,13 +336,11 @@ STREAM_GOLDEN = [
      "5dbb6a488bec85b30d297c1f7f344523ab171a45d9dceeacadd35e4b1afb68db"),
     (("ginibre", 3, 2**64 - 1, 4093, 4101),
      "cb97afc844c756af5237c7ec59339ae05be84b78a1d2813684c5d7589f5c29fb"),
-    (("haar-pure", "uniform", 0, 100_000, 100_016),
-     "17a7d9887946ee832a03d264925c3effada7ac6f4a96001b4d3a1ced404307dc"),
 ]
 
 
 @pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
-                         ids=["ginibre-uniform", "ginibre-rank3-max-seed", "haar-pure"])
+                         ids=["ginibre-uniform", "ginibre-rank3-max-seed"])
 def test_stream_golden_digests(plan, digest):
     assert states.STREAM_VERSION == 3
     measure, ranks, seed, start, stop = plan
@@ -368,11 +366,11 @@ def test_stream_block_layout():
     assert u[0] == u[1] == 2.0**-54 and u[2] == 1.0
 
 
-@pytest.mark.parametrize("measure", states.MEASURES)
-def test_slices_match_the_whole_draw(measure):
+@pytest.mark.parametrize("policy", ["uniform", 1], ids=["ginibre", "ginibre-rank1"])
+def test_slices_match_the_whole_draw(policy):
     chunk = harness.CHUNK
     count = 2 * chunk + 9
-    cfg = states.SamplerConfig(measure, "uniform", seed=2024, count=count)
+    cfg = states.SamplerConfig("ginibre", policy, seed=2024, count=count)
     whole, ranks = states.draw_matrices(cfg, 0, count)
     for start, stop in ((1, 2), (3, 10), (chunk - 3, chunk + 4), (chunk - 1, 2 * chunk + 1),
                         (2 * chunk + 1, count)):
@@ -444,15 +442,6 @@ def test_uniform_rank_frequencies():
     sigma = np.sqrt(4000 * 0.25 * 0.75)
     for k in (1, 2, 3, 4):
         assert abs((ranks == k).sum() - 1000) < 3 * sigma
-
-
-def test_haar_pure_draws_are_pure():
-    cfg = states.SamplerConfig("haar-pure", "uniform", seed=2, count=20)
-    x, ranks = states.draw_matrices(cfg, 0, 20)
-    assert np.all(ranks == 1) and x.shape == (20, 4, 1)
-    for rho in states.gram(x):
-        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
 def test_random_unitary_is_haar_like():
