@@ -8,12 +8,12 @@ and the flip-product eigenvalues come from the singular values of the
 symmetric matrices x^T (sigma_y x sigma_y) x (Wootters, PRL 80, 2245
 (1998)), which stay accurate at zero.
 
-measure_factors() is the entry point for drawn states, which come with
-their factors: it checks only that each factor is finite with
-||x||_F^2 = 1, since x x^dag is Hermitian and PSD by construction.
-measure_rows() is the entry point for any stack of density matrices: it
-validates the stack with states.validate_stack, taking the PSD check from
-the eigh it needs for the factor V sqrt(w).  F needs only the Frobenius sum
+measure_factors() is the entry point for every state the program makes,
+drawn or built, which comes with its factor: it checks only that each
+factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
+construction.  measure_rows() is the entry point for density matrices
+given as input: it validates the stack with states.validate_stack, then
+solves it with eigh for the factor V sqrt(w).  F needs only the Frobenius sum
 of T, so the singular values of T are not a column:
 correlation_singular_values() gives them.
 """
@@ -106,12 +106,8 @@ def measure_rows(rhos) -> np.ndarray:
         Density matrices.  A wrong shape, or the first invalid matrix,
         raises the ValidationError that names the broken invariant.
     """
-    rhos = np.ascontiguousarray(_complex_array(rhos, "matrices"))
-    if (rhos.ndim != 3 or rhos.shape[1:] != (4, 4)
-            or not np.isfinite(rhos.view(np.float64)).all()):
-        validate_stack(rhos)  # raises; eigh needs a finite stack
+    rhos = np.ascontiguousarray(validate_stack(rhos))
     w, v = np.linalg.eigh(rhos)
-    validate_stack(rhos, eigenvalues=w)
     return _measure(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :], rhos)
 
 

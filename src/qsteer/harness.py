@@ -28,16 +28,15 @@ from .states import (
     SLACK,
     SamplerConfig,
     _is_int,
-    apply_channels,
     bell_like_amplitudes,
+    damped_factors,
     draw_matrices,
     make_ad_channel,
     make_pd_channel,
     open_uniforms,
-    pure_projectors,
     random_unitaries,
     stream_block,
-    werner_mixtures,
+    werner_factors,
 )
 
 # records per drawn and measured chunk.  A pool of N workers holds up to
@@ -251,9 +250,8 @@ def run_family_sweep(
         thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
         etas = np.linspace(0.0, 1.0, eta_steps)
         make = make_ad_channel if family == "ad" else make_pd_channel
-        bases = pure_projectors(bell_like_amplitudes(thetas))
-        mats = apply_channels(bases, [make(eta) for eta in etas])
-        rows = batch.measure_rows(mats.reshape(-1, 4, 4))
+        x = damped_factors(bell_like_amplitudes(thetas), [make(eta) for eta in etas])
+        rows = batch.measure_factors(x.reshape(-1, 4, x.shape[-1]))
         forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
         grid_thetas, grid_etas = np.repeat(thetas, eta_steps), np.tile(etas, theta_steps)
         return SweepTable(family, grid_thetas, grid_etas, rows[:, SWEEP_COLS],
@@ -266,7 +264,7 @@ def run_family_sweep(
         thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
         amps = bell_like_amplitudes(thetas)
         phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
-        rows = batch.measure_rows(werner_mixtures(ps, phis))  # checks the phis' norms
+        rows = batch.measure_factors(werner_factors(ps, phis))  # checks the phis' norms
         return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS],
                           np.column_stack(measures.wu_closed_forms(ps, phis)))
     raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")

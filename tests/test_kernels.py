@@ -129,17 +129,18 @@ def test_correlation_singular_values_match_svd():
     assert np.allclose(tsv, np.linalg.svd(tmats, compute_uv=False), atol=1e-12)
 
 
-def test_measure_rows_takes_psd_from_its_own_eigh(monkeypatch):
+def test_measure_rows_validates_then_solves_the_stack_once(monkeypatch):
     solves = _solves(monkeypatch, lambda: batch.measure_rows(random_rhos(10, 50)))
-    # one 4x4 eigh for the whole stack and no eigvalsh: F needs no singular values
-    assert solves == [("eigh", 4)]
+    # validate_stack's 4x4 eigvalsh, then one 4x4 eigh for the factors V sqrt(w);
+    # F needs no singular values
+    assert solves == [("eigvalsh", 4), ("eigh", 4)]
 
 
 def test_scalar_on_raw_array_validates_once(monkeypatch):
-    # the raw array goes straight to measure_rows, with no 4x4 eigvalsh before
+    # the raw array goes straight to measure_rows, which validates and solves
     # it; the 3x3 eigvalsh gives the report's correlation singular values
     solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
-    assert solves == [("eigh", 4), ("eigvalsh", 3)]
+    assert solves == [("eigvalsh", 4), ("eigh", 4), ("eigvalsh", 3)]
 
 
 def random_factors(seed, n, m=4):

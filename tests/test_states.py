@@ -86,10 +86,9 @@ def test_validate_stack_reports_the_first_bad_matrix():
     # a matrix breaking several invariants reports the first in check order
     with pytest.raises(NotHermitian, match="at index 1$"):
         states.validate_stack(np.stack([good, 2.0 * INVALID["hermitian"]]))
-    # caller-supplied eigenvalues stand in for the eigensolve
-    w = np.linalg.eigvalsh(stack[:2])
-    with pytest.raises(NotPSD, match="-5.000e-01"):
-        states.validate_stack(stack[:2], eigenvalues=w)
+    # a stack whose last axis is not contiguous still names its bad matrix
+    with pytest.raises(ValidationError, match="non-finite entries at index 2$"):
+        states.validate_stack(np.stack([good, good, INVALID["finite"]]).transpose(0, 2, 1))
     with pytest.raises(ValidationError, match="shape"):
         states.validate_stack(good)
     assert states.validate_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
@@ -101,6 +100,9 @@ def test_validate_amplitudes_names_the_bad_row():
         states.validate_amplitudes([good, 2.0 * good, [np.nan, 0, 0, 0]])
     with pytest.raises(ValidationError, match="non-finite entries at index 2$"):
         states.validate_amplitudes([good, good, [np.nan, 0, 0, 0]])
+    # a stack whose last axis is not contiguous still names its bad row
+    with pytest.raises(ValidationError, match="non-finite entries at index 1$"):
+        states.validate_amplitudes(np.array([good, [np.nan, 0, 0, 0]], complex)[:, ::-1])
     with pytest.raises(ValidationError, match="shape"):
         states.validate_amplitudes(good)
 
@@ -113,21 +115,25 @@ def test_batched_builders_match_the_one_row_builders():
     # the identity channel has one operator and is padded with a zero one
     channels = [states.make_ad_channel(0.3), states.make_pd_channel(0.6),
                 states.KrausChannel((np.eye(2),))]
-    projectors = states.pure_projectors(amps)
-    mixtures = states.werner_mixtures(ps, amps)
-    damped = states.apply_channels(projectors, channels)
-    assert damped.shape == (3, 3, 4, 4)
+    mixtures = states.gram(states.werner_factors(ps, amps))
+    x = states.damped_factors(amps, channels)
+    assert x.shape == (3, 3, 4, 2)
+    damped = states.gram(x.reshape(9, 4, 2)).reshape(3, 3, 4, 4)
+    projectors = states.gram(amps[:, :, None])
     for i, phi in enumerate(phis):
         rho = states.density_from_pure(phi)
         assert np.array_equal(projectors[i], rho.matrix)
         assert np.array_equal(mixtures[i], states.werner_like(ps[i], phi).matrix)
         for j, channel in enumerate(channels):
-            assert np.array_equal(damped[i, j], states.apply_channel(rho, channel).matrix)
+            # the wrapper sums (K x I) rho (K x I)^dag: the same state, other roundings
+            assert np.abs(damped[i, j] - states.apply_channel(rho, channel).matrix).max() <= 1e-15
     assert np.array_equal(damped[:, 2], projectors)
     with pytest.raises(ParameterOutOfRange, match="at index 1$"):
-        states.werner_mixtures([0.5, 1.2, -0.1], amps)
-    with pytest.raises(NotNormalized):
-        states.pure_projectors(2.0 * amps)
+        states.werner_factors([0.5, 1.2, -0.1], amps)
+    for build in (lambda a: states.werner_factors(0.5, a),
+                  lambda a: states.damped_factors(a, channels)):
+        with pytest.raises(NotNormalized):
+            build(2.0 * amps)
 
 
 def test_werner_like_matrix():
@@ -151,9 +157,9 @@ def test_channel_constructors_are_complete():
             make(1.1)
 
 
-def test_apply_channels_to_no_channels_is_an_empty_stack():
-    rhos = np.stack([np.eye(4) / 4.0] * 3)
-    assert states.apply_channels(rhos, []).shape == (3, 0, 4, 4)
+def test_damped_factors_of_no_channels_are_an_empty_stack():
+    amps = np.repeat([[1.0, 0.0, 0.0, 0.0]], 3, axis=0)
+    assert states.damped_factors(amps, []).shape == (3, 0, 4, 0)
 
 
 # a bool, a string or None is not an angle, a damping strength or a weight,
@@ -169,11 +175,11 @@ AMPS = np.array([[np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)]])
     (lambda: measures.bad_closed_forms(0.5, None), ParameterOutOfRange, "eta .* got None$"),
     (lambda: measures.bpd_closed_forms(True, 0.1), ParameterOutOfRange, "theta .* got True$"),
     (lambda: measures.wu_closed_forms(True, AMPS[0]), ParameterOutOfRange, "p .* got True$"),
-    (lambda: states.werner_mixtures(["0.5"], AMPS), ParameterOutOfRange,
+    (lambda: states.werner_factors(["0.5"], AMPS), ParameterOutOfRange,
      "p .* got '0.5' at index 0$"),
     (lambda: measures.wu_steering_margin("0.5", 0.9), NotRealizable, "concurrence '0.5'"),
 ], ids=["bell_like-bool", "bell_like-str", "ad-bool", "pd-str", "bad-None", "bpd-bool",
-        "wu-bool", "werner_mixtures-str", "wu_steering_margin-str"])
+        "wu-bool", "werner_factors-str", "wu_steering_margin-str"])
 def test_parameters_must_be_real_numbers(call, error, named):
     with pytest.raises(error, match=named):
         call()
@@ -189,7 +195,7 @@ ARRAY_ARGS = {
     "pd-theta": (lambda v: measures.bpd_closed_forms(v, GOOD["eta"]), "theta"),
     "pd-eta": (lambda v: measures.bpd_closed_forms(GOOD["theta"], v), "eta"),
     "wu-p": (lambda v: measures.wu_closed_forms(v, PHIS), "p"),
-    "werner_mixtures-p": (lambda v: states.werner_mixtures(v, PHIS), "p"),
+    "werner_factors-p": (lambda v: states.werner_factors(v, PHIS), "p"),
 }
 OUT_OF_RANGE = {"theta": (0.0, np.pi / 2), "eta": (np.nan, -0.1), "p": (1.5, np.nan)}
 BOX = {"theta": r"strictly inside \(0, pi/2\)", "eta": r"in \[0, 1\]", "p": r"in \[0, 1\]"}
@@ -226,14 +232,14 @@ def test_a_channel_takes_one_eta():
             make(np.array([0.1, 0.2]))
 
 
-def test_werner_mixtures_take_one_p_or_one_per_row():
-    one_p = states.werner_mixtures(0.4, PHIS)
-    assert one_p.shape == (3, 4, 4)
-    assert np.array_equal(one_p, states.werner_mixtures([0.4] * 3, PHIS))
+def test_werner_factors_take_one_p_or_one_per_row():
+    one_p = states.werner_factors(0.4, PHIS)
+    assert one_p.shape == (3, 4, 5)
+    assert np.array_equal(one_p, states.werner_factors([0.4] * 3, PHIS))
     # two weights for three vectors used to fail inside numpy's broadcasting
     with pytest.raises(ValidationError,
                        match=r"p of shape \(2,\) and vectors of shape \(3,\) do not broadcast"):
-        states.werner_mixtures([0.5, 0.2], PHIS)
+        states.werner_factors([0.5, 0.2], PHIS)
 
 
 def test_kraus_channel_validation():
@@ -241,6 +247,13 @@ def test_kraus_channel_validation():
         states.KrausChannel((np.eye(2) * 0.9,))
     with pytest.raises(ValidationError):
         states.KrausChannel((np.eye(3),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_kraus_channel_rejects_non_finite_operators(bad):
+    # rejected before the completeness sum, which would warn on inf * 0
+    with pytest.raises(ValidationError, match="non-finite entries at index 1$"):
+        states.KrausChannel((np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])))
 
 
 def test_amplitude_damping_moves_population():
@@ -342,7 +355,7 @@ STREAM_GOLDEN = [
 @pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
                          ids=["ginibre-uniform", "ginibre-rank3-max-seed"])
 def test_stream_golden_digests(plan, digest):
-    assert states.STREAM_VERSION == 3
+    assert states.STREAM_VERSION == 4
     measure, ranks, seed, start, stop = plan
     cfg = states.SamplerConfig(measure, ranks, seed=seed, count=stop)
     x, ks = states.draw_matrices(cfg, start, stop)
