@@ -12,8 +12,8 @@ measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
 factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
 construction.  measure_rows() is the entry point for density matrices
-given as input: it validates the stack with states.validate_stack, then
-solves it with eigh for the factor V sqrt(w).  F needs only the Frobenius sum
+given as input: it measures the factors V sqrt(w) that states.validate_stack
+returns from the one eigh of its checks.  F needs only the Frobenius sum
 of T, so the singular values of T are not a column:
 correlation_singular_values() gives them.
 """
@@ -84,13 +84,14 @@ def measure_factors(x) -> np.ndarray:
     x = _complex_array(x, "factors")
     if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] < 1:
         raise ValidationError(f"factors must have shape (n, 4, m), got {x.shape}")
-    norm_dev = np.abs((x.real * x.real + x.imag * x.imag).sum(axis=(1, 2)) - 1.0)
+    with np.errstate(over="ignore"):  # an inf norm fails the check below
+        norm_dev = np.abs((x.real * x.real + x.imag * x.imag).sum(axis=(1, 2)) - 1.0)
     if not (norm_dev <= TRACE_TOL).all():  # a non-finite factor fails this too
         finite = np.isfinite(x).all(axis=(1, 2))
         _raise_first((
             (~finite, lambda i: ValidationError(
                 f"factor contains non-finite entries at index {i}")),
-            (norm_dev > TRACE_TOL, lambda i: TraceNotOne(
+            (~(norm_dev <= TRACE_TOL), lambda i: TraceNotOne(
                 f"squared norm of the factor deviates from 1 by {norm_dev[i]:.3e} "
                 f"at index {i}")),
         ))
@@ -106,9 +107,8 @@ def measure_rows(rhos) -> np.ndarray:
         Density matrices.  A wrong shape, or the first invalid matrix,
         raises the ValidationError that names the broken invariant.
     """
-    rhos = np.ascontiguousarray(validate_stack(rhos))
-    w, v = np.linalg.eigh(rhos)
-    return _measure(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :], rhos)
+    rhos, x = validate_stack(rhos)
+    return _measure(x, rhos)
 
 
 def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ batch.correlation_singular_values.  A stack of states goes to
 batch.measure_rows directly.
 Concurrence follows the spin-flip construction; steerability is the
 three-setting correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
-Raw arrays are validated once, by measure_rows; an invalid one raises the
-ValidationError that names the failed invariant.
+Raw arrays are validated and solved in one eigh, by measure_rows; an
+invalid one raises the ValidationError that names the failed invariant.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch
-from .errors import NotRealizable, ValidationError
+from .errors import NotRealizable, ParameterOutOfRange, ValidationError
 from .states import RANGE_TOL, SLACK, DensityMatrix, PureState, validate_amplitudes
 from .states import _check_broadcast, _check_range, _complex_array, _outside
 
@@ -215,8 +215,11 @@ def wu_steerability_from_c_purity(conc: float, pur: float) -> float:
 
     Raises NotRealizable when no such state exists: when (C, purity) lies
     outside [0, 1] x [1/4, 1], or C exceeds max(0, (3p - 1)/2) for
-    p = sqrt((4 purity - 1)/3).
+    p = sqrt((4 purity - 1)/3).  An array raises ParameterOutOfRange.
     """
+    if np.ndim(conc) or np.ndim(pur):
+        raise ParameterOutOfRange(f"concurrence and purity must be numbers, got shapes "
+                                  f"{np.shape(conc)} and {np.shape(pur)}")
     margin = wu_steering_margin(conc, pur)  # checks the box
     _, cmax = isotropic_envelope(pur)
     if conc > cmax + SLACK:

@@ -90,20 +90,22 @@ def validate_amplitudes(a) -> np.ndarray:
     a = _complex_array(a, "amplitudes")
     if a.ndim != 2 or a.shape[1] != 4:
         raise ValidationError(f"amplitudes must have shape (n, 4), got {a.shape}")
-    dev = np.abs(np.sqrt((a * a.conj()).real.sum(axis=1)) - 1.0)
+    with np.errstate(over="ignore"):  # an inf norm fails the check below
+        dev = np.abs(np.sqrt((a * a.conj()).real.sum(axis=1)) - 1.0)
     if not (dev <= NORM_TOL).all():  # a non-finite row fails this too
         finite = np.isfinite(a).all(axis=1)
         _raise_first((
             (~finite, lambda i: ValidationError(
                 f"amplitudes contain non-finite entries at index {i}")),
-            (dev > NORM_TOL, lambda i: NotNormalized(
+            (~(dev <= NORM_TOL), lambda i: NotNormalized(
                 f"state vector norm deviates from 1 by {dev[i]:.3e} at index {i}")),
         ))
     return a
 
 
-def validate_stack(m) -> np.ndarray:
-    """Check an (n, 4, 4) stack of density matrices; return it as complex128.
+def validate_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """Check an (n, 4, 4) stack of density matrices; return it as complex128
+    with its (n, 4, 4) factors V sqrt(w), from one eigh of each matrix.
 
     Each matrix must be finite, Hermitian (max |m - m^dag| <= HERM_TOL), of
     trace 1 (|tr m - 1| <= TRACE_TOL) and positive semidefinite (least
@@ -116,25 +118,27 @@ def validate_stack(m) -> np.ndarray:
         raise ValidationError(f"matrices must have shape (n, 4, 4), got {m.shape}")
     n = m.shape[0]
     mh = m.conj().transpose(0, 2, 1)
-    herm_dev = np.abs(m - mh).reshape(n, 16).max(axis=1)
-    trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
-    # a non-finite entry makes herm_dev non-finite, so such a matrix fails here
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = np.abs(m - mh).reshape(n, 16).max(axis=1)
+        trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
+    # a non-finite entry, or finite ones that overflow, make herm_dev or
+    # trace_dev inf or NaN, so such a matrix fails here
     cheap = (herm_dev <= HERM_TOL) & (trace_dev <= TRACE_TOL)
-    # the least eigenvalue of each Hermitian part; I/4 stands in for a
-    # matrix that already failed
-    wmin = np.linalg.eigvalsh(
-        np.where(cheap[:, None, None], (m + mh) / 2.0, np.eye(4) / 4.0))[:, 0]
+    # the spectrum of each Hermitian part, halved before the sum so that no
+    # finite entry overflows; I/4 stands in for a matrix that already failed
+    w, v = np.linalg.eigh(np.where(cheap[:, None, None], m / 2.0 + mh / 2.0, np.eye(4) / 4.0))
+    wmin = w[:, 0]
     if cheap.all() and (wmin >= -EIG_TOL).all():
-        return m
+        return m, v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     finite = np.isfinite(m).all(axis=(1, 2))
     _raise_first((
         (~finite, lambda i: ValidationError(
             f"matrix contains non-finite entries at index {i}")),
-        (herm_dev > HERM_TOL, lambda i: NotHermitian(
+        (~(herm_dev <= HERM_TOL), lambda i: NotHermitian(
             f"matrix is not Hermitian (max deviation {herm_dev[i]:.3e}) at index {i}")),
-        (trace_dev > TRACE_TOL, lambda i: TraceNotOne(
+        (~(trace_dev <= TRACE_TOL), lambda i: TraceNotOne(
             f"trace deviates from 1 by {trace_dev[i]:.3e} at index {i}")),
-        (wmin < -EIG_TOL, lambda i: NotPSD(
+        (~(wmin >= -EIG_TOL), lambda i: NotPSD(
             f"matrix is not positive semidefinite (min eigenvalue {wmin[i]:.3e}) "
             f"at index {i}")),
     ))
@@ -181,9 +185,10 @@ class KrausChannel:
         for i, k in enumerate(ops):
             if not np.isfinite(k).all():
                 raise ValidationError(f"operators contain non-finite entries at index {i}")
-        total = sum(k.conj().T @ k for k in ops)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+            total = sum(k.conj().T @ k for k in ops)
         dev = float(np.abs(total - np.eye(2)).max())
-        if dev > KRAUS_TOL:
+        if not dev <= KRAUS_TOL:
             raise ChannelIncomplete(f"Kraus operators violate completeness by {dev:.3e}")
         object.__setattr__(self, "operators", tuple(_frozen(k) for k in ops))
 

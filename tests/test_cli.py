@@ -98,6 +98,22 @@ def test_analyze_rejects_non_psd(tmp_path, capsys):
     assert "positive semidefinite" in err
 
 
+@pytest.mark.parametrize("entries, named", [
+    # finite entries whose trace sums to NaN
+    ({(0, 0): 1e308, (1, 1): 1e308, (2, 2): -1e308, (3, 3): -1e308}, "trace"),
+    # a Hermitian, trace-1 matrix whose (m + m^dag) / 2 would overflow
+    ({(0, 1): 1e308, (1, 0): 1e308}, "positive semidefinite"),
+], ids=["trace-nan", "hermitian-part"])
+def test_analyze_rejects_finite_entries_that_overflow(entries, named, tmp_path, capsys):
+    obj = states.state_to_json(states.DensityMatrix(np.eye(4) / 4.0))
+    for (i, j), value in entries.items():
+        obj["matrix"][i][j] = [value, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_analyze_rejects_bad_structure(tmp_path, capsys):
     path = tmp_path / "dim2.json"
     path.write_text(json.dumps({"dim": 2, "matrix": []}))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from qsteer import batch, harness, measures, states
-from qsteer.errors import NotHermitian, NotPSD, TraceNotOne, ValidationError
+from qsteer.errors import (
+    ChannelIncomplete,
+    NotHermitian,
+    NotNormalized,
+    NotPSD,
+    TraceNotOne,
+    ValidationError,
+)
 
 from conftest import FORMS
 
@@ -106,6 +113,76 @@ def test_measure_rows_rejects_invalid_matrices(bad, error):
     assert type(err.value) is error
 
 
+# each entry that validates one density matrix, as it takes the matrix
+MATRIX_ENTRIES = {
+    "validate_stack": lambda m: states.validate_stack(m[None]),
+    "DensityMatrix": states.DensityMatrix,
+    "measure_rows": lambda m: batch.measure_rows(m[None]),
+}
+
+
+# trace-1 diagonal plus off-diagonal entries of 1e308, Hermitian or not
+PURE_00 = np.diag([1.0, 0.0, 0.0, 0.0])
+UPPER = 1e308 * np.eye(4, k=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad, error, named", [
+    # the trace sums to NaN
+    (np.diag([1e308, 1e308, -1e308, -1e308]), TraceNotOne, "trace deviates"),
+    # (m + m^dag) / 2 would overflow; m / 2 + m^dag / 2 has eigenvalues near -1e308
+    (PURE_00 + UPPER + UPPER.T, NotPSD, "positive semidefinite"),
+    # m - m^dag overflows
+    (PURE_00 + UPPER - UPPER.T, NotHermitian, "not Hermitian"),
+], ids=["trace-nan", "hermitian-part", "hermitian-dev"])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_finite_matrices_that_overflow_name_their_invariant(entry, bad, error, named):
+    # finite input: never numpy's ValueError, LinAlgError or a RuntimeWarning
+    with pytest.raises(error, match=named) as err:
+        MATRIX_ENTRIES[entry](bad)
+    assert type(err.value) is error
+
+
+def _edge(invariant, scale):
+    """A matrix that breaks ``invariant`` by ``scale`` times its tolerance."""
+    m = np.eye(4, dtype=complex) / 4.0
+    if invariant == "psd":
+        e = scale * states.EIG_TOL
+        m = np.diag([0.5 + e, 0.5, 0.0, -e]).astype(complex)
+    elif invariant == "hermitian":
+        m[0, 1] += scale * states.HERM_TOL
+    else:
+        m[0, 0] += scale * states.TRACE_TOL
+    return m
+
+
+@pytest.mark.parametrize("invariant, error", [
+    ("psd", NotPSD), ("hermitian", NotHermitian), ("trace", TraceNotOne)])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_tolerance_edges(entry, invariant, error):
+    # half the tolerance inside passes, twice it outside fails
+    MATRIX_ENTRIES[entry](_edge(invariant, 0.5))
+    with pytest.raises(error) as err:
+        MATRIX_ENTRIES[entry](_edge(invariant, 2.0))
+    assert type(err.value) is error
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn, arg, error", [
+    (states.validate_amplitudes, np.full((1, 4), 1e200), NotNormalized),
+    (measures.concurrence_pure, np.full(4, 1e200), NotNormalized),
+    (lambda a: states.werner_factors(0.5, a), np.full((1, 4), 1e200), NotNormalized),
+    (batch.measure_factors, np.full((1, 4, 4), 1e200), TraceNotOne),
+    (lambda k: states.KrausChannel((k,)), np.full((2, 2), 1e200), ChannelIncomplete),
+], ids=["validate_amplitudes", "concurrence_pure", "werner_factors", "measure_factors",
+        "KrausChannel"])
+def test_huge_finite_entries_fail_their_check_without_a_warning(fn, arg, error):
+    # the norm or completeness sum overflows to inf, which the check rejects
+    with pytest.raises(error) as err:
+        fn(arg)
+    assert type(err.value) is error
+
+
 def _solves(monkeypatch, call):
     """The (solver, matrix size) of each eigh/eigvalsh call that call() makes."""
     solves = []
@@ -131,16 +208,17 @@ def test_correlation_singular_values_match_svd():
 
 def test_measure_rows_validates_then_solves_the_stack_once(monkeypatch):
     solves = _solves(monkeypatch, lambda: batch.measure_rows(random_rhos(10, 50)))
-    # validate_stack's 4x4 eigvalsh, then one 4x4 eigh for the factors V sqrt(w);
-    # F needs no singular values
-    assert solves == [("eigvalsh", 4), ("eigh", 4)]
+    # validate_stack's one 4x4 eigh gives both the PSD check and the factors
+    # V sqrt(w); F needs no singular values
+    assert solves == [("eigh", 4)]
 
 
 def test_scalar_on_raw_array_validates_once(monkeypatch):
     # the raw array goes straight to measure_rows, which validates and solves
-    # it; the 3x3 eigvalsh gives the report's correlation singular values
+    # it in one eigh; the 3x3 eigvalsh gives the report's correlation
+    # singular values
     solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
-    assert solves == [("eigvalsh", 4), ("eigh", 4), ("eigvalsh", 3)]
+    assert solves == [("eigh", 4), ("eigvalsh", 3)]
 
 
 def random_factors(seed, n, m=4):

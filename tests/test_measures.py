@@ -102,7 +102,7 @@ def correlation_matrix(rho):
     """T[m, n] = Re tr(rho (sigma_m x sigma_n)) of one state, by the stack
     route on a validated stack of one."""
     m = rho.matrix if isinstance(rho, states.DensityMatrix) else rho
-    return batch.correlation_matrices(states.validate_stack(np.asarray(m)[None]))[0]
+    return batch.correlation_matrices(states.validate_stack(np.asarray(m)[None])[0])[0]
 
 
 def test_correlation_matrix_against_trace_loops():
@@ -404,6 +404,16 @@ def test_wu_steerability_from_c_purity():
         measures.wu_steerability_from_c_purity(0.1, 0.1)
     with pytest.raises(NotRealizable):
         measures.wu_steerability_from_c_purity(-0.5, 0.5)
+
+
+@pytest.mark.parametrize("conc, pur, named", [
+    ([0.1, 0.2], [0.9, 0.9], r"got shapes \(2,\) and \(2,\)$"),
+    (np.array([0.1]), 0.9, r"got shapes \(1,\) and \(\)$"),
+    (0.1, np.full((1, 1), 0.9), r"got shapes \(\) and \(1, 1\)$"),
+])
+def test_wu_steerability_from_c_purity_takes_numbers_only(conc, pur, named):
+    with pytest.raises(ParameterOutOfRange, match=named):
+        measures.wu_steerability_from_c_purity(conc, pur)
 
 
 @pytest.mark.parametrize("conc, pur, named", [

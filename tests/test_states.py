@@ -74,7 +74,7 @@ def test_validate_stack_agrees_with_density_matrix(invariant):
         states.validate_stack(stack)
     assert type(batched.value) is type(single.value)
     assert str(batched.value).replace("index 3", "index 0") == str(single.value)
-    assert states.validate_stack(stack[:3]).shape == (3, 4, 4)
+    assert states.validate_stack(stack[:3])[0].shape == (3, 4, 4)
 
 
 def test_validate_stack_reports_the_first_bad_matrix():
@@ -91,7 +91,7 @@ def test_validate_stack_reports_the_first_bad_matrix():
         states.validate_stack(np.stack([good, good, INVALID["finite"]]).transpose(0, 2, 1))
     with pytest.raises(ValidationError, match="shape"):
         states.validate_stack(good)
-    assert states.validate_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
+    assert states.validate_stack(np.empty((0, 4, 4)))[0].shape == (0, 4, 4)
 
 
 def test_validate_amplitudes_names_the_bad_row():
