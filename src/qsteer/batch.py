@@ -6,7 +6,8 @@ with the column layout below, vectorized over the whole stack with LAPACK.
 Purity, the correlation matrix T and the marginals are read from rhos; C
 and the flip-product eigenvalues come from the singular values of the
 symmetric matrices x^T (sigma_y x sigma_y) x (Wootters, PRL 80, 2245
-(1998)), which stay accurate at zero.
+(1998)), which stay accurate at zero, at each factor's own width k: one
+k x k SVD per width present, none at k = 1.
 
 measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
@@ -117,10 +118,7 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
-    # the singular values of tau = x^T (sigma_y x sigma_y) x are the square
-    # roots of the eigenvalues of rho flip(rho); tau has rank at most 4
-    tau = x.transpose(0, 2, 1) @ (FLIP_SIGN[:, None] * x[:, ::-1, :])
-    sig = np.linalg.svd(tau, compute_uv=False)[:, :4]
+    sig = _flip_singular_values(x)
     conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
     tmat = correlation_matrices(rhos)
     f2 = np.einsum("kij,kij->k", tmat, tmat)
@@ -141,9 +139,24 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     out[:, COL_DB] = _bloch_length(np.einsum("kabac->kbc", r5))
     out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
-    out[:, COL_L1 : COL_L4 + 1] = 0.0  # a factor of width m < 4 has m singular values
-    out[:, COL_L1 : COL_L1 + sig.shape[1]] = sig * sig
+    out[:, COL_L1 : COL_L4 + 1] = sig * sig
     return out
+
+
+def _flip_singular_values(x: np.ndarray) -> np.ndarray:
+    """(n, 4) descending singular values of tau = x^T (sigma_y x sigma_y) x,
+    the square roots of the eigenvalues of rho flip(rho), for each factor of
+    an (n, 4, m) stack, taken at its width k (its last nonzero column plus
+    one; zero columns add nothing to x x^dag): k x k, or |tau| at k = 1."""
+    n, _, m = x.shape
+    width = m - np.argmax((x != 0).any(axis=1)[:, ::-1], axis=1)  # m where x = 0
+    sig = np.zeros((n, max(m, 4)))
+    for k in np.flatnonzero(np.bincount(width)):  # the widths present
+        idx = np.flatnonzero(width == k)
+        xk = x[idx, :, :k]
+        tau = xk.transpose(0, 2, 1) @ (FLIP_SIGN[:, None] * xk[:, ::-1, :])
+        sig[idx, :k] = np.abs(tau[:, 0]) if k == 1 else np.linalg.svd(tau, compute_uv=False)
+    return sig[:, :4]  # tau has rank at most 4
 
 
 def _bloch_length(red: np.ndarray) -> np.ndarray:

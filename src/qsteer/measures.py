@@ -189,15 +189,26 @@ def isotropic_envelope(pur):
     return p, np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
 
 
+def _arrays(**values) -> list:
+    """Each value as an array; ValidationError naming the first that is not
+    one array of numbers, such as a ragged nesting."""
+    for what, value in values.items():
+        try:
+            values[what] = np.asarray(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} must be an array of numbers ({exc})") from None
+    return list(values.values())
+
+
 def wu_steering_margin(conc, pur):
     """Signed argument x + Q^2 - 1 of the (C, purity) steering criterion.
 
     Elementwise over arrays that broadcast together; a float for scalars.
     Raises NotRealizable, naming the value, for the first purity outside
     [1/4, 1], then the first concurrence outside [0, 1], by more than
-    RANGE_TOL; a non-finite value is outside.
+    RANGE_TOL; a non-finite value is outside.  A ragged list raises ValidationError.
     """
-    conc, pur = np.asarray(conc), np.asarray(pur)
+    conc, pur = _arrays(concurrence=conc, purity=pur)
     for name, values, box, lo, hi in (("purity", pur, "[1/4, 1]", 0.25, 1.0),
                                       ("concurrence", conc, "[0, 1]", 0.0, 1.0)):
         bad = _outside(values, lo - RANGE_TOL, hi + RANGE_TOL)
@@ -215,9 +226,9 @@ def wu_steerability_from_c_purity(conc: float, pur: float) -> float:
 
     Raises NotRealizable when no such state exists: when (C, purity) lies
     outside [0, 1] x [1/4, 1], or C exceeds max(0, (3p - 1)/2) for
-    p = sqrt((4 purity - 1)/3).  An array raises ParameterOutOfRange.
+    p = sqrt((4 purity - 1)/3).  Arrays raise ParameterOutOfRange, ragged ones ValidationError.
     """
-    if np.ndim(conc) or np.ndim(pur):
+    if any(a.ndim for a in _arrays(concurrence=conc, purity=pur)):
         raise ParameterOutOfRange(f"concurrence and purity must be numbers, got shapes "
                                   f"{np.shape(conc)} and {np.shape(pur)}")
     margin = wu_steering_margin(conc, pur)  # checks the box

@@ -1,6 +1,6 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream versions 3 and 4 draw alike).  Each
+Sampling is counter-based (stream versions 3 to 5 draw alike).  Each
 (seed, domain) pair keys one Philox4x64 generator; domains keep state
 draws, Haar unitaries and sweep parameters apart.  Record i of a domain
 owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
@@ -35,7 +35,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
@@ -120,7 +120,8 @@ def validate_stack(m) -> tuple[np.ndarray, np.ndarray]:
     mh = m.conj().transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = np.abs(m - mh).reshape(n, 16).max(axis=1)
-        trace_dev = np.abs(m.reshape(n, 16)[:, ::5].sum(axis=1) - 1.0)  # diagonal: every 5th
+        # the diagonal, every 5th entry, summed in quarters so that it does not overflow
+        trace_dev = np.abs(4.0 * (m.reshape(n, 16)[:, ::5] / 4.0).sum(axis=1) - 1.0)
     # a non-finite entry, or finite ones that overflow, make herm_dev or
     # trace_dev inf or NaN, so such a matrix fails here
     cheap = (herm_dev <= HERM_TOL) & (trace_dev <= TRACE_TOL)

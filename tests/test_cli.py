@@ -265,7 +265,7 @@ def test_verify_clean_run(tmp_path, capsys):
     assert payload["worst_margin_lower"] > -1e-9
     assert payload["worst_margin_upper"] > -1e-9
     assert payload["seed"] == 6
-    assert payload["stream"] == 4
+    assert payload["stream"] == 5
     assert out.read_text() == captured
 
 

@@ -8,11 +8,14 @@ measured, formatted or reduced that moves a single bit fails here.  The closed f
 Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
 np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
 with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.  The digests are those of stream version 4.  Version 3 took C
+last bit.  The digests are those of stream version 5.  Version 3 took C
 from the singular values of a factor's x^T (sigma_y x sigma_y) x, and S
 and the coherences in their exact forms; version 4 measures the sweeps'
 states from their exact factors too, so it moved only the channel-sweep
-bytes and verify's "stream" key.
+bytes and verify's "stream" key.  Version 5 takes those singular values
+at each factor's own width, k x k for k nonzero columns and |x^T (sigma_y x
+sigma_y) x| at width 1, so it moved only the sample bytes and verify's
+"stream" key.
 """
 
 import hashlib
@@ -51,11 +54,11 @@ SCAN_GOLDEN = [
 # sample runs: (argv, digest of the CSV); verify runs: (argv, digest of stdout)
 SAMPLE_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "0eaca5fd9e44aec599ced860d3573cc3e980b673c3689de5f5da9e229a16d92e"),
+     "fedb1ed7ba2f1816f1ca6d97fb809cdcf64be30d7dcae8adae3a869da725092b"),
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "7cf0c95198d4420704eb7196917d84ed4bb8fccadff4691fb47eef59f6692af8"),
+     "fa287e3dd6b2fbd7763f6e993188c3c4c41fd5fc5f42a7e09088541bb708b636"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering

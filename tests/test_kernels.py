@@ -128,7 +128,7 @@ UPPER = 1e308 * np.eye(4, k=1)
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad, error, named", [
-    # the trace sums to NaN
+    # the trace is 0, but a plain sum of the diagonal overflows to NaN
     (np.diag([1e308, 1e308, -1e308, -1e308]), TraceNotOne, "trace deviates"),
     # (m + m^dag) / 2 would overflow; m / 2 + m^dag / 2 has eigenvalues near -1e308
     (PURE_00 + UPPER + UPPER.T, NotPSD, "positive semidefinite"),
@@ -141,6 +141,14 @@ def test_finite_matrices_that_overflow_name_their_invariant(entry, bad, error, n
     with pytest.raises(error, match=named) as err:
         MATRIX_ENTRIES[entry](bad)
     assert type(err.value) is error
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_an_overflowing_trace_reports_its_true_deviation(entry):
+    # the diagonal's quarters sum to 0 where the diagonal itself overflows
+    with pytest.raises(TraceNotOne, match=r"trace deviates from 1 by 1\.000e\+00 at index 0$"):
+        MATRIX_ENTRIES[entry](np.diag([1e308, 1e308, -1e308, -1e308]))
 
 
 def _edge(invariant, scale):
@@ -183,13 +191,15 @@ def test_huge_finite_entries_fail_their_check_without_a_warning(fn, arg, error):
     assert type(err.value) is error
 
 
-def _solves(monkeypatch, call):
-    """The (solver, matrix size) of each eigh/eigvalsh call that call() makes."""
+def _solves(monkeypatch, call, names=("eigh", "eigvalsh")):
+    """The (solver, matrix size) of each call that call() makes to the
+    np.linalg solvers ``names``, each on a stack of square matrices."""
     solves = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         orig = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _orig=orig, **kwargs):
+            assert a.shape[-2] == a.shape[-1], (_name, a.shape)
             solves.append((_name, a.shape[-1]))
             return _orig(a, *args, **kwargs)
 
@@ -275,3 +285,49 @@ def test_drawn_states_are_measured_with_no_eigensolver(command, monkeypatch, tmp
         solves = _solves(monkeypatch, lambda: harness.write_scatter_csv(
             tmp_path / "scatter.csv", cfg, workers=1))
     assert solves == []
+
+
+@pytest.mark.parametrize("ranks, widths", [
+    ("uniform", [2, 3, 4]), (1, []), (2, [2]), (4, [4]),
+], ids=["uniform", "rank-1", "rank-2", "rank-4"])
+def test_each_width_takes_one_svd_of_its_own_size(ranks, widths, monkeypatch):
+    # two chunks: |tau| needs no SVD at width 1, and each width k present
+    # in a chunk takes one k x k SVD
+    cfg = states.SamplerConfig(ranks=ranks, seed=9, count=2 * harness.CHUNK)
+    svds = _solves(monkeypatch, lambda: harness.run_falsification(cfg, workers=1), ("svd",))
+    assert svds == [("svd", k) for k in widths] * 2
+
+
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+def test_concurrence_of_a_near_degenerate_bell_mixture(eps):
+    # (1/2 + eps)|Phi+><Phi+| + (1/2 - eps)|Phi-><Phi-| has C = 2 eps: the
+    # two flip-product singular values differ by 2 eps
+    x = np.stack([np.sqrt(0.5 + eps) * PHI_PLUS, np.sqrt(0.5 - eps) * PHI_MINUS], axis=1)
+    conc = batch.measure_factors(x[None])[0, batch.COL_C]
+    assert abs(conc - 2.0 * eps) <= 1e-15, conc
+    if eps == 0.0:
+        assert conc == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0 / 3.0, 1.0 / np.sqrt(3.0)], ids=["C", "S"])
+def test_werner_states_at_the_thresholds_match_the_closed_forms(p):
+    # C turns on at p = 1/3 and S at p = 1/sqrt(3) for a Bell state; other
+    # pure states shift the thresholds.  The 4 x 5 factors take a 5 x 5
+    # SVD, but at p = 1 only column 0 is left: width 1, |tau|
+    phis = np.vstack([PHI_PLUS, states.random_unitaries(5, 0, 20) @ PHI_PLUS])
+    ps = np.array([p] * 21 + [0.0, 1.0])
+    phis = np.vstack([phis, phis[:2]])
+    rows = batch.measure_factors(states.werner_factors(ps, phis))
+    closed = np.column_stack(measures.wu_closed_forms(ps, phis))
+    num = rows[:, [batch.COL_C, batch.COL_S, batch.COL_F, batch.COL_PURITY]]
+    # criterion 6's limits: 1e-8 for C, S and F, 1e-10 for the purity.  At
+    # F = 1 the square root in S = sqrt((F^2 - 1) / 2) turns an eps of F^2
+    # into 1e-8 of S, so S is compared through its square, as the property
+    # tests compare it
+    num[:, 1], closed[:, 1] = num[:, 1] ** 2, closed[:, 1] ** 2
+    assert np.abs(num[:, :3] - closed[:, :3]).max() <= 1e-8
+    assert np.abs(num[:, 3] - closed[:, 3]).max() <= 1e-10

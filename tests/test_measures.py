@@ -417,6 +417,19 @@ def test_wu_steerability_from_c_purity_takes_numbers_only(conc, pur, named):
 
 
 @pytest.mark.parametrize("conc, pur, named", [
+    ([[0.1], [0.1, 0.2]], 0.5, "concurrence"),
+    (0.1, [[0.5], [0.5, 0.6]], "purity"),
+], ids=["ragged-concurrence", "ragged-purity"])
+@pytest.mark.parametrize("fn", [measures.wu_steering_margin,
+                                measures.wu_steerability_from_c_purity],
+                         ids=["margin", "steerability"])
+def test_c_purity_entries_reject_a_ragged_nesting(fn, conc, pur, named):
+    # ValidationError naming the argument, not numpy's ValueError
+    with pytest.raises(ValidationError, match=f"^{named} must be an array of numbers"):
+        fn(conc, pur)
+
+
+@pytest.mark.parametrize("conc, pur, named", [
     (np.nan, 0.5, "concurrence nan"),
     (0.5, np.nan, "purity nan"),
     (2.0, 5.0, "purity 5.0"),

@@ -116,6 +116,16 @@ def test_the_exact_factor_measures_c_at_a_rank_drop(u):
 
 
 @PROPERTIES
+@given(x=factors(), pad=st.integers(1, 4))
+def test_zero_columns_leave_the_row_bit_identical(x, pad):
+    # a zero column adds nothing to x x^dag, and tau is taken at the width
+    # of the nonzero columns, so every column keeps its bits
+    padded = np.hstack([x, np.zeros((4, pad))])
+    rows = batch.measure_factors(x[None])
+    assert rows.tobytes() == batch.measure_factors(padded[None]).tobytes()
+
+
+@PROPERTIES
 @given(x=factors())
 def test_steerability_lies_between_its_bounds(x):
     # sqrt(max(0, C^2 + P - 1)) <= S <= min(C, sqrt(2P - 1)) at every rank
