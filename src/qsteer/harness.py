@@ -7,17 +7,19 @@ index order, so reruns and different worker counts produce identical files.
 Scatter runs and falsification runs stream the plan one chunk at a time:
 scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
 the one place that chooses between the calling thread and a pool, runs it
-inside each chunk's formatter (sample) or fold (verify).
+inside each chunk's formatter (sample) or fold into a FalsificationSummary
+(verify), and _merge joins the folds in index order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,6 +104,10 @@ class RegionScanResult:
 
 @dataclass(frozen=True)
 class FalsificationSummary:
+    """A fold of plan records, one chunk's or the whole plan's: the count
+    checked, each theorem's least margin (inf over no records) and the
+    violations in (index, theorem) order."""
+
     checked: int
     theorems: tuple
     worst_margin_lower: float
@@ -109,13 +115,7 @@ class FalsificationSummary:
     violations: list
 
     def as_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "theorems": list(self.theorems),
-            "worst_margin_lower": self.worst_margin_lower,
-            "worst_margin_upper": self.worst_margin_upper,
-            "violations": self.violations,
-        }
+        return {**asdict(self), "theorems": list(self.theorems)}
 
 
 def scatter_table(cfg: SamplerConfig, start: int, stop: int):
@@ -288,8 +288,7 @@ def sweep_csv_lines(table: SweepTable):
 
 def write_sweep_csv(path, table: SweepTable) -> None:
     with open(path, "w", newline="") as fh:
-        for line in sweep_csv_lines(table):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in sweep_csv_lines(table))
 
 
 def _boundary_concurrence(p):
@@ -337,8 +336,7 @@ def region_csv_lines(result: RegionScanResult):
 
 def write_region_csv(path, result: RegionScanResult) -> None:
     with open(path, "w", newline="") as fh:
-        for block in region_csv_lines(result):
-            fh.write(block + "\n")
+        fh.writelines(block + "\n" for block in region_csv_lines(result))
 
 
 def write_boundary_csv(path, series) -> None:
@@ -348,17 +346,26 @@ def write_boundary_csv(path, series) -> None:
             fh.write(f"{float(u)!r},{float(c)!r}\n")
 
 
-def _fold_chunk(cfg: SamplerConfig, start: int, stop: int):
-    """Records start..stop-1, drawn, measured and folded: each theorem's
-    least margin, then the chunk's violations in index order per theorem."""
+def _fold_chunk(cfg: SamplerConfig, start: int, stop: int) -> FalsificationSummary:
+    """Records start..stop-1, drawn, measured and folded into their summary;
+    np.nonzero runs row-major, so the violations come in (index, theorem) order."""
     _, _, rows = scatter_table(cfg, start, stop)
-    least, violations = [], []
-    for theorem, margin in zip(THEOREMS, bound_margins(rows)):
-        least.append(float(margin.min(initial=math.inf)))
-        violations += [{"index": start + int(i), "theorem": theorem,
-                        "margin": float(margin[i])}
-                       for i in np.nonzero(margin < -SLACK)[0]]
-    return least, violations
+    margins = bound_margins(rows)
+    index, theorem = np.nonzero(np.column_stack(margins) < -SLACK)
+    violations = [{"index": start + i, "theorem": THEOREMS[t], "margin": float(margins[t][i])}
+                  for i, t in zip(index.tolist(), theorem.tolist())]
+    least = (float(margin.min(initial=math.inf)) for margin in margins)
+    return FalsificationSummary(len(rows), THEOREMS, *least, violations)
+
+
+def _merge(earlier: FalsificationSummary, later: FalsificationSummary) -> FalsificationSummary:
+    """The fold of earlier's records, then later's: counts add, least margins
+    take min, and violations extend earlier's list in place (the reducer owns it)."""
+    earlier.violations.extend(later.violations)
+    return FalsificationSummary(earlier.checked + later.checked, THEOREMS,
+                                min(earlier.worst_margin_lower, later.worst_margin_lower),
+                                min(earlier.worst_margin_upper, later.worst_margin_upper),
+                                earlier.violations)
 
 
 def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> FalsificationSummary:
@@ -366,17 +373,9 @@ def run_falsification(cfg: SamplerConfig, workers: int = WORKERS) -> Falsificati
 
     Margins are the bound_margins: S - lower for theorem1, upper - S for
     theorem2; a violation is a margin below -SLACK, as in bound_violations.
-    _run_chunks folds each chunk with _fold_chunk, and the folds are merged
-    in index order as they arrive, into each theorem's running least margin.
+    _run_chunks folds each chunk with _fold_chunk, and _merge joins the folds
+    in index order; an empty plan's least margins read 0.0, not inf.
     """
-    least_lower = least_upper = math.inf
-    violations = []
+    least = math.inf if cfg.count else 0.0
     with contextlib.closing(_run_chunks(_fold_chunk, cfg, workers)) as folds:
-        for (lower, upper), found in folds:
-            least_lower = min(least_lower, lower)
-            least_upper = min(least_upper, upper)
-            violations += found
-    violations.sort(key=lambda v: v["index"])
-    # an empty plan's one empty chunk has least margins inf
-    worst = (least_lower, least_upper) if cfg.count else (0.0, 0.0)
-    return FalsificationSummary(int(cfg.count), THEOREMS, *worst, violations)
+        return functools.reduce(_merge, folds, FalsificationSummary(0, THEOREMS, least, least, []))

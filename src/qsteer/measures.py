@@ -21,7 +21,7 @@ import numpy as np
 from . import batch
 from .errors import NotRealizable, ParameterOutOfRange, ValidationError
 from .states import RANGE_TOL, SLACK, DensityMatrix, PureState, validate_amplitudes
-from .states import _check_broadcast, _check_range, _complex_array, _outside
+from .states import _arrays, _check_broadcast, _check_range, _complex_array, _outside
 
 CLASS_SEPARABLE = "separable-candidate"
 CLASS_ENTANGLED = "entangled-unsteerable-by-F"
@@ -187,17 +187,6 @@ def isotropic_envelope(pur):
     purity, and its largest concurrence C_max = max(0, (3p - 1)/2)."""
     p = np.sqrt(np.maximum(0.0, (4.0 * pur - 1.0) / 3.0))
     return p, np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
-
-
-def _arrays(**values) -> list:
-    """Each value as an array; ValidationError naming the first that is not
-    one array of numbers, such as a ragged nesting."""
-    for what, value in values.items():
-        try:
-            values[what] = np.asarray(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{what} must be an array of numbers ({exc})") from None
-    return list(values.values())
 
 
 def wu_steering_margin(conc, pur):

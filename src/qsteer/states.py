@@ -81,6 +81,17 @@ def _complex_array(a, what: str) -> np.ndarray:
     raise ValidationError(f"{what} must be an array of numbers ({reason})")
 
 
+def _arrays(**values) -> list:
+    """Each value as an array; ValidationError naming the first that is not
+    one array of numbers, such as a ragged nesting."""
+    for what, value in values.items():
+        try:
+            values[what] = np.asarray(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} must be an array of numbers ({exc})") from None
+    return list(values.values())
+
+
 def validate_amplitudes(a) -> np.ndarray:
     """Check an (n, 4) stack of state vectors; return it as complex128.
 
@@ -180,7 +191,8 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(_complex_array(k, "operators") for k in self.operators)
+        ops = self.operators if np.iterable(self.operators) else ()  # None or a number: no operators
+        ops = tuple(_complex_array(k, "operators") for k in ops)
         if not ops or any(k.shape != (2, 2) for k in ops):
             raise ValidationError("operators must be a non-empty tuple of 2x2 matrices")
         for i, k in enumerate(ops):
@@ -218,10 +230,10 @@ def _check_range(name: str, values, lo: float, hi: float, strict: bool = False) 
     """Return ``values`` as float64 if every entry is a real number in
     [lo, hi], or strictly inside (lo, hi) when ``strict``.
 
-    Otherwise raise ParameterOutOfRange naming the first bad entry; for an
-    array the message ends in "at index i", i counted in C order.
+    Otherwise raise ValidationError for a ragged list, else ParameterOutOfRange
+    naming the first bad entry, "at index i" in C order for an array.
     """
-    arr = np.asarray(values)
+    (arr,) = _arrays(**{name: values})
     bad = _outside(arr, lo, hi, strict)
     if bad.any():
         lo_text, hi_text = (_BOUND_TEXT.get(b, f"{b:g}") for b in (lo, hi))

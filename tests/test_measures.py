@@ -429,6 +429,28 @@ def test_c_purity_entries_reject_a_ragged_nesting(fn, conc, pur, named):
         fn(conc, pur)
 
 
+RAGGED = [[0.1], [0.1, 0.2]]
+PHI = [[1.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: measures.bad_closed_forms(RAGGED, 0.1), "theta"),
+    (lambda: measures.bad_closed_forms(0.1, RAGGED), "eta"),
+    (lambda: measures.bpd_closed_forms(RAGGED, 0.1), "theta"),
+    (lambda: measures.bpd_closed_forms(0.1, RAGGED), "eta"),
+    (lambda: measures.wu_closed_forms(RAGGED, PHI), "p"),
+    (lambda: states.werner_factors(RAGGED, PHI), "p"),
+    (lambda: states.bell_like_amplitudes(RAGGED), "theta"),
+    (lambda: states.make_ad_channel(RAGGED), "eta"),
+    (lambda: states.make_pd_channel(RAGGED), "eta"),
+], ids=["bad-theta", "bad-eta", "bpd-theta", "bpd-eta", "wu-p", "werner-p",
+        "bell-like-theta", "ad-eta", "pd-eta"])
+def test_range_checked_entries_reject_a_ragged_nesting(call, named):
+    # _check_range converts theta, eta and p as the (C, purity) entries do
+    with pytest.raises(ValidationError, match=f"^{named} must be an array of numbers"):
+        call()
+
+
 @pytest.mark.parametrize("conc, pur, named", [
     (np.nan, 0.5, "concurrence nan"),
     (0.5, np.nan, "purity nan"),

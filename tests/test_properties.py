@@ -20,6 +20,9 @@ well conditioned:
   by at most 4 eps / (2 sqrt(1e-4)), well inside TOL.
 """
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,8 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qsteer import batch  # noqa: E402
-from qsteer.states import SLACK  # noqa: E402
+from qsteer import batch, harness  # noqa: E402
+from qsteer.states import SLACK, SamplerConfig  # noqa: E402
 
 TOL = 1e-12
 ROOT_TOL = 4.0 * np.sqrt(4.0 * np.finfo(float).eps)  # 1.2e-7: four times sqrt(4 eps)
@@ -161,3 +164,30 @@ def test_the_qubit_swap_exchanges_the_coherences(rho):
     rows = batch.measure_rows(np.stack([rho, SWAP @ rho @ SWAP]))
     da, db = INVARIANTS["D_A^2"](rows), INVARIANTS["D_B^2"](rows)
     assert abs(da[1] - db[0]) <= TOL and abs(db[1] - da[0]) <= TOL, (da, db)
+
+
+@st.composite
+def split_plans(draw):
+    """A plan of at most 64 records, and the bounds of the pieces of a split
+    of it, empty pieces included."""
+    count = draw(st.integers(1, 64))
+    cuts = sorted(draw(st.lists(st.integers(0, count), max_size=8)))
+    cfg = SamplerConfig(ranks=draw(st.sampled_from(["uniform", 1, 2, 3, 4])),
+                        seed=draw(st.integers(0, 2**64 - 1)), count=count)
+    return cfg, [0, *cuts, count]
+
+
+# at SLACK = -1 every margin, which is at most 1, lies below -SLACK, so every
+# record violates both theorems and the merge must keep their order
+@pytest.mark.parametrize("slack", [SLACK, -1.0], ids=["slack", "every-record-violates"])
+@PROPERTIES
+@given(plan=split_plans())
+def test_merged_folds_of_a_split_equal_the_fold_of_the_whole(slack, plan):
+    cfg, bounds = plan
+    with mock.patch.object(harness, "SLACK", slack):
+        pieces = [harness._fold_chunk(cfg, a, b) for a, b in zip(bounds, bounds[1:])]
+        whole = harness._fold_chunk(cfg, 0, cfg.count)
+    merged = functools.reduce(harness._merge, pieces)
+    assert merged.as_dict() == whole.as_dict()
+    if slack < 0:
+        assert len(whole.violations) == 2 * cfg.count

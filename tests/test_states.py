@@ -249,6 +249,13 @@ def test_kraus_channel_validation():
         states.KrausChannel((np.eye(3),))
 
 
+@pytest.mark.parametrize("operators", [None, 5, ()], ids=["none", "number", "empty"])
+def test_kraus_channel_without_operators_names_the_invariant(operators):
+    # not numpy's or Python's TypeError for an operand that does not iterate
+    with pytest.raises(ValidationError, match="^operators must be a non-empty tuple of 2x2"):
+        states.KrausChannel(operators)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_kraus_channel_rejects_non_finite_operators(bad):
     # rejected before the completeness sum, which would warn on inf * 0
