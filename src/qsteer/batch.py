@@ -6,8 +6,9 @@ with the column layout below, vectorized over the whole stack with LAPACK.
 Purity, the correlation matrix T and the marginals are read from rhos; C
 and the flip-product eigenvalues come from the singular values of the
 symmetric matrices x^T (sigma_y x sigma_y) x (Wootters, PRL 80, 2245
-(1998)), which stay accurate at zero, at each factor's own width k: one
-k x k SVD per width present, none at k = 1.
+(1998)), which stay accurate at zero, at each factor's own width k: |tau|
+at k = 1, a closed form at k = 2, and one k x k SVD per width k > 2
+present.
 
 measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
@@ -147,7 +148,8 @@ def _flip_singular_values(x: np.ndarray) -> np.ndarray:
     """(n, 4) descending singular values of tau = x^T (sigma_y x sigma_y) x,
     the square roots of the eigenvalues of rho flip(rho), for each factor of
     an (n, 4, m) stack, taken at its width k (its last nonzero column plus
-    one; zero columns add nothing to x x^dag): k x k, or |tau| at k = 1."""
+    one; zero columns add nothing to x x^dag): |tau| at k = 1, the closed
+    form of _symmetric_2x2_singular_values at k = 2, one k x k SVD above."""
     n, _, m = x.shape
     width = m - np.argmax((x != 0).any(axis=1)[:, ::-1], axis=1)  # m where x = 0
     sig = np.zeros((n, max(m, 4)))
@@ -155,8 +157,28 @@ def _flip_singular_values(x: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(width == k)
         xk = x[idx, :, :k]
         tau = xk.transpose(0, 2, 1) @ (FLIP_SIGN[:, None] * xk[:, ::-1, :])
-        sig[idx, :k] = np.abs(tau[:, 0]) if k == 1 else np.linalg.svd(tau, compute_uv=False)
+        if k == 1:
+            sig[idx, 0] = np.abs(tau[:, 0, 0])
+        elif k == 2:
+            sig[idx, :2] = _symmetric_2x2_singular_values(tau)
+        else:
+            sig[idx, :k] = np.linalg.svd(tau, compute_uv=False)
     return sig[:, :4]  # tau has rank at most 4
+
+
+def _symmetric_2x2_singular_values(tau: np.ndarray) -> np.ndarray:
+    """(n, 2) descending singular values s1 >= s2 of each complex symmetric
+    tau = [[a, b], [b, d]] of an (n, 2, 2) stack, in closed form:
+    (s1 + s2)^2 = ||tau||_F^2 + 2 |det tau|, and s1 - s2 is the eigenvalue
+    gap hypot(|a|^2 - |d|^2, 2 |conj(a) b + conj(b) d|) of tau^dag tau over
+    s1 + s2, so both keep an absolute error of a few eps ||tau||, as an SVD
+    does; s1 - s2 is 0 where tau = 0."""
+    a, b, d = tau[:, 0, 0], tau[:, 0, 1], tau[:, 1, 1]
+    aa, bb, dd = (z.real * z.real + z.imag * z.imag for z in (a, b, d))
+    total = np.sqrt(aa + 2.0 * bb + dd + 2.0 * np.abs(a * d - b * b))
+    gap = np.hypot(aa - dd, 2.0 * np.abs(a.conj() * b + b.conj() * d))
+    diff = gap / np.where(total > 0.0, total, 1.0)  # the gap is 0 where the total is
+    return np.column_stack((total + diff, np.maximum(0.0, total - diff))) / 2.0
 
 
 def _bloch_length(red: np.ndarray) -> np.ndarray:

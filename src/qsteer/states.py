@@ -1,7 +1,7 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream versions 3 to 5 draw alike).  Each
-(seed, domain) pair keys one Philox4x64 generator; domains keep state
+Sampling is counter-based (stream versions 3 to 6 draw the same values).
+Each (seed, domain) pair keys one Philox4x64 generator; domains keep state
 draws, Haar unitaries and sweep parameters apart.  Record i of a domain
 owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
 step 9 i, so record i is reproducible without generating records 0..i-1,
@@ -35,7 +35,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
@@ -379,11 +379,11 @@ def open_uniforms(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _gaussians(blocks: np.ndarray) -> np.ndarray:
-    """(n, 16) standard complex normals from the first 32 words (Box-Muller)."""
-    u = open_uniforms(blocks[:, : 2 * N_GAUSS])
-    radius = np.sqrt(-2.0 * np.log(u[:, :N_GAUSS]))
-    angle = 2.0 * np.pi * u[:, N_GAUSS:]
+def _gaussians(radius_words: np.ndarray, angle_words: np.ndarray) -> np.ndarray:
+    """Standard complex normals by Box-Muller, one from each radius word and
+    the angle word at the same position of an equal-shaped array."""
+    radius = np.sqrt(-2.0 * np.log(open_uniforms(radius_words)))
+    angle = 2.0 * np.pi * open_uniforms(angle_words)
     z = np.empty(radius.shape, np.complex128)
     z.real = radius * np.cos(angle)
     z.imag = radius * np.sin(angle)
@@ -400,7 +400,9 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
 
     Record i is the state x x^dag of its factor x = G_k / ||G_k||_F, for the
     4x4 Ginibre matrix G of its block (row-major) with the columns from k on
-    set to zero: an (n, 4, 4) stack.  At k = 1 it is a Haar-random pure state
+    set to zero: an (n, 4, 4) stack.  Only the normals of the columns below
+    k are drawn, from the radius and angle words of their entries; the
+    columns from k on are +0.0.  At k = 1 it is a Haar-random pure state
     (Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).
     """
     if not (_is_int(start) and _is_int(stop)):
@@ -408,13 +410,17 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
     if not 0 <= start <= stop <= cfg.count:
         raise IndexOutOfRange(f"records [{start}, {stop}) outside [0, {cfg.count})")
     blocks = stream_block(cfg.seed, DOMAIN_STATE, start, stop)
-    g = _gaussians(blocks).reshape(-1, 4, 4)
-    n = g.shape[0]
+    n = blocks.shape[0]
     if cfg.ranks == "uniform":
         ranks = 1 + (blocks[:, RANK_WORD] >> np.uint64(62)).astype(np.int64)
     else:
         ranks = np.full(n, cfg.ranks, np.int64)
-    g *= (np.arange(4) < ranks[:, None])[:, None, :]
+    g = np.zeros((n, 4, 4), np.complex128)
+    for k in np.flatnonzero(np.bincount(ranks)):  # the ranks present
+        rows = np.flatnonzero(ranks == k)[:, None]
+        kept = (4 * np.arange(4)[:, None] + np.arange(k)).ravel()  # entries in columns below k
+        z = _gaussians(blocks[rows, kept], blocks[rows, N_GAUSS + kept])
+        g[rows[:, 0], :, :k] = z.reshape(-1, 4, k)
     parts = g.view(np.float64).reshape(n, 32)  # re, im of each entry
     g /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None, None]
     return g, ranks
@@ -432,7 +438,8 @@ def random_state(cfg: SamplerConfig, index: int) -> DensityMatrix:
 
 def random_unitaries(seed: int, start: int, stop: int) -> np.ndarray:
     """Haar-distributed 4x4 unitaries for records [start, stop) of ``seed``."""
-    z = _gaussians(stream_block(seed, DOMAIN_UNITARY, start, stop)).reshape(-1, 4, 4)
+    blocks = stream_block(seed, DOMAIN_UNITARY, start, stop)
+    z = _gaussians(blocks[:, :N_GAUSS], blocks[:, N_GAUSS : 2 * N_GAUSS]).reshape(-1, 4, 4)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]

@@ -8,14 +8,17 @@ measured, formatted or reduced that moves a single bit fails here.  The closed f
 Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
 np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
 with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.  The digests are those of stream version 5.  Version 3 took C
+last bit.  The digests are those of stream version 6.  Version 3 took C
 from the singular values of a factor's x^T (sigma_y x sigma_y) x, and S
 and the coherences in their exact forms; version 4 measures the sweeps'
 states from their exact factors too, so it moved only the channel-sweep
 bytes and verify's "stream" key.  Version 5 takes those singular values
 at each factor's own width, k x k for k nonzero columns and |x^T (sigma_y x
 sigma_y) x| at width 1, so it moved only the sample bytes and verify's
-"stream" key.
+"stream" key.  Version 6 takes the two singular values at width 2 in closed
+form, with no SVD, so it moved the sample bytes, the ad and pd
+channel-sweep bytes (their factors have width 2) and verify's "stream" key;
+its draws hold the same values as before.
 """
 
 import hashlib
@@ -27,13 +30,13 @@ from qsteer import cli, harness, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
-     "f42e49e14b73a7eef07f7e73b18cc209c4eb2d764ff875a33fff663797adab60"),
+     "31732347dd1515178cd9e4ff3a4d8b965a042c1a3ed8233a8d7f3e306f3b12df"),
     (["--family", "ad", "--theta-steps", "50", "--eta-steps", "50"],
-     "bfe9770945b2f4ba02f35029f25bbdf08f84450394f3f58c168cf84aaebb9884"),
+     "4e1723fc7ea5a21426eab3e0cd3da15e2e6fafbe87af30d7a65f505a508eb269"),
     (["--family", "pd", "--theta-steps", "8", "--eta-steps", "8"],
-     "5c89588bc84d1ec0ad65312c53a5a703eddb930488d9d98b9bf71c03085a2c3c"),
+     "fc8c387736bdbe3f6b5aed7ae5c798c401d782fe6c21155840e1bd9514218e7a"),
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
-     "4e706a1b65af00c228d95fd0302557cf939192a600ac17e8e02f96c833976591"),
+     "88a399a8b7983b59e8bccb76263989b275e7588c1950ea639987360d885732ce"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
      "e586f5651afde25f522216d8f758edacf8d944ff767a8772281dd9a1b18a81b6"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
@@ -54,11 +57,11 @@ SCAN_GOLDEN = [
 # sample runs: (argv, digest of the CSV); verify runs: (argv, digest of stdout)
 SAMPLE_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "fedb1ed7ba2f1816f1ca6d97fb809cdcf64be30d7dcae8adae3a869da725092b"),
+     "f1d11a5800d0712ad5228c39729b5cb247286e04c94173a9929a9b5d2e3d204b"),
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "fa287e3dd6b2fbd7763f6e993188c3c4c41fd5fc5f42a7e09088541bb708b636"),
+     "16c1051e5713d686cbca6d1abdbe59daede3aea18cb711455dc8fb213dc4e67a"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering

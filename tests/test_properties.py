@@ -52,9 +52,9 @@ INVARIANTS = {
 
 
 @st.composite
-def factors(draw):
-    """G / ||G||_F for a 4 x k complex G, k = 1..4."""
-    k = draw(st.integers(1, 4))
+def factors(draw, widths=(1, 4)):
+    """G / ||G||_F for a 4 x k complex G, k = 1..4 or in the range widths."""
+    k = draw(st.integers(*widths))
     parts = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
                           min_size=8 * k, max_size=8 * k))
     g = (np.array(parts[: 4 * k]) + 1j * np.array(parts[4 * k :])).reshape(4, k)
@@ -116,6 +116,59 @@ def test_the_exact_factor_measures_c_at_a_rank_drop(u):
     x[3, 1] = np.sqrt(1.0 / 3.0)
     rows = batch.measure_factors((u @ x)[None])
     assert abs(rows[0, batch.COL_C] - 2.0 / 3.0) <= TOL, rows[0, batch.COL_C]
+
+
+def _assert_two_singular_values(x):
+    """The closed-form singular values of the 2 x 2 tau of each factor of an
+    (n, 4, 2) stack match an SVD, ||tau||_F^2 as a sum of squares and
+    |det tau| as a product, each within 8 eps of ||tau||_F or its square."""
+    tau = x.transpose(0, 2, 1) @ (batch.FLIP_SIGN[:, None] * x[:, ::-1, :])
+    sig = batch._symmetric_2x2_singular_values(tau)
+    norm = np.linalg.norm(tau, axis=(1, 2))
+    tol = 8.0 * np.finfo(float).eps
+    assert (sig[:, 0] >= sig[:, 1]).all() and (sig[:, 1] >= 0.0).all(), sig
+    svd = np.linalg.svd(tau, compute_uv=False)
+    assert (np.abs(sig - svd) <= tol * norm[:, None]).all(), (sig, svd)
+    assert (np.abs((sig * sig).sum(axis=1) - norm**2) <= tol * norm**2).all(), (sig, norm)
+    det = np.abs(np.linalg.det(tau))
+    assert (np.abs(sig[:, 0] * sig[:, 1] - det) <= tol * norm**2).all(), (sig, det)
+    return sig
+
+
+@PROPERTIES
+@given(x=factors(widths=(2, 2)))
+def test_the_closed_form_takes_the_two_singular_values(x):
+    _assert_two_singular_values(x[None])
+
+
+PHI_PLUS, PHI_MINUS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("columns, conc", [
+    ((np.eye(4)[0], np.eye(4)[1]), 0.0),  # |00>, |01>: a product state, tau = 0
+    ((np.eye(4)[0], np.eye(4)[3]), 0.0),  # (|00><00| + |11><11|) / 2
+    ((PHI_PLUS, PHI_MINUS), 0.0),  # the Bell-diagonal state at w = 1/2
+], ids=["tau-zero", "00-11", "bell-diagonal"])
+def test_the_closed_form_at_a_zero_or_double_singular_value(columns, conc):
+    # both columns nonzero, so the factor has width 2 and takes the closed
+    # form; equal singular values give C = 0 exactly
+    x = np.stack(columns, axis=1)[None] / np.sqrt(2.0)
+    sig = _assert_two_singular_values(x)
+    assert sig[0, 0] == sig[0, 1]
+    assert batch.measure_factors(x)[0, batch.COL_C] == conc
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12, 1e-150])
+def test_the_closed_form_of_a_pure_state_plus_a_tiny_column(delta):
+    # s2 is of order delta^2 / s1, at most a few eps past delta = 1e-8:
+    # both keep an absolute error of a few eps, and so does C = s1 - s2
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((50, 4, 2)) + 1j * rng.standard_normal((50, 4, 2))
+    g[:, :, 1] *= delta
+    x = g / np.sqrt((np.abs(g) ** 2).sum(axis=(1, 2)))[:, None, None]
+    sig = _assert_two_singular_values(x)
+    conc = batch.measure_factors(x)[:, batch.COL_C]
+    assert np.abs(conc - (sig[:, 0] - sig[:, 1])).max() <= 4.0 * np.finfo(float).eps
 
 
 @PROPERTIES

@@ -350,19 +350,22 @@ def test_draws_are_deterministic_and_chunk_independent():
 # the rank bits or the normalisation of the factors changes these digests
 # and has to be made on purpose.  The factors pass through numpy's
 # log/cos/sin; the digests were taken with numpy 2.4 on x86-64 (AVX-512),
-# and other SIMD kernels may differ in the last bit.
+# and other SIMD kernels may differ in the last bit.  Since stream version
+# 6 the columns at or past a record's rank are never drawn and hold +0.0;
+# before, the masked normals left -0.0 where they were negative, the only
+# bytes that moved.
 STREAM_GOLDEN = [
     (("ginibre", "uniform", 7, 0, 64),
-     "5dbb6a488bec85b30d297c1f7f344523ab171a45d9dceeacadd35e4b1afb68db"),
+     "02df7169517826cc2deeec3a65a43aa7ed309732b59de8f211c52b7e0d979cf1"),
     (("ginibre", 3, 2**64 - 1, 4093, 4101),
-     "cb97afc844c756af5237c7ec59339ae05be84b78a1d2813684c5d7589f5c29fb"),
+     "a176bcb6ec34b5fb73281ab25a78098c1cebd07ba06883c5ced68781d8204fa5"),
 ]
 
 
 @pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
                          ids=["ginibre-uniform", "ginibre-rank3-max-seed"])
 def test_stream_golden_digests(plan, digest):
-    assert states.STREAM_VERSION == 5
+    assert states.STREAM_VERSION == 6
     measure, ranks, seed, start, stop = plan
     cfg = states.SamplerConfig(measure, ranks, seed=seed, count=stop)
     x, ks = states.draw_matrices(cfg, start, stop)
@@ -384,6 +387,34 @@ def test_stream_block_layout():
                               raw[:36].reshape(1, 36))
     u = states.open_uniforms(np.array([0, 2**11 - 1, 2**64 - 1], np.uint64))
     assert u[0] == u[1] == 2.0**-54 and u[2] == 1.0
+
+
+@pytest.mark.parametrize("policy", ["uniform", 1, 2, 3, 4])
+def test_draws_equal_the_masked_draw_of_all_sixteen_normals(policy):
+    # the reference draws all 16 normals of each record by Box-Muller and
+    # zeroes the columns from its rank on; draw_matrices draws only the
+    # columns below the rank, bit for bit the same there, and +0.0 past it
+    start, stop = harness.CHUNK - 40, harness.CHUNK + 40
+    cfg = states.SamplerConfig("ginibre", policy, seed=31, count=stop)
+    x, ranks = states.draw_matrices(cfg, start, stop)
+    blocks = states.stream_block(31, states.DOMAIN_STATE, start, stop)
+    u = states.open_uniforms(blocks[:, :32])
+    radius, angle = np.sqrt(-2.0 * np.log(u[:, :16])), 2.0 * np.pi * u[:, 16:]
+    g = np.empty(radius.shape, np.complex128)
+    g.real, g.imag = radius * np.cos(angle), radius * np.sin(angle)
+    g = g.reshape(-1, 4, 4)
+    if policy == "uniform":
+        assert np.array_equal(ranks, 1 + (blocks[:, 32] >> np.uint64(62)).astype(np.int64))
+        assert set(ranks.tolist()) == {1, 2, 3, 4}
+    else:
+        assert (ranks == policy).all()
+    kept = np.broadcast_to(np.arange(4) < ranks[:, None, None], g.shape)
+    g *= kept
+    parts = g.view(np.float64).reshape(-1, 32)  # the normalisation of the draw
+    g /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None, None]
+    assert np.array_equal(x[kept].view(np.uint64), g[kept].view(np.uint64))
+    padded = x[~kept].view(np.float64)
+    assert (padded == 0.0).all() and not np.signbit(padded).any()
 
 
 @pytest.mark.parametrize("policy", ["uniform", 1], ids=["ginibre", "ginibre-rank1"])
