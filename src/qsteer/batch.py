@@ -2,13 +2,17 @@
 
 One kernel measures every state: _measure(x, rhos) takes a stack of
 factors x, each with rhos = x x^dag, and returns an (n, 13) float64 table
-with the column layout below, vectorized over the whole stack with LAPACK.
-Purity, the correlation matrix T and the marginals are read from rhos; C
-and the flip-product eigenvalues come from the singular values of the
-symmetric matrices x^T (sigma_y x sigma_y) x (Wootters, PRL 80, 2245
-(1998)), which stay accurate at zero, at each factor's own width k: |tau|
-at k = 1, a closed form at k = 2, and one k x k SVD per width k > 2
-present.
+with the column layout below, vectorized over the whole stack.  Purity,
+the correlation matrix T and the marginals are read from the entries of
+rhos; C and the flip-product eigenvalues come from the singular values of
+the symmetric matrices tau = x^T (sigma_y x sigma_y) x (Wootters, PRL 80,
+2245 (1998)), which stay accurate at zero, at each factor's own width k:
+|tau| at k = 1, a closed form at k = 2, and one LAPACK k x k SVD per width
+k > 2 present.  Nothing else calls BLAS or LAPACK: tau and T are sums of
+elementwise products, where a stacked matmul of tiny matrices would make
+one BLAS call per matrix.  Each row depends only on its own state, summed
+in the same order at any stack size, so a state gets the same bits alone
+as in a chunk.
 
 measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
@@ -55,13 +59,43 @@ PAULI_PAIRS = np.stack(
 FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
-def correlation_matrices(rhos: np.ndarray) -> np.ndarray:
+def _pauli_gather():
+    """T as a gather: each sigma_m x sigma_l has four nonzero entries P[b, a],
+    each +-1 or +-i, and Re(rho[a, b] P[b, a]) is P[b, a] Re rho[a, b] for a
+    real entry and -Im(P[b, a]) Im rho[a, b] for an imaginary one.  Column p
+    of the (4, 9) index holds the positions of those parts in the float view
+    of rho (re, im of each entry, row-major), in (a, b) order, and the signs
+    their signs, so T[:, p] = sum_j sign[j, p] view[:, index[j, p]]."""
+    p, a, b = np.nonzero(PAULI_PAIRS.transpose(0, 2, 1))  # P[b, a] != 0
+    entries = PAULI_PAIRS[p, b, a]
+    index = 2 * (4 * a + b) + (entries.imag != 0.0)
+    return index.reshape(9, 4).T, (entries.real - entries.imag).reshape(9, 4).T
+
+
+PAULI_INDEX, PAULI_SIGN = _pauli_gather()
+
+
+def _float_view(rhos: np.ndarray) -> np.ndarray:
+    """The (n, 32) re, im parts of each entry of an (n, 4, 4) stack, row-major."""
+    rhos = np.ascontiguousarray(rhos, dtype=np.complex128)
+    return rhos.view(np.float64).reshape(rhos.shape[0], 32)
+
+
+def _correlations(parts: np.ndarray) -> np.ndarray:
+    """(n, 9) T entries, row-major in (m, l), of the _float_view parts of a stack."""
+    terms = parts[:, PAULI_INDEX]
+    terms *= PAULI_SIGN
+    return terms.sum(axis=1)
+
+
+def correlation_matrices(rhos) -> np.ndarray:
     """T[k, m, n] = Re tr(rho_k (sigma_m x sigma_n)) for an (n, 4, 4) stack.
 
-    An einsum, not one (n, 16) x (16, 9) BLAS product: that product is big
-    enough for OpenBLAS to start its threads, which then spin in every forked
-    worker of the chunk pool; on two CPUs verify ran 1.2 s against 0.75 s."""
-    return np.einsum("kab,pba->kp", rhos, PAULI_PAIRS).real.reshape(-1, 3, 3)
+    A fixed gather of the 36 nonzero terms, not an (n, 16) x (16, 9) BLAS
+    product: that product is big enough for OpenBLAS to start its threads,
+    which then spin in every forked worker of the chunk pool; on two CPUs
+    verify ran 1.2 s against 0.75 s."""
+    return _correlations(_float_view(rhos)).reshape(-1, 3, 3)
 
 
 def correlation_singular_values(tmats: np.ndarray) -> np.ndarray:
@@ -86,8 +120,10 @@ def measure_factors(x) -> np.ndarray:
     x = _complex_array(x, "factors")
     if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] < 1:
         raise ValidationError(f"factors must have shape (n, 4, m), got {x.shape}")
+    x = np.ascontiguousarray(x)
+    parts = x.view(np.float64).reshape(x.shape[0], 8 * x.shape[2])
     with np.errstate(over="ignore"):  # an inf norm fails the check below
-        norm_dev = np.abs((x.real * x.real + x.imag * x.imag).sum(axis=(1, 2)) - 1.0)
+        norm_dev = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)
     if not (norm_dev <= TRACE_TOL).all():  # a non-finite factor fails this too
         finite = np.isfinite(x).all(axis=(1, 2))
         _raise_first((
@@ -121,23 +157,25 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
     sig = _flip_singular_values(x)
     conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
-    tmat = correlation_matrices(rhos)
-    f2 = np.einsum("kij,kij->k", tmat, tmat)
+    parts = _float_view(rhos)
+    # running sums of T's squares, each row summed in its own fixed order:
+    # entry 8 is F^2, entry 7 leaves out the (z, z) term
+    t2 = np.cumsum(np.square(_correlations(parts)), axis=1)
     # F^2 - 1 without the cancellation at F = 1: T_zz^2 - (tr rho)^2 is
     # -4 (rho00 + rho33)(rho11 + rho22), so the (z, z) term drops out
-    tflat = tmat.reshape(n, 9)[:, :8]
-    diag = np.einsum("kii->ki", rhos).real
-    f2m1 = (np.einsum("ki,ki->k", tflat, tflat)
-            - 4.0 * (diag[:, 0] + diag[:, 3]) * (diag[:, 1] + diag[:, 2]))
-    r5 = rhos.reshape(n, 2, 2, 2, 2)
+    d0, d1, d2, d3 = parts[:, 0:32:10].T  # Re rho_ii
+    f2m1 = t2[:, 7] - 4.0 * (d0 + d3) * (d1 + d2)
     out[:, COL_PURITY] = pur
     out[:, COL_C] = conc
-    out[:, COL_F] = np.sqrt(f2)
+    out[:, COL_F] = np.sqrt(t2[:, 8])
     out[:, COL_S] = np.sqrt(0.5 * np.maximum(0.0, f2m1))
     out[:, COL_Q] = np.sqrt(conc * conc + pur)
-    # the coherences are Bloch-vector lengths, exact 0 at a maximally mixed qubit
-    out[:, COL_DA] = _bloch_length(np.einsum("kabcb->kac", r5))
-    out[:, COL_DB] = _bloch_length(np.einsum("kabac->kbc", r5))
+    # the coherences are Bloch-vector lengths, exact 0 at a maximally mixed
+    # qubit, from the entries of each reduced state: rho_A = tr_B rho has
+    # diagonal (rho00 + rho11, rho22 + rho33) and off-diagonal rho02 + rho13,
+    # rho_B = tr_A rho has (rho00 + rho22, rho11 + rho33) and rho01 + rho23
+    out[:, COL_DA] = _bloch_length((d0 + d1) - (d2 + d3), parts[:, 4:6] + parts[:, 14:16])
+    out[:, COL_DB] = _bloch_length((d0 + d2) - (d1 + d3), parts[:, 2:4] + parts[:, 22:24])
     out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
     out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
     out[:, COL_L1 : COL_L4 + 1] = sig * sig
@@ -149,14 +187,19 @@ def _flip_singular_values(x: np.ndarray) -> np.ndarray:
     the square roots of the eigenvalues of rho flip(rho), for each factor of
     an (n, 4, m) stack, taken at its width k (its last nonzero column plus
     one; zero columns add nothing to x x^dag): |tau| at k = 1, the closed
-    form of _symmetric_2x2_singular_values at k = 2, one k x k SVD above."""
+    form of _symmetric_2x2_singular_values at k = 2, one k x k SVD above.
+
+    With x_a the row a of x, tau = a + a^T for a = x_1 (x) x_2 - x_0 (x) x_3,
+    outer products taken elementwise: a stacked (n, k, 4) @ (n, 4, k) product
+    would make one tiny BLAS call per factor."""
     n, _, m = x.shape
     width = m - np.argmax((x != 0).any(axis=1)[:, ::-1], axis=1)  # m where x = 0
     sig = np.zeros((n, max(m, 4)))
     for k in np.flatnonzero(np.bincount(width)):  # the widths present
         idx = np.flatnonzero(width == k)
         xk = x[idx, :, :k]
-        tau = xk.transpose(0, 2, 1) @ (FLIP_SIGN[:, None] * xk[:, ::-1, :])
+        a = xk[:, 1, :, None] * xk[:, 2, None, :] - xk[:, 0, :, None] * xk[:, 3, None, :]
+        tau = a + a.transpose(0, 2, 1)
         if k == 1:
             sig[idx, 0] = np.abs(tau[:, 0, 0])
         elif k == 2:
@@ -181,8 +224,8 @@ def _symmetric_2x2_singular_values(tau: np.ndarray) -> np.ndarray:
     return np.column_stack((total + diff, np.maximum(0.0, total - diff))) / 2.0
 
 
-def _bloch_length(red: np.ndarray) -> np.ndarray:
-    """sqrt((r00 - r11)^2 + 4 |r01|^2) for each 2x2 matrix of a stack."""
-    z = (red[:, 0, 0] - red[:, 1, 1]).real
-    off = red[:, 0, 1]
-    return np.sqrt(z * z + 4.0 * (off.real * off.real + off.imag * off.imag))
+def _bloch_length(z: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """sqrt(z^2 + 4 |off|^2) of a 2x2 Hermitian matrix's diagonal difference
+    z = r00 - r11 and (n, 2) re, im parts of its off-diagonal entry r01."""
+    re, im = off.T
+    return np.sqrt(z * z + 4.0 * (re * re + im * im))

@@ -160,7 +160,8 @@ def _ahead(fn, args, workers: int):
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_keep_heap)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -175,6 +176,30 @@ def _ahead(fn, args, workers: int):
             yield window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# glibc's mallopt parameter M_TOP_PAD, and the pad a pool worker keeps
+M_TOP_PAD = -2
+TOP_PAD = 16 << 20
+
+
+def _keep_heap() -> None:
+    """Pool-worker initializer: have glibc keep TOP_PAD bytes, more than one
+    chunk's temporaries, at the top of the heap when it trims, so that the
+    next chunk reuses what a chunk frees rather than fault it in again.
+
+    One call: on verify --count 100000 at 2 workers the workers took about
+    12k minor page faults with the pad alone, as many as with both the trim
+    and the mmap threshold set (64 and 32 MiB), 25k with the trim threshold
+    alone and 40k with neither.  A C library without mallopt (musl, macOS)
+    keeps its own allocator."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt(M_TOP_PAD, TOP_PAD)
 
 
 def bound_margins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

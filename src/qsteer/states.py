@@ -1,6 +1,6 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream versions 3 to 6 draw the same values).
+Sampling is counter-based (stream versions 3 to 7 draw the same values).
 Each (seed, domain) pair keys one Philox4x64 generator; domains keep state
 draws, Haar unitaries and sweep parameters apart.  Record i of a domain
 owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
@@ -35,7 +35,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3
@@ -417,10 +417,10 @@ def draw_matrices(cfg: SamplerConfig, start: int, stop: int) -> tuple[np.ndarray
         ranks = np.full(n, cfg.ranks, np.int64)
     g = np.zeros((n, 4, 4), np.complex128)
     for k in np.flatnonzero(np.bincount(ranks)):  # the ranks present
-        rows = np.flatnonzero(ranks == k)[:, None]
-        kept = (4 * np.arange(4)[:, None] + np.arange(k)).ravel()  # entries in columns below k
-        z = _gaussians(blocks[rows, kept], blocks[rows, N_GAUSS + kept])
-        g[rows[:, 0], :, :k] = z.reshape(-1, 4, k)
+        rows = np.flatnonzero(ranks == k)
+        # the radius and angle words of the entries in columns below k
+        words = blocks[rows, : 2 * N_GAUSS].reshape(-1, 2, 4, 4)[..., :k]
+        g[rows, :, :k] = _gaussians(words[:, 0], words[:, 1])
     parts = g.view(np.float64).reshape(n, 32)  # re, im of each entry
     g /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None, None]
     return g, ranks

@@ -8,7 +8,7 @@ measured, formatted or reduced that moves a single bit fails here.  The closed f
 Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
 np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
 with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.  The digests are those of stream version 6.  Version 3 took C
+last bit.  The digests are those of stream version 7.  Version 3 took C
 from the singular values of a factor's x^T (sigma_y x sigma_y) x, and S
 and the coherences in their exact forms; version 4 measures the sweeps'
 states from their exact factors too, so it moved only the channel-sweep
@@ -18,7 +18,12 @@ sigma_y) x| at width 1, so it moved only the sample bytes and verify's
 "stream" key.  Version 6 takes the two singular values at width 2 in closed
 form, with no SVD, so it moved the sample bytes, the ad and pd
 channel-sweep bytes (their factors have width 2) and verify's "stream" key;
-its draws hold the same values as before.
+its draws hold the same values as before.  Version 7 forms each tau from
+outer products of the factor's rows, with no BLAS call per factor, so C and
+what is derived from it (Q, both bounds, the flip eigenvalues) moved by at
+most 6.7e-16: it moved the sample bytes, the wu channel-sweep bytes, the
+analyze reports and verify's bytes; purity, F, S, the coherences, the
+ad and pd sweeps and the draws kept theirs.
 """
 
 import hashlib
@@ -38,9 +43,9 @@ SWEEP_GOLDEN = [
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
      "88a399a8b7983b59e8bccb76263989b275e7588c1950ea639987360d885732ce"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
-     "e586f5651afde25f522216d8f758edacf8d944ff767a8772281dd9a1b18a81b6"),
+     "0319f3ac52624aa507dc5c191fc6f7a7c8c1d12763121cb6a61b14062ec29553"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
-     "5aa78f00cce9afe2f099429531a3f7f41ab72766abce18a546047a533c38641d"),
+     "1b60e976290c09d67f02026e31f62f4e44bba3726a0743a4e2dde7672b69d053"),
 ]
 
 # (grid, digests of region.csv, region_boundary.csv, region_werner.csv)
@@ -57,18 +62,18 @@ SCAN_GOLDEN = [
 # sample runs: (argv, digest of the CSV); verify runs: (argv, digest of stdout)
 SAMPLE_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "f1d11a5800d0712ad5228c39729b5cb247286e04c94173a9929a9b5d2e3d204b"),
+     "8472365f9a511d0a323b1793643f1ea7b993347f6008e35ee962ae514712ecff"),
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "16c1051e5713d686cbca6d1abdbe59daede3aea18cb711455dc8fb213dc4e67a"),
+     "dde9a47f57ba5a53ad3ae99baa33e88e94b63846dcc2f2c232811c8e3ac61fe5"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering
 # tests fire: (format, digest of the report)
 ANALYZE_GOLDEN = [
-    ("table", "f8d6ba4e8f23ca4ef996dfb049a17c96b5a10fd0b0633f9663e7b45fe4474b1f"),
-    ("json", "f44b45cd0e629f8953956e4946028554a2973af61719dbc42504e82a1053aa74"),
+    ("table", "d4af14d9d059b4ceba8546092dab74986d0af9fc04c581124723e99546563af7"),
+    ("json", "0d5860dc618ccafe09995fcac1b3d30e137305dc30b9836e659a038a99bbe503"),
 ]
 
 

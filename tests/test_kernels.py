@@ -287,6 +287,38 @@ def test_drawn_states_are_measured_with_no_eigensolver(command, monkeypatch, tmp
     assert solves == []
 
 
+def mixed_width_factors(seed, n, m):
+    """n random (4, m) factors of unit norm whose widths run through 1..m:
+    row i keeps its first i % m + 1 columns."""
+    x = random_factors(seed, n, m)
+    x = np.where(np.arange(m) > (np.arange(n) % m)[:, None, None], 0.0, x)
+    return x / np.sqrt((np.abs(x) ** 2).sum(axis=(1, 2)))[:, None, None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_each_row_depends_only_on_its_own_state(m):
+    # a record measured in a chunk, on its own (analyze, report) or in any
+    # other chunk gets the same bits: a kernel whose sums change order with
+    # the stack's size or layout would move F and S of a lone record
+    x = mixed_width_factors(13, 11, m)
+    rhos = states.gram(x)
+    stacked = (batch.measure_factors(x), batch.measure_rows(rhos), batch.correlation_matrices(rhos))
+    for i in range(len(x)):
+        alone = (batch.measure_factors(x[i : i + 1]), batch.measure_rows(rhos[i : i + 1]),
+                 batch.correlation_matrices(rhos[i : i + 1]))
+        for whole, one in zip(stacked, alone):
+            assert np.array_equal(whole[i], one[0]), (i, whole[i], one[0])
+
+
+def test_correlation_matrices_take_any_stack_layout():
+    # a real stack and views that are not C-contiguous give T of the
+    # Pauli-product einsum to the bit
+    rhos = random_rhos(14, 12)
+    for stack in (rhos, rhos.real, rhos[::2], rhos.transpose(0, 2, 1), np.asfortranarray(rhos)):
+        want = np.einsum("kab,pba->kp", stack, batch.PAULI_PAIRS).real.reshape(-1, 3, 3)
+        assert np.array_equal(batch.correlation_matrices(stack), want)
+
+
 @pytest.mark.parametrize("ranks, widths", [
     ("uniform", [3, 4]), (1, []), (2, []), (4, [4]),
 ], ids=["uniform", "rank-1", "rank-2", "rank-4"])

@@ -322,6 +322,68 @@ def test_without_fork_sample_runs_on_threads(monkeypatch, tmp_path):
     assert submitted == [0, CHUNK, 2 * CHUNK]
 
 
+def _chunk_faults(cfg, start, stop):
+    """The minor page faults this process takes to draw and measure one chunk."""
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness.scatter_table(cfg, start, stop)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and _has_mallopt()),
+                    reason="needs os.fork and glibc's mallopt")
+def test_pool_workers_keep_their_heap_across_chunks():
+    # one worker runs all 16 chunks.  They are of one rank, so each chunk
+    # makes temporaries of the same sizes and a worker that keeps its heap
+    # touches no new page after the first few; one that hands each chunk's
+    # freed temporaries back to the OS faults about 500 in again per chunk
+    cfg = SamplerConfig("ginibre", 3, seed=19, count=16 * CHUNK)
+    args = ((cfg, start, start + CHUNK) for start in range(0, cfg.count, CHUNK))
+    faults = list(harness._ahead(_chunk_faults, args, 1))
+    assert len(faults) == 16 and max(faults[4:]) < 50, faults
+
+
+@pytest.mark.parametrize("missing", [AttributeError, OSError])
+def test_the_worker_initializer_passes_over_a_libc_without_mallopt(missing, monkeypatch):
+    import ctypes
+
+    class NoMallopt:
+        def __init__(self, name):
+            if missing is OSError:
+                raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    assert harness._keep_heap() is None
+
+
+def test_only_forked_workers_change_the_allocator(monkeypatch, tmp_path):
+    # the calling process keeps its allocator at one worker, for a plan of
+    # one chunk and on the thread fallback: an initializer run there raises
+    parent = os.getpid()
+
+    def keep_heap():
+        assert os.getpid() != parent, "the calling process changed its allocator"
+
+    monkeypatch.setattr(harness, "_keep_heap", keep_heap)
+    cfg = SamplerConfig("ginibre", "uniform", seed=20, count=2 * CHUNK + 7)
+    small = SamplerConfig("ginibre", "uniform", seed=20, count=CHUNK)
+    want = harness.run_falsification(cfg, workers=1)
+    assert harness.run_falsification(small, workers=2).checked == CHUNK
+    assert harness.run_falsification(cfg, workers=2) == want
+    monkeypatch.delattr(os, "fork")
+    assert harness.run_falsification(cfg, workers=2) == want
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
     argv = _argv(command, 3 * CHUNK, 18, 2, tmp_path / "out")
