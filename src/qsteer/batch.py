@@ -54,10 +54,6 @@ PAULI_PAIRS = np.stack(
     [np.kron(SIGMA[m], SIGMA[l]) for m in range(3) for l in range(3)]
 )
 
-# sigma_y x sigma_y is anti-diagonal: entry j of (sigma_y x sigma_y) a is
-# FLIP_SIGN[j] a[3 - j], for a vector a or (row-wise) a 4-row matrix
-FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
-
 
 def _pauli_gather():
     """T as a gather: each sigma_m x sigma_l has four nonzero entries P[b, a],

@@ -88,7 +88,7 @@ def _analyze(args) -> int:
         raise ValidationError(f"state file is not valid UTF-8 JSON: {exc}") from None
     rho = state_from_json(obj)
     rep = measures.report(rho)
-    lower_fires = rep.concurrence**2 + rep.purity > 1.0
+    lower_fires = rep.lower_bound > 0.0
     if args.format == "json":
         payload = rep.as_dict()
         payload["steering_by_lower_bound"] = bool(lower_fires)
@@ -104,7 +104,7 @@ def _analyze(args) -> int:
         if lower_fires:
             lines.append(
                 f"{'steering (C,purity)':<22}yes (C^2 + purity - 1 = "
-                f"{rep.concurrence**2 + rep.purity - 1.0!r} > 0)"
+                f"{rep.concurrence * rep.concurrence + rep.purity - 1.0!r} > 0)"
             )
         else:
             lines.append(f"{'steering (C,purity)':<22}no (C^2 + purity <= 1)")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsteer import states
+from qsteer import measures, states
 from qsteer.cli import main
 from qsteer.errors import ParameterOutOfRange
 
@@ -66,6 +66,18 @@ def test_analyze_table_says_no_for_the_maximally_mixed_state(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "steering (C,purity)   no (C^2 + purity <= 1)" in lines
     assert "steering (S > 0)      no (S = 0)" in lines
+
+
+def test_analyze_prints_the_lower_bound_argument_as_the_kernel_forms_it(tmp_path, capsys):
+    # record 9985 of this plan has c**2 + p - 1 != c * c + p - 1: the line
+    # shows the kernel's product form, whose sign is the verdict's
+    rho = states.random_state(states.SamplerConfig("ginibre", 2, seed=3, count=9986), 9985)
+    rep = measures.report(rho)
+    c, p = rep.concurrence, rep.purity
+    assert c**2 + p - 1.0 != c * c + p - 1.0
+    assert main(["analyze", "--in", write_state(tmp_path / "state.json", rho)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"steering (C,purity)   yes (C^2 + purity - 1 = {c * c + p - 1.0!r} > 0)" in lines
 
 
 def test_analyze_separable_json(tmp_path, capsys):
@@ -265,7 +277,7 @@ def test_verify_clean_run(tmp_path, capsys):
     assert payload["worst_margin_lower"] > -1e-9
     assert payload["worst_margin_upper"] > -1e-9
     assert payload["seed"] == 6
-    assert payload["stream"] == 7
+    assert payload["stream"] == 8
     assert out.read_text() == captured
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
-from qsteer import batch, harness, measures, states
+from qsteer import harness, measures, states
 from qsteer.errors import ParameterOutOfRange, ValidationError
+
+from conftest import SIGMA_YY
 
 
 def test_ad_sweep_small_grid():
@@ -173,13 +176,13 @@ def test_array_wu_closed_forms_equal_the_scalar_calls_bit_for_bit():
     assert table.closed.tobytes() == array.tobytes()
 
 
-def test_concurrence_pure_on_a_stack_equals_vdot_per_row_bit_for_bit():
+def test_concurrence_pure_on_a_stack_equals_the_flip_overlap_and_the_one_row_calls():
     _, phis = _wu_inputs(0, 1000)
-    want = [abs(np.vdot(a, batch.FLIP_SIGN * a[::-1].conj())) for a in phis]
+    want = np.array([abs(np.vdot(a, SIGMA_YY @ a.conj())) for a in phis])
     got = measures.concurrence_pure(phis)
     assert got.shape == (1000,)
-    assert got.tobytes() == np.array(want).tobytes()
-    assert [measures.concurrence_pure(a) for a in phis[:50]] == want[:50]
+    assert np.abs(got - want).max() <= 2.0 * np.finfo(float).eps
+    assert [measures.concurrence_pure(a) for a in phis] == got.tolist()
     assert type(measures.concurrence_pure(phis[0])) is float
 
 
@@ -201,6 +204,10 @@ def test_closed_forms_broadcast_a_scalar_and_reject_a_length_mismatch():
 
 # numpy's AVX-512 kernels, switched off in the child below
 AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+NO_AVX512 = pytest.mark.skipif(not any(__cpu_features__.get(f) for f in AVX512_FEATURES),
+                               reason="this host has no AVX-512 to switch off")
+OPENBLAS_X86 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                                  reason="OpenBLAS core types are x86-64 kernels")
 
 # evaluates the closed forms on the sweep inputs in argv[1] and saves them to argv[2]
 CLOSED_FORMS_CHILD = """
@@ -215,16 +222,20 @@ with np.load(sys.argv[1]) as d:
 """
 
 
-@pytest.mark.skipif(not any(__cpu_features__.get(f) for f in AVX512_FEATURES),
-                    reason="this host has no AVX-512 to switch off")
-def test_closed_forms_do_not_depend_on_the_simd_level(tmp_path):
+@pytest.mark.parametrize("child_env", [
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FEATURES)},
+                 marks=NO_AVX512, id="avx512-off"),
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, marks=OPENBLAS_X86, id="openblas-haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, marks=OPENBLAS_X86, id="openblas-prescott"),
+])
+def test_closed_forms_do_not_depend_on_the_host_kernels(child_env, tmp_path):
     # the child gets this process's inputs: the wu draw itself goes through
-    # np.log, whose AVX-512 kernel rounds differently
+    # np.log, whose AVX-512 kernel rounds differently, and the unitaries through QR
     thetas, etas = _grid()
     ps, phis = _wu_inputs(0, 1000)
     np.savez(tmp_path / "inputs.npz", theta=thetas, eta=etas, p=ps, phi=phis)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-           "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FEATURES)}
+           **child_env}
     proc = subprocess.run([sys.executable, "-c", CLOSED_FORMS_CHILD, str(tmp_path / "inputs.npz"),
                            str(tmp_path / "closed.npz")],
                           env=env, capture_output=True, text=True, timeout=120)

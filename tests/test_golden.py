@@ -4,26 +4,14 @@ outputs.
 The sweeps and the scan are built as arrays, and sample and verify stream
 the plan chunk by chunk; these digests pin their output bytes across
 commits, so a change to how the stacks are drawn, built, validated,
-measured, formatted or reduced that moves a single bit fails here.  The closed forms and the
-Bell-like amplitudes pass through numpy's sin/cos/sqrt, libm pow (through
-np.float_power), hypot and the BLAS dot of np.vdot; the digests were taken
-with numpy 2.4 on x86-64 (AVX-512), and other SIMD kernels may differ in the
-last bit.  The digests are those of stream version 7.  Version 3 took C
-from the singular values of a factor's x^T (sigma_y x sigma_y) x, and S
-and the coherences in their exact forms; version 4 measures the sweeps'
-states from their exact factors too, so it moved only the channel-sweep
-bytes and verify's "stream" key.  Version 5 takes those singular values
-at each factor's own width, k x k for k nonzero columns and |x^T (sigma_y x
-sigma_y) x| at width 1, so it moved only the sample bytes and verify's
-"stream" key.  Version 6 takes the two singular values at width 2 in closed
-form, with no SVD, so it moved the sample bytes, the ad and pd
-channel-sweep bytes (their factors have width 2) and verify's "stream" key;
-its draws hold the same values as before.  Version 7 forms each tau from
-outer products of the factor's rows, with no BLAS call per factor, so C and
-what is derived from it (Q, both bounds, the flip eigenvalues) moved by at
-most 6.7e-16: it moved the sample bytes, the wu channel-sweep bytes, the
-analyze reports and verify's bytes; purity, F, S, the coherences, the
-ad and pd sweeps and the draws kept theirs.
+measured, formatted or reduced that moves a single bit fails here.  The
+closed forms pass through numpy's sin, cos, sqrt and hypot and plain
+products, with no BLAS call; the wu sweep's unitaries (QR), the Gram
+matrices and the SVDs of the measured columns go through OpenBLAS and
+LAPACK.  The digests were taken with numpy 2.4 on x86-64
+(AVX-512, OpenBLAS SkylakeX kernels), and other SIMD or BLAS kernels may
+differ in the last bit.  They are those of stream version 8; CHANGES.md
+records which bytes each stream version moved.
 """
 
 import hashlib
@@ -37,15 +25,15 @@ SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
      "31732347dd1515178cd9e4ff3a4d8b965a042c1a3ed8233a8d7f3e306f3b12df"),
     (["--family", "ad", "--theta-steps", "50", "--eta-steps", "50"],
-     "4e1723fc7ea5a21426eab3e0cd3da15e2e6fafbe87af30d7a65f505a508eb269"),
+     "e3254152a0855e0a40c5b52be57e1d00458adcc8f561a50aebf4d50564857736"),
     (["--family", "pd", "--theta-steps", "8", "--eta-steps", "8"],
      "fc8c387736bdbe3f6b5aed7ae5c798c401d782fe6c21155840e1bd9514218e7a"),
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
-     "88a399a8b7983b59e8bccb76263989b275e7588c1950ea639987360d885732ce"),
+     "0e6eb9a5b7565dc10a59998bfaa566451a7ddc2792c74032586b136a1acd0fc0"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
-     "0319f3ac52624aa507dc5c191fc6f7a7c8c1d12763121cb6a61b14062ec29553"),
+     "7a25597da114cf7a546473307bb15a9bcb27843ea4f5a2e2e2381b6beaa60fb0"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
-     "1b60e976290c09d67f02026e31f62f4e44bba3726a0743a4e2dde7672b69d053"),
+     "1c284d45f3086e85e165790eea2ca2570d0a24422a5522fc4243d9d3f2de34db"),
 ]
 
 # (grid, digests of region.csv, region_boundary.csv, region_werner.csv)
@@ -66,7 +54,7 @@ SAMPLE_GOLDEN = [
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "dde9a47f57ba5a53ad3ae99baa33e88e94b63846dcc2f2c232811c8e3ac61fe5"),
+     "91172130695f09a2d66e1b06cf28b571bb2e29c8e2a636d990dbd8e077c149e2"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering

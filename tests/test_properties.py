@@ -33,6 +33,8 @@ from hypothesis import strategies as st  # noqa: E402
 from qsteer import batch, harness  # noqa: E402
 from qsteer.states import SLACK, SamplerConfig  # noqa: E402
 
+from conftest import SIGMA_YY  # noqa: E402
+
 TOL = 1e-12
 ROOT_TOL = 4.0 * np.sqrt(4.0 * np.finfo(float).eps)  # 1.2e-7: four times sqrt(4 eps)
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -122,7 +124,7 @@ def _assert_two_singular_values(x):
     """The closed-form singular values of the 2 x 2 tau of each factor of an
     (n, 4, 2) stack match an SVD, ||tau||_F^2 as a sum of squares and
     |det tau| as a product, each within 8 eps of ||tau||_F or its square."""
-    tau = x.transpose(0, 2, 1) @ (batch.FLIP_SIGN[:, None] * x[:, ::-1, :])
+    tau = x.transpose(0, 2, 1) @ (SIGMA_YY @ x)
     sig = batch._symmetric_2x2_singular_values(tau)
     norm = np.linalg.norm(tau, axis=(1, 2))
     tol = 8.0 * np.finfo(float).eps
