@@ -20,8 +20,7 @@ factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
 construction.  measure_rows() is the entry point for density matrices
 given as input: it measures the factors V sqrt(w) that states.validate_stack
 returns from the one eigh of its checks.  F needs only the Frobenius sum
-of T, so the singular values of T are not a column:
-correlation_singular_values() gives them.
+of T, so the singular values of T are not a column.
 """
 
 from __future__ import annotations
@@ -92,14 +91,6 @@ def correlation_matrices(rhos) -> np.ndarray:
     which then spin in every forked worker of the chunk pool; on two CPUs
     verify ran 1.2 s against 0.75 s."""
     return _correlations(_float_view(rhos)).reshape(-1, 3, 3)
-
-
-def correlation_singular_values(tmats: np.ndarray) -> np.ndarray:
-    """Descending singular values t1 >= t2 >= t3 of each matrix of an
-    (n, 3, 3) correlation_matrices stack, as square roots of the
-    eigenvalues of T^T T."""
-    tw = np.linalg.eigvalsh(tmats.transpose(0, 2, 1) @ tmats)[:, ::-1]
-    return np.sqrt(np.clip(tw, 0.0, None))
 
 
 def measure_factors(x) -> np.ndarray:

@@ -3,9 +3,9 @@
 report() is the entry point for a single state: one MeasureReport holding
 concurrence, F, steerability, purity, Q, the coherences of both qubits, both
 steerability bounds, the correlation singular values, the flip-product
-eigenvalues and the classification, from batch.measure_rows and
-batch.correlation_singular_values.  A stack of states goes to
-batch.measure_rows directly.
+eigenvalues and the classification, from batch.measure_rows and one SVD
+of the correlation matrix.  A stack of states goes to batch.measure_rows
+directly.
 Concurrence follows the spin-flip construction; steerability is the
 three-setting correlation-matrix criterion S = sqrt(max(0, F^2 - 1) / 2).
 Raw arrays are validated and solved in one eigh, by measure_rows; an
@@ -85,7 +85,7 @@ def report(rho) -> MeasureReport:
         raise ValidationError(f"matrix must have shape (4, 4), got {m.shape}")
     stack = np.ascontiguousarray(m[None])
     row = batch.measure_rows(stack)[0]
-    tsv = batch.correlation_singular_values(batch.correlation_matrices(stack))[0]
+    tsv = np.linalg.svd(batch.correlation_matrices(stack)[0], compute_uv=False)
     return MeasureReport(
         concurrence=float(row[batch.COL_C]),
         f_value=float(row[batch.COL_F]),

@@ -1,6 +1,6 @@
 """Two-qubit state types, channel constructors and seeded samplers.
 
-Sampling is counter-based (stream versions 3 to 8 draw the same values).
+Sampling is counter-based (stream versions 3 to 9 draw the same values).
 Each (seed, domain) pair keys one Philox4x64 generator; domains keep state
 draws, Haar unitaries and sweep parameters apart.  Record i of a domain
 owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
@@ -35,7 +35,7 @@ KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3

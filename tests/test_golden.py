@@ -10,7 +10,7 @@ products, with no BLAS call; the wu sweep's unitaries (QR), the Gram
 matrices and the SVDs of the measured columns go through OpenBLAS and
 LAPACK.  The digests were taken with numpy 2.4 on x86-64
 (AVX-512, OpenBLAS SkylakeX kernels), and other SIMD or BLAS kernels may
-differ in the last bit.  They are those of stream version 8; CHANGES.md
+differ in the last bit.  They are those of stream version 9; CHANGES.md
 records which bytes each stream version moved.
 """
 
@@ -54,14 +54,14 @@ SAMPLE_GOLDEN = [
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "91172130695f09a2d66e1b06cf28b571bb2e29c8e2a636d990dbd8e077c149e2"),
+     "38c59b4f02bcdf7a4bcd71084403a88fa85efaf91aad18c41a953dcbf27003de"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering
 # tests fire: (format, digest of the report)
 ANALYZE_GOLDEN = [
-    ("table", "d4af14d9d059b4ceba8546092dab74986d0af9fc04c581124723e99546563af7"),
-    ("json", "0d5860dc618ccafe09995fcac1b3d30e137305dc30b9836e659a038a99bbe503"),
+    ("table", "8f3b2d82697faaab96ea6629250ce6e3e485a90a349a5c3009b49c7c69086a71"),
+    ("json", "a4ff2b681a854cfb0e2e1e05b2afb9c4ae1944b7391161ce54a6141c3434205a"),
 ]
 
 

@@ -191,7 +191,7 @@ def test_huge_finite_entries_fail_their_check_without_a_warning(fn, arg, error):
     assert type(err.value) is error
 
 
-def _solves(monkeypatch, call, names=("eigh", "eigvalsh")):
+def _solves(monkeypatch, call, names=("eigh", "eigvalsh", "svd")):
     """The (solver, matrix size) of each call that call() makes to the
     np.linalg solvers ``names``, each on a stack of square matrices."""
     solves = []
@@ -208,27 +208,20 @@ def _solves(monkeypatch, call, names=("eigh", "eigvalsh")):
     return solves
 
 
-def test_correlation_singular_values_match_svd():
-    tmats = batch.correlation_matrices(random_rhos(11, 40))
-    tsv = batch.correlation_singular_values(tmats)
-    assert tsv.shape == (40, 3)
-    assert (np.diff(tsv, axis=1) <= 0.0).all()
-    assert np.allclose(tsv, np.linalg.svd(tmats, compute_uv=False), atol=1e-12)
-
-
 def test_measure_rows_validates_then_solves_the_stack_once(monkeypatch):
     solves = _solves(monkeypatch, lambda: batch.measure_rows(random_rhos(10, 50)))
     # validate_stack's one 4x4 eigh gives both the PSD check and the factors
-    # V sqrt(w); F needs no singular values
-    assert solves == [("eigh", 4)]
+    # V sqrt(w); their eigenvalues ascend, so every factor has width 4 and
+    # C takes one 4x4 SVD; F needs no singular values
+    assert solves == [("eigh", 4), ("svd", 4)]
 
 
 def test_scalar_on_raw_array_validates_once(monkeypatch):
     # the raw array goes straight to measure_rows, which validates and solves
-    # it in one eigh; the 3x3 eigvalsh gives the report's correlation
-    # singular values
+    # it in one eigh and takes C from one 4x4 SVD; one 3x3 SVD of T gives the
+    # report's correlation singular values
     solves = _solves(monkeypatch, lambda: measures.report(random_rhos(12, 1)[0]).purity)
-    assert solves == [("eigh", 4), ("eigvalsh", 3)]
+    assert solves == [("eigh", 4), ("svd", 4), ("svd", 3)]
 
 
 def random_factors(seed, n, m=4):
@@ -278,12 +271,15 @@ def test_measure_rows_matches_the_factor_route_on_full_rank_draws():
 
 @pytest.mark.parametrize("command", ["verify", "sample"])
 def test_drawn_states_are_measured_with_no_eigensolver(command, monkeypatch, tmp_path):
+    # the flip SVDs are counted by test_each_width_takes_one_svd_of_its_own_size
     cfg = states.SamplerConfig(seed=9, count=2 * harness.CHUNK + 5)
+    eigensolvers = ("eigh", "eigvalsh")
     if command == "verify":
-        solves = _solves(monkeypatch, lambda: harness.run_falsification(cfg, workers=1))
+        solves = _solves(monkeypatch, lambda: harness.run_falsification(cfg, workers=1),
+                         eigensolvers)
     else:
         solves = _solves(monkeypatch, lambda: harness.write_scatter_csv(
-            tmp_path / "scatter.csv", cfg, workers=1))
+            tmp_path / "scatter.csv", cfg, workers=1), eigensolvers)
     assert solves == []
 
 

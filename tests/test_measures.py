@@ -141,6 +141,24 @@ def test_f_value_equals_singular_value_route(form):
         )
 
 
+@pytest.mark.parametrize("weights, exact", [
+    ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),  # (|00><00| + |11><11|)/2
+    ((0.5, 0.3, 0.0), (0.5, 0.3, 0.0)),
+], ids=["rank-1-T", "rank-2-T"])
+def test_report_singular_values_are_eps_accurate_at_zero(weights, exact):
+    # rho = (I + sum_m w_m sigma_m x sigma_m)/4 has T = diag(w); a local
+    # unitary rotates T and keeps its singular values.  One SVD of T gives
+    # each t within a few eps, also a zero one, whose square root of an
+    # eigenvalue of T^T T would be off by about sqrt(eps)
+    rng = np.random.default_rng(10)
+    ua, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    ub, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    u = np.kron(ua, ub)
+    rho = (np.eye(4) + sum(w * np.kron(s, s) for w, s in zip(weights, batch.SIGMA))) / 4.0
+    tsv = np.array(measures.report(u @ rho @ u.conj().T).singular_values)
+    assert np.abs(tsv - exact).max() <= 4.0 * np.finfo(float).eps
+
+
 def test_purity_and_coherence_spot_values():
     assert measures.report(np.eye(4) / 4.0).purity == pytest.approx(0.25, abs=1e-15)
 
