@@ -4,6 +4,8 @@ bound-falsification harness.
 Output formatting is byte-stable: floats are written with repr() (shortest
 round-trip), workers own disjoint index chunks and chunks are consumed in
 index order, so reruns and different worker counts produce identical files.
+The CSV formatters work column by column and give values with equal float64
+bits one shared text (_reprs_from, _reprs_once), which changes no byte.
 Scatter runs and falsification runs stream the plan one chunk at a time:
 scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
 the one place that chooses between the calling thread and a pool, runs it
@@ -214,6 +216,24 @@ def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin_lower < -SLACK, margin_upper < -SLACK
 
 
+def _reprs_from(values: np.ndarray, base: np.ndarray, base_texts: list) -> list:
+    """repr of each float64 of values, taken from base_texts wherever values
+    has the bits of base.  Bits, not ==: 0.0 == -0.0 though the two print
+    differently, and NaN never equals itself."""
+    texts = list(base_texts)
+    other = np.flatnonzero(values.view(np.int64) != base.view(np.int64))
+    for i, v in zip(other.tolist(), values[other].tolist()):
+        texts[i] = repr(v)
+    return texts
+
+
+def _reprs_once(values: np.ndarray) -> list:
+    """repr of each float64 of values, each distinct bit pattern formatted once."""
+    bits = values.view(np.int64).tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
+    return list(map(text.__getitem__, bits))
+
+
 def scatter_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
     """One CSV line per record of one (start, ranks, rows) chunk, after the
     header when the chunk starts at record 0."""
@@ -221,15 +241,19 @@ def scatter_csv_lines(start: int, ranks: np.ndarray, rows: np.ndarray):
         yield SCATTER_HEADER
     flag = ("false", "true")
     lower, upper = bound_violations(rows)
-    # purity..upper_bound are adjacent measure-table columns in CSV order
-    for i, k, values, lo, up in zip(
-        itertools.count(start),
-        ranks.tolist(),
-        rows[:, batch.COL_PURITY : batch.COL_UPPER + 1].tolist(),
-        lower.tolist(),
-        upper.tolist(),
-    ):
-        yield f"{i},{k},{','.join(map(repr, values))},{flag[lo]},{flag[up]}"
+    # purity..lower_bound are adjacent measure-table columns in CSV order;
+    # upper_bound = min(C, ...) shares C's text wherever it has C's bits
+    texts = [list(map(repr, column))
+             for column in rows[:, batch.COL_PURITY : batch.COL_LOWER + 1].T.tolist()]
+    texts.append(_reprs_from(rows[:, batch.COL_UPPER], rows[:, batch.COL_C],
+                             texts[batch.COL_C - batch.COL_PURITY]))
+    yield from map(",".join, zip(
+        map(str, range(start, start + len(rows))),
+        map(str, ranks.tolist()),
+        *texts,
+        map(flag.__getitem__, lower.tolist()),
+        map(flag.__getitem__, upper.tolist()),
+    ))
 
 
 def _scatter_text(cfg: SamplerConfig, start: int, stop: int) -> str:
@@ -299,16 +323,21 @@ def sweep_csv_lines(table: SweepTable):
     """The header, then one line per sweep point; a 'wu' point's
     unitary_seed is its index."""
     yield SWEEP_HEADER
-    n = len(table.theta)
-    # theta, eta_or_p, then (C, S, F, purity) as num/closed pairs, then the discrepancy
-    floats = np.column_stack([
-        table.theta, table.eta_or_p,
-        np.stack([table.num, table.closed], axis=2).reshape(n, 8), table.discrepancy,
-    ])
-    seeds = map(str, range(n)) if table.family == "wu" else itertools.repeat("")
-    for seed, row in zip(seeds, floats.tolist()):
-        text = list(map(repr, row))
-        yield ",".join([table.family, *text[:2], seed, *text[2:]])
+    # (C, S, F, purity) as num/closed pairs; a closed value shares its num's
+    # text wherever the two have the same bits
+    pairs = []
+    for num, closed in zip(table.num.T, table.closed.T):
+        num_texts = list(map(repr, num.tolist()))
+        pairs += [num_texts, _reprs_from(closed, num, num_texts)]
+    seeds = map(str, range(len(table.theta))) if table.family == "wu" else itertools.repeat("")
+    yield from map(",".join, zip(
+        itertools.repeat(table.family),
+        _reprs_once(table.theta),
+        _reprs_once(table.eta_or_p),
+        seeds,
+        *pairs,
+        map(repr, table.discrepancy.tolist()),
+    ))
 
 
 def write_sweep_csv(path, table: SweepTable) -> None:
@@ -352,11 +381,13 @@ def region_csv_lines(result: RegionScanResult):
     """The header, then the lines of one purity row per item, joined by
     newlines."""
     yield REGION_HEADER
-    cells = [[f"{c!r},{label}" for label in REGION_LABELS]
-             for c in result.concurrences.tolist()]
-    for u, codes in zip(result.purities.tolist(), result.regions.tolist()):
+    # cells[r, j] is the text of concurrence j in region r
+    cells = np.array([[f"{c!r},{label}" for c in result.concurrences.tolist()]
+                      for label in REGION_LABELS], dtype=object)
+    columns = np.arange(cells.shape[1])
+    for u, codes in zip(result.purities.tolist(), result.regions):
         head = f"{u!r},"
-        yield head + ("\n" + head).join(map(list.__getitem__, cells, codes))
+        yield head + ("\n" + head).join(cells[codes, columns].tolist())
 
 
 def write_region_csv(path, result: RegionScanResult) -> None:
@@ -366,9 +397,8 @@ def write_region_csv(path, result: RegionScanResult) -> None:
 
 def write_boundary_csv(path, series) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("purity,C\n")
-        for u, c in series:
-            fh.write(f"{float(u)!r},{float(c)!r}\n")
+        fh.writelines(itertools.chain(["purity,C\n"],
+                                      (f"{float(u)!r},{float(c)!r}\n" for u, c in series)))
 
 
 def _fold_chunk(cfg: SamplerConfig, start: int, stop: int) -> FalsificationSummary:

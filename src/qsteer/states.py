@@ -246,14 +246,17 @@ def _check_range(name: str, values, lo: float, hi: float, strict: bool = False) 
     return np.asarray(arr, np.float64)
 
 
-def _check_broadcast(**shapes) -> None:
+def _check_broadcast(to=None, **shapes) -> None:
     """Raise ValidationError, naming each shape, unless the named shapes
-    broadcast together."""
+    broadcast together and, where ``to`` names one of them, to its shape."""
     try:
-        np.broadcast_shapes(*shapes.values())
+        joint = np.broadcast_shapes(*shapes.values())
     except ValueError:
+        joint = None
+    if joint is None or (to is not None and joint != shapes[to]):
         named = " and ".join(f"{name} of shape {shape}" for name, shape in shapes.items())
-        raise ValidationError(f"{named} do not broadcast together") from None
+        where = "together" if to is None else f"to {shapes[to]}"
+        raise ValidationError(f"{named} do not broadcast {where}") from None
 
 
 def _check_seed(seed) -> None:
@@ -310,7 +313,7 @@ def werner_factors(ps, amps) -> np.ndarray:
     ``amps``, with one p for all rows or one per row."""
     ps = _check_range("p", ps, 0.0, 1.0)
     a = validate_amplitudes(amps)
-    _check_broadcast(p=ps.shape, vectors=a.shape[:1])
+    _check_broadcast("vectors", p=ps.shape, vectors=a.shape[:1])
     x = np.empty((a.shape[0], 4, 5), np.complex128)
     x[:, :, 0] = np.sqrt(ps)[..., None] * a
     x[:, :, 1:] = np.sqrt((1.0 - ps) / 4.0)[..., None, None] * np.eye(4)
@@ -350,9 +353,11 @@ def damped_factors(amps, channels) -> np.ndarray:
     zero columns, which add nothing to the state."""
     a = validate_amplitudes(amps)
     n_ops = max((len(ch.operators) for ch in channels), default=0)
-    ops = np.zeros((len(channels), n_ops, 4, 4), np.complex128)
+    k = np.zeros((len(channels), n_ops, 2, 2), np.complex128)
     for j, ch in enumerate(channels):
-        ops[j, : len(ch.operators)] = [np.kron(k, np.eye(2)) for k in ch.operators]
+        k[j, : len(ch.operators)] = ch.operators
+    # K x I for every operator at once: entry (2r + s, 2c + t) is K[r, c] I[s, t]
+    ops = (k[:, :, :, None, :, None] * np.eye(2)[:, None, :]).reshape(len(channels), n_ops, 4, 4)
     return (ops @ a[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
 
 

@@ -84,6 +84,51 @@ def test_scatter_csv_rows_match_per_cell_format():
     assert head + tail == expect
 
 
+def test_scatter_csv_shares_text_only_between_equal_bits():
+    # upper_bound takes C's text only where the two have the same bits:
+    # 0.0 == -0.0 print differently, and NaN never equals itself
+    rng = np.random.default_rng(4)
+    rows = rng.random((40, batch.N_COLS))
+    rows[::2, batch.COL_UPPER] = rows[::2, batch.COL_C]
+    rows[1::8, [batch.COL_C, batch.COL_UPPER]] = [0.0, -0.0]
+    rows[3::8, [batch.COL_C, batch.COL_UPPER]] = [-0.0, 0.0]
+    rows[5::8, [batch.COL_C, batch.COL_UPPER]] = np.nan
+    rows[7::8, [batch.COL_C, batch.COL_UPPER]] = [np.nan, 0.5]
+    ranks = rng.integers(1, 5, len(rows))
+    lower, upper = harness.bound_violations(rows)
+    expect = [
+        ",".join([str(i + 9), str(int(ranks[i]))]
+                 + [repr(float(x)) for x in rows[i, : batch.COL_UPPER + 1]]
+                 + ["true" if lower[i] else "false", "true" if upper[i] else "false"])
+        for i in range(len(rows))
+    ]
+    assert list(harness.scatter_csv_lines(9, ranks, rows)) == expect
+    assert {line.split(",")[10] for line in expect[1::8]} == {"-0.0"}
+
+
+@pytest.mark.parametrize("family", ["ad", "wu"])
+def test_sweep_csv_shares_text_only_between_equal_bits(family):
+    # repeated axis values, a -0.0 beside 0.0 on the theta axis, and closed
+    # values with num's bits, the other zero, or NaN beside NaN and a number
+    rng = np.random.default_rng(6)
+    theta = np.array([0.0, -0.0, 0.3, 0.3, -0.0, 0.0, np.nan, 0.3])
+    eta = np.array([0.1, 0.1, 0.0, -0.0, np.nan, np.nan, 0.1, 0.0])
+    num = rng.random((8, 4))
+    closed = num.copy()
+    closed[::3] = rng.random((3, 4))
+    num[1], closed[1] = [0.0, -0.0, 0.0, 0.25], [-0.0, 0.0, 0.0, 0.25]
+    num[4], closed[4] = [np.nan, np.nan, 0.5, -0.0], [np.nan, 0.5, np.nan, -0.0]
+    table = harness.SweepTable(family, theta, eta, num, closed)
+    expect = [harness.SWEEP_HEADER] + [
+        ",".join([family, repr(float(theta[i])), repr(float(eta[i])),
+                  str(i) if family == "wu" else "",
+                  *[repr(float(v)) for pair in zip(num[i], closed[i]) for v in pair],
+                  repr(float(table.discrepancy[i]))])
+        for i in range(len(theta))
+    ]
+    assert list(harness.sweep_csv_lines(table)) == expect
+
+
 def test_bound_violations_set_the_csv_flags():
     # S beyond, on and inside each bound, by twice the slack; then S past
     # each bound by a margin that rounds to just below -SLACK, which the
@@ -185,6 +230,17 @@ def test_region_csv_round_trip(tmp_path):
     harness.write_boundary_csv(bpath, result.criterion_boundary)
     head = bpath.read_text().split("\n")[0]
     assert head == "purity,C"
+
+
+def test_region_csv_matches_the_per_cell_format():
+    result = harness.run_region_scan(40, 40)
+    assert set(result.regions.ravel().tolist()) == {0, 1, 2, 3}
+    expect = [harness.REGION_HEADER] + [
+        "\n".join(f"{u!r},{c!r},{harness.REGION_LABELS[r]}"
+                  for c, r in zip(result.concurrences.tolist(), codes))
+        for u, codes in zip(result.purities.tolist(), result.regions.tolist())
+    ]
+    assert list(harness.region_csv_lines(result)) == expect
 
 
 CFG = SamplerConfig("ginibre", "uniform", seed=1, count=4)

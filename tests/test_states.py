@@ -157,6 +157,25 @@ def test_channel_constructors_are_complete():
             make(1.1)
 
 
+def test_damped_factors_equal_the_kron_construction_bit_for_bit():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    # a complex one-operator channel, zero-padded beside two-operator ones
+    channels = [states.make_ad_channel(0.3), states.KrausChannel((u,)),
+                states.make_pd_channel(0.7), states.KrausChannel((-np.eye(2),))]
+    ops = np.zeros((len(channels), 2, 4, 4), np.complex128)
+    for j, ch in enumerate(channels):
+        ops[j, : len(ch.operators)] = [np.kron(k, np.eye(2)) for k in ch.operators]
+    expect = (ops @ amps[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
+    x = states.damped_factors(amps, channels)
+    assert x.shape == expect.shape == (6, 4, 4, 2)
+    # bits, not ==, so a zero of the other sign counts as a change
+    assert np.array_equal(np.ascontiguousarray(x).view(np.int64),
+                          np.ascontiguousarray(expect).view(np.int64))
+
+
 def test_damped_factors_of_no_channels_are_an_empty_stack():
     amps = np.repeat([[1.0, 0.0, 0.0, 0.0]], 3, axis=0)
     assert states.damped_factors(amps, []).shape == (3, 0, 4, 0)
@@ -240,6 +259,10 @@ def test_werner_factors_take_one_p_or_one_per_row():
     with pytest.raises(ValidationError,
                        match=r"p of shape \(2,\) and vectors of shape \(3,\) do not broadcast"):
         states.werner_factors([0.5, 0.2], PHIS)
+    # two weights for one vector broadcast with it, but not to it
+    with pytest.raises(ValidationError,
+                       match=r"p of shape \(2,\) and vectors of shape \(1,\) do not broadcast"):
+        states.werner_factors([0.5, 0.5], np.eye(4)[:1])
 
 
 def test_kraus_channel_validation():
