@@ -5,7 +5,9 @@ Output formatting is byte-stable: floats are written with repr() (shortest
 round-trip), workers own disjoint index chunks and chunks are consumed in
 index order, so reruns and different worker counts produce identical files.
 The CSV formatters work column by column and give values with equal float64
-bits one shared text (_reprs_from, _reprs_once), which changes no byte.
+bits one shared text (_reprs_from, _reprs_once), which changes no byte: a
+closed form with its pipeline value's bits, an upper bound with C's, and a
+sweep axis value or discrepancy that repeats.
 Scatter runs and falsification runs stream the plan one chunk at a time:
 scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
 the one place that chooses between the calling thread and a pool, runs it
@@ -32,11 +34,10 @@ from .states import (
     SLACK,
     SamplerConfig,
     _is_int,
+    _kraus_factors,
     bell_like_amplitudes,
-    damped_factors,
+    damping_operators,
     draw_matrices,
-    make_ad_channel,
-    make_pd_channel,
     open_uniforms,
     random_unitaries,
     stream_block,
@@ -298,8 +299,10 @@ def run_family_sweep(
             raise ParameterOutOfRange("theta-steps and eta-steps must both be integers >= 2")
         thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
         etas = np.linspace(0.0, 1.0, eta_steps)
-        make = make_ad_channel if family == "ad" else make_pd_channel
-        x = damped_factors(bell_like_amplitudes(thetas), [make(eta) for eta in etas])
+        # every eta's Kraus pair, checked once as one stack; K1 = sqrt(eta)|row><1|
+        # damps the amplitude at row 0 and the phase at row 1
+        kraus = damping_operators(etas, 0 if family == "ad" else 1)
+        x = _kraus_factors(bell_like_amplitudes(thetas), kraus)
         rows = batch.measure_factors(x.reshape(-1, 4, x.shape[-1]))
         forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
         grid_thetas, grid_etas = np.repeat(thetas, eta_steps), np.tile(etas, theta_steps)
@@ -336,7 +339,7 @@ def sweep_csv_lines(table: SweepTable):
         _reprs_once(table.eta_or_p),
         seeds,
         *pairs,
-        map(repr, table.discrepancy.tolist()),
+        _reprs_once(table.discrepancy),
     ))
 
 

@@ -166,12 +166,13 @@ def wu_closed_forms(p, phi) -> ClosedForms:
 
     C = max(0, p C(phi) - (1-p)/2), F = p sqrt(1 + 2 C(phi)^2),
     S = sqrt(max(0, p^2 (1 + 2 C(phi)^2) - 1) / 2), purity = (1 + 3p^2)/4.
-    ``phi`` is a PureState, a (4,) vector or an (n, 4) stack, which takes
-    one p for all rows or one per row (see concurrence_pure).
+    ``phi`` is a PureState or a (4,) vector, which takes one p, or an (n, 4)
+    stack, which takes one p for all rows or one per row (see
+    concurrence_pure).
     """
     p = _check_range("p", p, 0.0, 1.0)
     cphi = concurrence_pure(phi)
-    _check_broadcast(p=p.shape, vectors=np.shape(cphi))
+    _check_broadcast("vectors", p=p.shape, vectors=np.shape(cphi))
     conc = np.maximum(0.0, p * cphi - (1.0 - p) / 2.0)
     fval = p * np.sqrt(1.0 + 2.0 * cphi * cphi)
     steer = np.sqrt(0.5 * np.maximum(0.0, fval * fval - 1.0))

@@ -325,14 +325,36 @@ def werner_like(p: float, phi: PureState) -> DensityMatrix:
     return DensityMatrix(gram(werner_factors([p], phi.amplitudes[None]))[0])
 
 
+def damping_operators(etas, row: int) -> np.ndarray:
+    """The damping Kraus pair K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|row><1|
+    of each eta in [0, 1]: an (n, 2, 2, 2) stack for n etas, one (2, 2, 2)
+    pair for a number.  Row 0 damps the amplitude, row 1 the phase.
+
+    The etas are range-checked, and sum_k K_k^dag K_k = I checked to
+    KRAUS_TOL, once over the whole stack; the first incomplete pair raises
+    ChannelIncomplete, "at index i" for an array.
+    """
+    etas = _check_range("eta", etas, 0.0, 1.0)
+    k = np.zeros(etas.shape + (2, 2, 2), np.complex128)
+    k[..., 0, 0, 0] = 1.0
+    k[..., 0, 1, 1] = np.sqrt(1.0 - etas)
+    k[..., 1, row, 1] = np.sqrt(etas)
+    # entry (i, l) of sum_k K_k^dag K_k is sum over k and j of conj(K_k[j, i]) K_k[j, l]
+    total = (k.conj()[..., None] * k[..., None, :]).sum(axis=(-4, -3))
+    dev = np.abs(total - np.eye(2)).max(axis=(-2, -1))
+    if not (dev <= KRAUS_TOL).all():
+        i = int(np.argmax(~(dev <= KRAUS_TOL).ravel()))
+        where = f" at index {i}" if etas.ndim else ""
+        raise ChannelIncomplete(
+            f"Kraus operators violate completeness by {dev.ravel()[i]:.3e}{where}")
+    return k
+
+
 def _damping_channel(eta, row: int) -> KrausChannel:
-    """K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|row><1|."""
-    if _check_range("eta", eta, 0.0, 1.0).ndim:
+    ops = damping_operators(eta, row)
+    if ops.ndim != 3:
         raise ParameterOutOfRange(f"eta must be one number, got shape {np.shape(eta)}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], np.complex128)
-    k1 = np.zeros((2, 2), np.complex128)
-    k1[row, 1] = np.sqrt(eta)
-    return KrausChannel((k0, k1))
+    return KrausChannel(tuple(ops))
 
 
 def make_ad_channel(eta: float) -> KrausChannel:
@@ -351,13 +373,20 @@ def damped_factors(amps, channels) -> np.ndarray:
     the (n, 4) stack ``amps``, so its state is channels[j] applied to
     |a_i><a_i|.  A channel with fewer operators than the longest one gets
     zero columns, which add nothing to the state."""
-    a = validate_amplitudes(amps)
     n_ops = max((len(ch.operators) for ch in channels), default=0)
     k = np.zeros((len(channels), n_ops, 2, 2), np.complex128)
     for j, ch in enumerate(channels):
         k[j, : len(ch.operators)] = ch.operators
+    return _kraus_factors(amps, k)
+
+
+def _kraus_factors(amps, k: np.ndarray) -> np.ndarray:
+    """damped_factors for the channels whose Kraus operators are k[j], an
+    (m, n_ops, 2, 2) stack that the caller has checked for completeness,
+    as damping_operators does."""
+    a = validate_amplitudes(amps)
     # K x I for every operator at once: entry (2r + s, 2c + t) is K[r, c] I[s, t]
-    ops = (k[:, :, :, None, :, None] * np.eye(2)[:, None, :]).reshape(len(channels), n_ops, 4, 4)
+    ops = (k[:, :, :, None, :, None] * np.eye(2)[:, None, :]).reshape(k.shape[:2] + (4, 4))
     return (ops @ a[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
 
 

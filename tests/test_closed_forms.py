@@ -218,6 +218,10 @@ def test_closed_forms_broadcast_a_scalar_and_reject_a_length_mismatch():
     assert np.array_equal(one_p, np.column_stack(measures.wu_closed_forms(np.full(4, 0.7), phis)))
     with pytest.raises(ValidationError, match=r"p of shape \(3,\) and vectors of shape \(4,\)"):
         measures.wu_closed_forms(ps[:3], phis)
+    # a column of two p broadcasts with two vectors, but not to them
+    with pytest.raises(ValidationError, match=r"p of shape \(2, 1\) and vectors of shape \(2,\) "
+                                              r"do not broadcast to \(2,\)"):
+        measures.wu_closed_forms([[0.3], [0.9]], phis[:2])
 
 
 # numpy's AVX-512 kernels, switched off in the child below

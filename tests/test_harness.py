@@ -319,8 +319,10 @@ def _counted(monkeypatch, targets):
 @pytest.mark.parametrize("family", ["ad", "pd", "wu"])
 def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     # structural guard: one stack of exact factors, measured in one call with
-    # no eigensolver and no matrix validation; counts calls, no timing
-    built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__")])
+    # no eigensolver, no matrix validation and no channel object per eta;
+    # counts calls, no timing
+    built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__"),
+                                   (states.KrausChannel, "__post_init__")])
     matrix_route = _counted(monkeypatch, [
         (batch, "validate_stack"), (states, "validate_stack"), (batch, "measure_rows"),
         (np.linalg, "eigvalsh"), (np.linalg, "eigh")])
@@ -330,6 +332,39 @@ def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     assert built == []
     assert matrix_route == []
     assert len(measured) == 1
+
+
+def _counted_args(monkeypatch, owner, name):
+    """Wrap owner.name; return the list of the first arguments of its calls."""
+    args = []
+
+    def wrapper(first, *rest, _orig=getattr(owner, name), **kwargs):
+        args.append(first)
+        return _orig(first, *rest, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return args
+
+
+@pytest.mark.parametrize("family, make", [("ad", states.make_ad_channel),
+                                          ("pd", states.make_pd_channel)], ids=["ad", "pd"])
+def test_family_sweep_stack_equals_the_one_channel_builders(family, make, monkeypatch):
+    # the sweep's etas run from 0 to 1; bits, through int64 views, so that a
+    # zero of the other sign counts as a change
+    etas = np.linspace(0.0, 1.0, 50)
+    assert etas[0] == 0.0 and etas[-1] == 1.0
+    stack = states.damping_operators(etas, 0 if family == "ad" else 1)
+    one_by_one = np.array([make(eta).operators for eta in etas])
+    assert stack.shape == one_by_one.shape == (50, 2, 2, 2)
+    assert np.array_equal(stack.view(np.int64), one_by_one.view(np.int64))
+    factors = _counted_args(monkeypatch, batch, "measure_factors")
+    harness.run_family_sweep(family, theta_steps=50, eta_steps=50)
+    thetas = np.linspace(0.05, np.pi / 2.0 - 0.05, 50)
+    expect = states.damped_factors(states.bell_like_amplitudes(thetas),
+                                   [make(eta) for eta in etas]).reshape(2500, 4, 2)
+    (x,) = factors
+    assert np.array_equal(np.ascontiguousarray(x).view(np.int64),
+                          np.ascontiguousarray(expect).view(np.int64))
 
 
 def test_region_scan_classifies_the_grid_at_once(monkeypatch):

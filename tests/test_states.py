@@ -157,6 +157,27 @@ def test_channel_constructors_are_complete():
             make(1.1)
 
 
+@pytest.mark.parametrize("make", [states.make_ad_channel, states.make_pd_channel],
+                         ids=["ad", "pd"])
+def test_a_float32_eta_builds_the_channel_of_its_float64_value(make):
+    # sqrt(1 - eta) taken of the float32 itself misses completeness by 2.4e-8
+    eta = np.float32(0.3)
+    ops = np.array(make(eta).operators)
+    assert np.array_equal(ops.view(np.int64), np.array(make(float(eta)).operators).view(np.int64))
+
+
+def test_damping_operators_check_completeness_once_over_the_stack(monkeypatch):
+    stack = states.damping_operators([0.0, 0.25, 1.0], 0)
+    assert stack.shape == (3, 2, 2, 2)
+    assert np.array_equal(stack[:, 1, 0, 1], np.sqrt([0.0, 0.25, 1.0]))
+    # no pair meets a negative tolerance: the first one is named
+    monkeypatch.setattr(states, "KRAUS_TOL", -1.0)
+    with pytest.raises(ChannelIncomplete, match=r"completeness by 0\.000e\+00 at index 0$"):
+        states.damping_operators([0.0, 0.25, 1.0], 1)
+    with pytest.raises(ChannelIncomplete, match=r"completeness by 0\.000e\+00$"):
+        states.make_pd_channel(0.0)
+
+
 def test_damped_factors_equal_the_kron_construction_bit_for_bit():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
