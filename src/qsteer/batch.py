@@ -180,7 +180,7 @@ def _flip_singular_values(x: np.ndarray) -> np.ndarray:
     outer products taken elementwise: a stacked (n, k, 4) @ (n, 4, k) product
     would make one tiny BLAS call per factor."""
     n, _, m = x.shape
-    width = m - np.argmax((x != 0).any(axis=1)[:, ::-1], axis=1)  # m where x = 0
+    width = _widths(x)
     sig = np.zeros((n, max(m, 4)))
     for k in np.flatnonzero(np.bincount(width)):  # the widths present
         idx = np.flatnonzero(width == k)
@@ -194,6 +194,23 @@ def _flip_singular_values(x: np.ndarray) -> np.ndarray:
         else:
             sig[idx, :k] = np.linalg.svd(tau, compute_uv=False)
     return sig[:, :4]  # tau has rank at most 4
+
+
+def _widths(x: np.ndarray) -> np.ndarray:
+    """Each factor's width in a C-contiguous (n, 4, m) stack: its last
+    column with a nonzero entry, plus one, and m where x = 0.
+
+    A column is nonzero where the OR of the bits of its four rows, re and
+    im, is nonzero with the sign bit shifted out (-0.0 is zero): on the
+    uint64 view, about half the time of (x != 0).any(axis=1) on the complex
+    stack."""
+    bits = x.view(np.uint64)
+    rows = bits[:, 0] | bits[:, 1]
+    rows |= bits[:, 2]
+    rows |= bits[:, 3]
+    parts = rows[:, 0::2] | rows[:, 1::2]
+    parts <<= 1
+    return x.shape[2] - np.argmax(parts[:, ::-1] != 0, axis=1)
 
 
 def _symmetric_2x2_singular_values(tau: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a verify run found bound violations, 2 input error
-(bad flags, malformed or invalid state files, out-of-range parameters).
+(bad flags, malformed or invalid state files, out-of-range parameters) or
+a failed run (an OSError, such as a worker process of sample or verify
+that ended before it sent its chunk).
 """
 
 from __future__ import annotations

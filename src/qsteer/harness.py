@@ -12,7 +12,10 @@ Scatter runs and falsification runs stream the plan one chunk at a time:
 scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
 the one place that chooses between the calling thread and a pool, runs it
 inside each chunk's formatter (sample) or fold into a FalsificationSummary
-(verify), and _merge joins the folds in index order.
+(verify), and _merge joins the folds in index order.  On more than one
+worker, _ahead forks them, each with its own pipe and a static shard of the
+chunks (worker w makes chunks w, w + W, ...), and reads chunk i from pipe
+i % W; a worker runs ahead only as far as its pipe buffer holds its results.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import itertools
 import math
 import os
+import pickle
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -44,8 +48,10 @@ from .states import (
     werner_factors,
 )
 
-# records per drawn and measured chunk.  A pool of N workers holds up to
-# 2 * N chunks in flight (see _ahead), 2 * N * CHUNK records in all.
+# records per drawn and measured chunk.  Each of N forked workers (see
+# _ahead) computes one chunk at a time and runs ahead of the reader only as
+# far as its 64 kB pipe buffer holds: one finished chunk of sample's text
+# (about 340 kB), or a pipe buffer of verify's summaries (about 200 B each).
 CHUNK = 2048
 
 # the default worker count: the CPUs this process may run on, at most two.
@@ -139,40 +145,132 @@ def _run_chunks(fn, cfg: SamplerConfig, workers: int):
     The worker count is checked at the call.  The plan is a range of chunk
     starts, the same few objects at any count.  With one worker, or a plan
     of one chunk, each call runs in the calling thread when the iterator
-    reaches it; otherwise on _ahead's pool of min(workers, chunks).
+    reaches it; otherwise on _ahead's min(workers, chunks) workers.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
     starts = range(0, max(cfg.count, 1), CHUNK)
-    args = ((cfg, start, min(start + CHUNK, cfg.count)) for start in starts)
     if workers == 1 or len(starts) == 1:
-        return (fn(*a) for a in args)
-    return _ahead(fn, args, min(workers, len(starts)))
+        return (_chunk(fn, cfg, start) for start in starts)
+    return _ahead(fn, cfg, starts, min(workers, len(starts)))
 
 
-def _ahead(fn, args, workers: int):
-    """fn(*a) for each a of args in order, at most 2 * workers ahead, on a
-    pool of forked processes (fn must be module-level, its result must
-    pickle), or of threads where os.fork does not exist.  The executors are
-    imported here, so importing qsteer does not pay for them.  The pool is
-    shut down, its workers joined, when the iterator ends or is closed."""
-    if hasattr(os, "fork"):
-        # fork, not spawn: a spawned child imports numpy and qsteer again,
-        # about 0.2 s a run.  The pool forks all its workers before it
-        # starts its manager thread, so the parent runs one thread then.
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+def _chunk(fn, cfg: SamplerConfig, start: int):
+    """fn on the chunk of the plan that begins at record start."""
+    return fn(cfg, start, min(start + CHUNK, cfg.count))
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_keep_heap)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers)
+def _ahead(fn, cfg: SamplerConfig, starts: range, workers: int):
+    """_chunk(fn, cfg, start) for each start of starts, in order, on forked
+    processes, or on _threaded's pool where os.fork does not exist.
+
+    Worker w is forked with its own pipe and a static shard, starts[w::workers],
+    and sends each result down the pipe as it is made: an 8-byte length,
+    then the pickle of (True, result) or of (False, the exception fn raised),
+    after which it stops.  fn need not pickle, its results must.  The parent
+    reads chunk i from pipe i % workers and raises a worker's exception as its
+    own, or a ChildProcessError if a pipe ends before the chunk it owes.  A
+    worker runs ahead only while its result fits in its pipe: by one pipe
+    buffer of small results, or one chunk when a result outgrows the buffer.
+    When the iterator ends or is closed, the parent closes every pipe and
+    reaps every worker; a worker that writes to a closed pipe gets EPIPE and
+    exits, so each one stops within one chunk.  The parent starts no thread
+    and imports no executor.  fork, not spawn: a spawned child imports numpy
+    and qsteer again, about 0.2 s a run."""
+    if not hasattr(os, "fork"):
+        yield from _threaded(fn, cfg, starts, workers)
+        return
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(workers):
+            children.append(_fork_worker(fn, cfg, starts[w::workers], children))
+        for i, start in enumerate(starts):
+            pid, pipe = children[i % workers]
+            message = _receive(pipe)
+            if message is None:
+                del children[i % workers]
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                code = os.waitstatus_to_exitcode(status)
+                ended = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(
+                    f"worker process {pid} ended (wait status {status}, {ended}) "
+                    f"before it sent the chunk at record {start}")
+            ok, value = message
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(fn, cfg: SamplerConfig, starts: range, children: list):
+    """Fork a worker that sends _chunk(fn, cfg, start) for each start of
+    starts down a pipe of its own; (its pid, the pipe's read end).  The
+    child closes the read ends of the earlier workers, so that each pipe's
+    only reader is the parent, and ends in os._exit, so it never runs the
+    parent's code past the fork."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            for _, pipe in children:
+                os.close(pipe.fileno())
+            _keep_heap()
+            with open(write, "wb") as out:
+                for start in starts:
+                    try:
+                        message = (True, _chunk(fn, cfg, start))
+                    except Exception as exc:
+                        message = (False, exc)
+                    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                    out.write(len(payload).to_bytes(8, "little"))
+                    out.write(payload)
+                    out.flush()
+                    if not message[0]:
+                        break
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(pipe):
+    """The next (ok, value) a worker sent down pipe, or None if the pipe
+    ends first."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        payload = pipe.read(size)
+        if len(payload) == size:
+            return pickle.loads(payload)
+    return None
+
+
+def _threaded(fn, cfg: SamplerConfig, starts: range, workers: int):
+    """_chunk(fn, cfg, start) for each start of starts, in order, at most
+    2 * workers ahead on a pool of threads: the route where os.fork does
+    not exist.  The executor is imported here, so importing qsteer does not
+    pay for it.  The pool is shut down, its threads joined, when the
+    iterator ends or is closed."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
     window = deque()
     try:
-        for a in args:
-            window.append(pool.submit(fn, *a))
+        for start in starts:
+            window.append(pool.submit(fn, cfg, start, min(start + CHUNK, cfg.count)))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
         while window:
@@ -187,9 +285,10 @@ TOP_PAD = 16 << 20
 
 
 def _keep_heap() -> None:
-    """Pool-worker initializer: have glibc keep TOP_PAD bytes, more than one
-    chunk's temporaries, at the top of the heap when it trims, so that the
-    next chunk reuses what a chunk frees rather than fault it in again.
+    """Run once in each forked worker: have glibc keep TOP_PAD bytes, more
+    than one chunk's temporaries, at the top of the heap when it trims, so
+    that the next chunk reuses what a chunk frees rather than fault it in
+    again.
 
     One call: on verify --count 100000 at 2 workers the workers took about
     12k minor page faults with the pad alone, as many as with both the trim
@@ -267,10 +366,10 @@ def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
     """Write the plan's scatter CSV to path: the texts of _scatter_text's
     chunks, in index order.
 
-    _run_chunks makes them in this thread or on its pool, with the same
-    bytes either way; the pool is shut down, its workers joined, before
-    this returns or raises.  Nothing is written to path before the pool
-    forks, so the children inherit no buffered output.
+    _run_chunks makes them in this thread or on its workers, with the same
+    bytes either way; the workers are reaped before this returns or raises.
+    Nothing is written to path before the workers fork, so the children
+    inherit no buffered output.
     """
     texts = _run_chunks(_scatter_text, cfg, workers)
     with contextlib.closing(texts), open(path, "w", newline="") as fh:

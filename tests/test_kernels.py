@@ -326,6 +326,30 @@ def test_each_width_takes_one_svd_of_its_own_size(ranks, widths, monkeypatch):
     assert svds == [("svd", k) for k in widths] * 2
 
 
+def test_the_width_scan_reads_zeros_as_the_complex_comparison_does():
+    # _widths ORs the float bits of each column: it must see a column that
+    # is nonzero only in the imaginary part of one row, read -0.0 in either
+    # part as zero and find the width k with zero columns after it, at every
+    # k; k = 0 is a factor of zeros, which reads as width m
+    m = 5
+    signed_zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    x, want = [], []
+    for k in range(m + 1):
+        for row in range(4):
+            for zero in signed_zeros:
+                for last in (5e-324j, 1j, complex(-0.0, -2.0)):
+                    f = np.full((4, m), zero)
+                    if k > 1:
+                        f[:, : k - 1] = random_factors(k + row, 1, k - 1)[0]
+                    if k:
+                        f[row, k - 1] = last
+                    x.append(f)
+                    want.append(k or m)
+    x = np.array(x)
+    old = m - np.argmax((x != 0).any(axis=1)[:, ::-1], axis=1)
+    assert batch._widths(x).tolist() == old.tolist() == want
+
+
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
 

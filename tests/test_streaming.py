@@ -127,25 +127,31 @@ def test_one_worker_starts_no_pool(monkeypatch, tmp_path):
         harness.write_scatter_csv(tmp_path / "scatter.csv", plan, workers=workers)
 
 
-def test_pool_measures_a_bounded_window_ahead(monkeypatch):
-    # the children draw and measure; the parent submits, so count there
-    from concurrent.futures.process import ProcessPoolExecutor
+def test_a_closed_pool_stops_its_workers_within_a_chunk_of_the_reader(monkeypatch):
+    # a sample chunk's text, about 340 kB, outgrows a 64 kB pipe buffer, so
+    # a worker holds at most one finished chunk: after the parent reads
+    # chunk 0 and closes, worker 0 has started chunk 2 and worker 1 chunk 1,
+    # and neither starts another.  The children count their starts down a
+    # pipe of the test's own.
+    read, write = os.pipe()
 
-    submitted = []
-    submit = ProcessPoolExecutor.submit
+    def counted(cfg, start, stop):
+        os.write(write, start.to_bytes(8, "little"))
+        return harness._scatter_text(cfg, start, stop)
 
-    def counted(self, fn, cfg, start, stop):
-        submitted.append(start)
-        return submit(self, fn, cfg, start, stop)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
-    workers = 2
+    forks = _counted_forks(monkeypatch)
     cfg = SamplerConfig("ginibre", "uniform", seed=15, count=20 * CHUNK)
-    chunks = harness._run_chunks(harness.scatter_table, cfg, workers)
-    start, _, _ = next(chunks)
-    assert start == 0
-    chunks.close()  # cancels what has not started; waits for what has
-    assert submitted == [CHUNK * i for i in range(2 * workers)]
+    chunks = harness._run_chunks(counted, cfg, 2)
+    assert next(chunks).startswith(harness.SCATTER_HEADER + "\n0,")
+    chunks.close()
+    assert len(forks) == 2
+    _assert_reaped(forks)
+    os.close(write)
+    with open(read, "rb") as fh:
+        counts = fh.read()
+    started = sorted(int.from_bytes(counts[i : i + 8], "little")
+                     for i in range(0, len(counts), 8))
+    assert started == [0, CHUNK, 2 * CHUNK]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -348,8 +354,7 @@ def test_pool_workers_keep_their_heap_across_chunks():
     # touches no new page after the first few; one that hands each chunk's
     # freed temporaries back to the OS faults about 500 in again per chunk
     cfg = SamplerConfig("ginibre", 3, seed=19, count=16 * CHUNK)
-    args = ((cfg, start, start + CHUNK) for start in range(0, cfg.count, CHUNK))
-    faults = list(harness._ahead(_chunk_faults, args, 1))
+    faults = list(harness._ahead(_chunk_faults, cfg, range(0, cfg.count, CHUNK), 1))
     assert len(faults) == 16 and max(faults[4:]) < 50, faults
 
 
@@ -368,7 +373,7 @@ def test_the_worker_initializer_passes_over_a_libc_without_mallopt(missing, monk
 
 def test_only_forked_workers_change_the_allocator(monkeypatch, tmp_path):
     # the calling process keeps its allocator at one worker, for a plan of
-    # one chunk and on the thread fallback: an initializer run there raises
+    # one chunk and on the thread fallback: a _keep_heap run there raises
     parent = os.getpid()
 
     def keep_heap():
@@ -418,6 +423,29 @@ def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, capsys):
+    # a worker that ends without sending its chunk (os._exit, an OOM kill) is
+    # an error of the run, not verify's exit 1 for violations found
+    parent = os.getpid()
+    measure = batch.measure_factors
+
+    def dying(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return measure(x)
+
+    monkeypatch.setattr(batch, "measure_factors", dying)
+    forks = _counted_forks(monkeypatch)
+    assert cli.main(_argv(command, 3 * CHUNK, 21, 2, tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: worker process {forks[0]} ended (wait status 768, "
+                            "exit code 3) before it sent the chunk at record 0\n")
+    assert captured.out == ""
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_the_parent_runs_one_thread_at_every_fork(command, monkeypatch, tmp_path):
     # fork copies only the calling thread, so a lock that another thread
     # holds at the fork stays held in the child
@@ -463,13 +491,34 @@ def test_bad_worker_count_leaves_the_output_alone(workers, tmp_path):
     assert not absent.exists()
 
 
-def _workers_in_child(setup):
-    code = setup + "; from qsteer import harness; print(harness.WORKERS)"
+def _in_child(code, *args):
+    """The standard output of a fresh interpreter that runs code."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return proc.stdout
+
+
+def _workers_in_child(setup):
+    return int(_in_child(setup + "; from qsteer import harness; print(harness.WORKERS)"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_pooled_runs_import_no_executor(tmp_path):
+    # the fork pool needs neither multiprocessing nor concurrent.futures
+    code = f"""
+import os, sys
+from qsteer import cli
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+plan = ["--count", "{3 * CHUNK}", "--workers", "2"]
+assert cli.main(["verify", *plan]) == 0
+assert cli.main(["sample", *plan, "--out", sys.argv[1]]) == 0
+print(len(forks), [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+"""
+    last = _in_child(code, str(tmp_path / "scatter.csv")).splitlines()[-1]
+    assert last == "4 []"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
