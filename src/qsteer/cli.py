@@ -34,8 +34,10 @@ def _add_plan_flags(p) -> None:
                    help="1..4 or 'uniform'")
     p.add_argument("--workers", type=int, default=harness.WORKERS,
                    help="forked processes that draw and measure the plan, and "
-                        "also format sample's CSV (default: %(default)s, the CPUs "
-                        "this process may use, at most 2)")
+                        "also format sample's CSV; without os.fork every chunk "
+                        "runs in the calling thread (default: %(default)s, the "
+                        "CPUs this process may use, at most 2, or 1 without "
+                        "os.fork)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,14 @@ closed form with its pipeline value's bits, an upper bound with C's, and a
 sweep axis value or discrepancy that repeats.
 Scatter runs and falsification runs stream the plan one chunk at a time:
 scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
-the one place that chooses between the calling thread and a pool, runs it
-inside each chunk's formatter (sample) or fold into a FalsificationSummary
-(verify), and _merge joins the folds in index order.  On more than one
-worker, _ahead forks them, each with its own pipe and a static shard of the
-chunks (worker w makes chunks w, w + W, ...), and reads chunk i from pipe
-i % W; a worker runs ahead only as far as its pipe buffer holds its results.
+the one place that chooses between the calling thread and forked workers,
+runs it inside each chunk's formatter (sample) or fold into a
+FalsificationSummary (verify), and _merge joins the folds in index order.
+On more than one worker, _ahead forks them, each with its own pipe and a
+static shard of the chunks (worker w makes chunks w, w + W, ...), and reads
+chunk i from pipe i % W; a worker runs ahead only as far as its pipe buffer
+holds its results.  Where os.fork does not exist, every chunk runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 import math
 import os
 import pickle
-from collections import deque
+import stat
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,12 +56,15 @@ from .states import (
 # (about 340 kB), or a pipe buffer of verify's summaries (about 200 B each).
 CHUNK = 2048
 
-# the default worker count: the CPUs this process may run on, at most two.
-# Each worker is a forked process (see _run_chunks) that keeps one CPU busy.
-# Two is the most that has been measured; the cap also keeps the default
-# memory in flight the same on every host.
+# the default worker count: the CPUs this process may run on, at most two,
+# or 1 where os.fork does not exist and every chunk runs in the calling
+# thread.  Each worker is a forked process (see _run_chunks) that keeps one
+# CPU busy.  Two is the most that has been measured; the cap also keeps the
+# default memory in flight the same on every host.
 MAX_DEFAULT_WORKERS = 2
-if hasattr(os, "sched_getaffinity"):
+if not hasattr(os, "fork"):
+    WORKERS = 1
+elif hasattr(os, "sched_getaffinity"):
     WORKERS = min(len(os.sched_getaffinity(0)), MAX_DEFAULT_WORKERS)
 else:
     WORKERS = min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
@@ -143,14 +148,14 @@ def _run_chunks(fn, cfg: SamplerConfig, workers: int):
     still writes its header.
 
     The worker count is checked at the call.  The plan is a range of chunk
-    starts, the same few objects at any count.  With one worker, or a plan
-    of one chunk, each call runs in the calling thread when the iterator
-    reaches it; otherwise on _ahead's min(workers, chunks) workers.
+    starts, the same few objects at any count.  With one worker, a plan of
+    one chunk or no os.fork, each call runs in the calling thread when the
+    iterator reaches it; otherwise on _ahead's min(workers, chunks) workers.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ParameterOutOfRange(f"workers must be an integer >= 1, got {workers!r}")
     starts = range(0, max(cfg.count, 1), CHUNK)
-    if workers == 1 or len(starts) == 1:
+    if workers == 1 or len(starts) == 1 or not hasattr(os, "fork"):
         return (_chunk(fn, cfg, start) for start in starts)
     return _ahead(fn, cfg, starts, min(workers, len(starts)))
 
@@ -162,7 +167,8 @@ def _chunk(fn, cfg: SamplerConfig, start: int):
 
 def _ahead(fn, cfg: SamplerConfig, starts: range, workers: int):
     """_chunk(fn, cfg, start) for each start of starts, in order, on forked
-    processes, or on _threaded's pool where os.fork does not exist.
+    processes.  Where os.fork does not exist, _run_chunks runs every chunk in
+    the calling thread instead and never calls it.
 
     Worker w is forked with its own pipe and a static shard, starts[w::workers],
     and sends each result down the pipe as it is made: an 8-byte length,
@@ -177,9 +183,6 @@ def _ahead(fn, cfg: SamplerConfig, starts: range, workers: int):
     exits, so each one stops within one chunk.  The parent starts no thread
     and imports no executor.  fork, not spawn: a spawned child imports numpy
     and qsteer again, about 0.2 s a run."""
-    if not hasattr(os, "fork"):
-        yield from _threaded(fn, cfg, starts, workers)
-        return
     children = []  # (pid, read end of its pipe)
     try:
         for w in range(workers):
@@ -256,27 +259,6 @@ def _receive(pipe):
         if len(payload) == size:
             return pickle.loads(payload)
     return None
-
-
-def _threaded(fn, cfg: SamplerConfig, starts: range, workers: int):
-    """_chunk(fn, cfg, start) for each start of starts, in order, at most
-    2 * workers ahead on a pool of threads: the route where os.fork does
-    not exist.  The executor is imported here, so importing qsteer does not
-    pay for it.  The pool is shut down, its threads joined, when the
-    iterator ends or is closed."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(workers)
-    window = deque()
-    try:
-        for start in starts:
-            window.append(pool.submit(fn, cfg, start, min(start + CHUNK, cfg.count)))
-            if len(window) == 2 * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the pad a pool worker keeps
@@ -368,12 +350,52 @@ def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
 
     _run_chunks makes them in this thread or on its workers, with the same
     bytes either way; the workers are reaped before this returns or raises.
-    Nothing is written to path before the workers fork, so the children
-    inherit no buffered output.
+    Nothing is written before the workers fork, so the children inherit no
+    buffered output.  path is replaced only when every chunk is written
+    (see _replacing), so a failed run leaves it as it was.
     """
     texts = _run_chunks(_scatter_text, cfg, workers)
-    with contextlib.closing(texts), open(path, "w", newline="") as fh:
+    with contextlib.closing(texts), _replacing(path) as fh:
         fh.writelines(texts)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file for path's new contents: a new file beside path, moved
+    onto it when the block ends and removed if the block raises.  It is
+    made with mode 0o666 less the umask, as open(path, "w") makes a new
+    file, and takes the mode of a regular file it replaces.  A path that
+    is a symlink or exists as something other than a regular file (a FIFO,
+    /dev/stdout) is written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.fspath(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in itertools.count():
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(temp, flags, 0o666)
+            break
+        except FileExistsError:
+            pass
+        except OSError as exc:
+            exc.filename = os.fspath(path)  # name path, as open(path, "w") does
+            raise
+    try:
+        with open(fd, "w", newline="") as fh:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 # the measure-table columns of (C, S, F, purity): SweepTable's and ClosedForms' order

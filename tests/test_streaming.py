@@ -6,11 +6,14 @@ reducer below.  Peak memory must not grow with the count.  With more than
 one worker, both commands run their chunks in forked processes: sample
 draws, measures and formats each chunk, verify draws, measures and folds
 it.  Their bytes must equal the in-process run's, the parent must run one
-thread when it forks, and no process may outlive the command.
+thread when it forks, and no process may outlive the command.  Without
+os.fork, every chunk runs in the calling thread.  A failed sample leaves
+its --out as it was.
 """
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -127,7 +130,25 @@ def test_one_worker_starts_no_pool(monkeypatch, tmp_path):
         harness.write_scatter_csv(tmp_path / "scatter.csv", plan, workers=workers)
 
 
-def test_a_closed_pool_stops_its_workers_within_a_chunk_of_the_reader(monkeypatch):
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang the suite, if it runs past 60 s: the
+    alarm raises in the main thread, also inside a blocked read or waitpid.
+    pytest.fail's exception is not an Exception, so cli.main cannot turn it
+    into exit 2."""
+    def expire(signum, frame):
+        pytest.fail("the test ran past its 60 s deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_closed_pool_stops_its_workers_within_a_chunk_of_the_reader(monkeypatch, deadline):
     # a sample chunk's text, about 340 kB, outgrows a 64 kB pipe buffer, so
     # a worker holds at most one finished chunk: after the parent reads
     # chunk 0 and closes, worker 0 has started chunk 2 and worker 1 chunk 1,
@@ -295,8 +316,8 @@ def _argv(command, count, seed, workers, out):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-# CHUNK + 1 has fewer chunks than 3 workers; 7 * CHUNK + 3 has more chunks
-# than either window of 2 * workers
+# CHUNK + 1 has fewer chunks than 3 workers; 7 * CHUNK + 3 gives each
+# worker a shard of more than two chunks
 @pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 7 * CHUNK + 3])
 def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, tmp_path):
     base = ["sample", "--count", str(count), "--seed", "17"]
@@ -308,24 +329,37 @@ def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, 
     _assert_forks_fit_the_plan(forks, count, workers)
 
 
-def test_without_fork_sample_runs_on_threads(monkeypatch, tmp_path):
-    from concurrent.futures import ThreadPoolExecutor
-
-    submitted = []
-    submit = ThreadPoolExecutor.submit
-
-    def counted(self, fn, cfg, start, stop):
-        submitted.append(start)
-        return submit(self, fn, cfg, start, stop)
-
-    argv = ["sample", "--count", str(2 * CHUNK + 7), "--seed", "17"]
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert cli.main(argv + ["--workers", "1", "--out", str(serial)]) == 0
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
-    assert cli.main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
-    assert pooled.read_bytes() == serial.read_bytes()
-    assert submitted == [0, CHUNK, 2 * CHUNK]
+def test_without_fork_the_chunks_run_in_the_calling_thread(tmp_path):
+    # a fresh interpreter without os.fork (as on Windows) runs a plan of
+    # three chunks at two workers: the one-worker bytes, no thread started,
+    # no executor imported and no child process left
+    argv = ["--count", str(3 * CHUNK), "--seed", "22"]
+    for command in COMMANDS:
+        assert cli.main([command, *argv, "--workers", "1",
+                         "--out", str(tmp_path / f"{command}.serial")]) == 0
+    code = f"""
+import os, sys, threading
+del os.fork
+modules, threads, started = set(sys.modules), threading.active_count(), []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self) or start(self)
+from qsteer import cli, harness
+for command in ("sample", "verify"):
+    out = os.path.join(sys.argv[1], command + ".pooled")
+    assert cli.main([command, *{argv!r}, "--workers", "2", "--out", out]) == 0
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = "children"
+except ChildProcessError:
+    children = "no children"
+imported = sorted({{"concurrent.futures", "multiprocessing"}} & (set(sys.modules) - modules))
+print(harness.WORKERS, threading.active_count() - threads, len(started), imported, children)
+"""
+    last = _in_child(code, str(tmp_path)).splitlines()[-1]
+    assert last == "1 0 0 [] no children"
+    for command in COMMANDS:
+        assert (tmp_path / f"{command}.pooled").read_bytes() \
+            == (tmp_path / f"{command}.serial").read_bytes()
 
 
 def _chunk_faults(cfg, start, stop):
@@ -373,7 +407,7 @@ def test_the_worker_initializer_passes_over_a_libc_without_mallopt(missing, monk
 
 def test_only_forked_workers_change_the_allocator(monkeypatch, tmp_path):
     # the calling process keeps its allocator at one worker, for a plan of
-    # one chunk and on the thread fallback: a _keep_heap run there raises
+    # one chunk and without os.fork: a _keep_heap run there raises
     parent = os.getpid()
 
     def keep_heap():
@@ -390,7 +424,7 @@ def test_only_forked_workers_change_the_allocator(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
+def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path, deadline):
     argv = _argv(command, 3 * CHUNK, 18, 2, tmp_path / "out")
     forks = _counted_forks(monkeypatch)
     assert cli.main(argv) == 0
@@ -406,26 +440,49 @@ def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path):
     _assert_reaped(forks)
 
 
+EARLIER_OUT = b"an earlier run\n"
+
+
+def _earlier_out(tmp_path):
+    """An --out that holds an earlier run's bytes."""
+    out = tmp_path / "out"
+    out.write_bytes(EARLIER_OUT)
+    return out
+
+
+def _assert_out_kept(tmp_path):
+    """A failed run leaves --out byte for byte as it was, and no temporary
+    file beside it."""
+    assert (tmp_path / "out").read_bytes() == EARLIER_OUT
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, tmp_path,
-                                                          capsys):
+                                                          capsys, deadline):
     def measure(x):
         raise ParameterOutOfRange(f"bad chunk in process {os.getpid()}")
 
     # patched before the fork, so the children inherit it
     monkeypatch.setattr(batch, "measure_factors", measure)
     forks = _counted_forks(monkeypatch)
-    assert cli.main(_argv(command, 3 * CHUNK, 19, 2, tmp_path / "out")) == 2
-    captured = capsys.readouterr()
-    assert captured.err in {f"error: bad chunk in process {pid}\n" for pid in forks}, (
-        captured.err, forks)
-    assert captured.out == ""
+    out = _earlier_out(tmp_path)
+    # one worker raises in this process, two in a forked one
+    for workers, pids in ((1, [os.getpid()]), (2, forks)):
+        assert cli.main(_argv(command, 3 * CHUNK, 19, workers, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err in {f"error: bad chunk in process {pid}\n" for pid in pids}, (
+            captured.err, pids)
+        assert captured.out == ""
+        _assert_out_kept(tmp_path)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, capsys):
+def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, capsys,
+                                              deadline):
     # a worker that ends without sending its chunk (os._exit, an OOM kill) is
-    # an error of the run, not verify's exit 1 for violations found
+    # an error of the run, not verify's exit 1 for violations found.  Only
+    # forked workers can die so: one worker runs in the calling process
     parent = os.getpid()
     measure = batch.measure_factors
 
@@ -436,13 +493,56 @@ def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(batch, "measure_factors", dying)
     forks = _counted_forks(monkeypatch)
-    assert cli.main(_argv(command, 3 * CHUNK, 21, 2, tmp_path / "out")) == 2
+    out = _earlier_out(tmp_path)
+    assert cli.main(_argv(command, 3 * CHUNK, 21, 2, out)) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"error: worker process {forks[0]} ended (wait status 768, "
                             "exit code 3) before it sent the chunk at record 0\n")
     assert captured.out == ""
     assert len(forks) == 2
     _assert_reaped(forks)
+    _assert_out_kept(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_sample_replaces_a_regular_out_and_writes_through_the_rest(tmp_path, capsys):
+    # a regular file is replaced and keeps its mode; a new one gets 0o666
+    # less the umask, as open(path, "w") gives it; a symlink and a FIFO are
+    # written in place; an --out that cannot be made is named in the error
+    argv = ["sample", "--count", str(CHUNK + 1), "--seed", "23", "--workers", "1", "--out"]
+    want = tmp_path / "want.csv"
+    assert cli.main(argv + [str(want)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert want.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    kept = _earlier_out(tmp_path)
+    kept.chmod(0o640)
+    assert cli.main(argv + [str(kept)]) == 0
+    assert kept.read_bytes() == want.read_bytes()
+    assert kept.stat().st_mode & 0o777 == 0o640
+
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(EARLIER_OUT)
+    link.symlink_to(target)
+    assert cli.main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(argv + [str(fifo)]) == 0
+    reader.join(60)
+    assert got == [want.read_bytes()]
+
+    absent = tmp_path / "absent" / "out.csv"
+    assert cli.main(argv + [str(absent)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(absent)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fifo", "link.csv", "out", "target.csv", "want.csv"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
