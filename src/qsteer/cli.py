@@ -78,7 +78,7 @@ def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with harness._replacing(path) as fh:
             fh.write(text)
 
 

@@ -86,6 +86,11 @@ THEOREMS = ("theorem1", "theorem2")
 # regions in the order run_region_scan tests for them
 REGION_LABELS = ("unrealizable", "steerable", "entangled-unknown", "separable-boundary")
 
+# cells per block of purity rows that run_region_scan classifies at once,
+# or one row when a row is longer: each float64 or int64 temporary of a
+# block's margin and region choice holds at most 128 kB or one row
+REGION_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
@@ -465,7 +470,7 @@ def sweep_csv_lines(table: SweepTable):
 
 
 def write_sweep_csv(path, table: SweepTable) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.writelines(line + "\n" for line in sweep_csv_lines(table))
 
 
@@ -479,7 +484,9 @@ def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanRe
     """Classify the (purity, C) plane for the isotropic-mixture family.
 
     Emits, besides the grid, the zero crossing of the steering criterion and
-    the realizability envelope C = (3p - 1)/2.
+    the realizability envelope C = (3p - 1)/2.  The grid is classified in
+    blocks of whole purity rows, REGION_BLOCK cells or one row each, into
+    one int8 array, so no temporary grows with the grid.
     """
     if not (_is_int(purity_steps) and _is_int(c_steps)
             and purity_steps >= 2 and c_steps >= 2):
@@ -487,13 +494,17 @@ def run_region_scan(purity_steps: int = 400, c_steps: int = 400) -> RegionScanRe
     purities = np.linspace(0.25, 1.0, purity_steps)
     concs = np.linspace(0.0, 1.0, c_steps)
     p, cmax = measures.isotropic_envelope(purities)
-    margin = measures.wu_steering_margin(concs[None, :], purities[:, None])
-    # the first condition that holds picks the region
-    regions = np.select(
-        [concs[None, :] > cmax[:, None] + SLACK, margin > 0.0,
-         np.broadcast_to(concs > 0.0, margin.shape)],
-        [0, 1, 2], default=3,
-    ).astype(np.int8)
+    regions = np.empty((purity_steps, c_steps), np.int8)
+    rows = max(1, REGION_BLOCK // c_steps)
+    for i in range(0, purity_steps, rows):
+        block = slice(i, i + rows)
+        margin = measures.wu_steering_margin(concs[None, :], purities[block, None])
+        # the first condition that holds picks the region
+        regions[block] = np.select(
+            [concs[None, :] > cmax[block, None] + SLACK, margin > 0.0,
+             np.broadcast_to(concs > 0.0, margin.shape)],
+            [0, 1, 2], default=3,
+        )
     crossed = p * p >= 1.0 / 3.0
     boundary = list(zip(purities[crossed].tolist(),
                         _boundary_concurrence(p[crossed]).tolist()))
@@ -515,12 +526,12 @@ def region_csv_lines(result: RegionScanResult):
 
 
 def write_region_csv(path, result: RegionScanResult) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.writelines(block + "\n" for block in region_csv_lines(result))
 
 
 def write_boundary_csv(path, series) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.writelines(itertools.chain(["purity,C\n"],
                                       (f"{float(u)!r},{float(c)!r}\n" for u, c in series)))
 

@@ -1,3 +1,6 @@
+import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
@@ -7,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsteer import measures, states
+from qsteer import cli, harness, measures, states
 from qsteer.cli import main
 from qsteer.errors import ParameterOutOfRange
 
@@ -269,6 +272,78 @@ def test_wu_scan_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["wu-scan", "--grid", "20by20", "--out", str(out)]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+def _fails_after_first(lines):
+    """The first item of lines, then the error of a full disk."""
+    lines = iter(lines)
+    yield next(lines)
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _break_lines(monkeypatch, name):
+    """harness.name's lines fail after the first."""
+    make = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: _fails_after_first(make(*args)))
+
+
+def _break_series(monkeypatch, field):
+    """The region scan's series field fails after its first point."""
+    scan = harness.run_region_scan
+
+    def broken(*grid):
+        result = scan(*grid)
+        return dataclasses.replace(result, **{field: _fails_after_first(getattr(result, field))})
+
+    monkeypatch.setattr(harness, "run_region_scan", broken)
+
+
+def _break_text(monkeypatch):
+    """The JSON report's second line cannot be encoded, so its write to
+    --out raises; verify's copy goes to a stdout that takes it."""
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: "{\n\udc80\n}")
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+
+
+# (how the write breaks, argv before --out OUT, the file that must be kept,
+# the exception main raises, or None for exit 2)
+BROKEN_WRITES = {
+    "channel-sweep": (lambda mp: _break_lines(mp, "sweep_csv_lines"),
+                      ["channel-sweep", "--family", "ad", "--theta-steps", "3",
+                       "--eta-steps", "3"], "out.csv", None),
+    "wu-scan": (lambda mp: _break_lines(mp, "region_csv_lines"),
+                ["wu-scan", "--grid", "4x5"], "out.csv", None),
+    "wu-scan-boundary": (lambda mp: _break_series(mp, "criterion_boundary"),
+                         ["wu-scan", "--grid", "4x5"], "out_boundary.csv", None),
+    "wu-scan-werner": (lambda mp: _break_series(mp, "werner_envelope"),
+                       ["wu-scan", "--grid", "4x5"], "out_werner.csv", None),
+    "analyze": (_break_text, ["analyze", "--in", "state.json", "--format", "json"],
+                "out.csv", UnicodeEncodeError),
+    "verify": (_break_text, ["verify", "--count", "10"], "out.csv", UnicodeEncodeError),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_WRITES))
+def test_a_failed_write_leaves_the_earlier_out(case, tmp_path, monkeypatch, capsys):
+    # every output file is replaced only once it is written whole: a write
+    # that raises partway leaves the earlier file byte for byte as it was
+    # and no .NAME.PID.N.tmp file beside it
+    breaks, argv, kept, error = BROKEN_WRITES[case]
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path / "state.json", states.DensityMatrix(np.eye(4) / 4.0))
+    earlier = b"an earlier run\n"
+    (tmp_path / kept).write_bytes(earlier)
+    breaks(monkeypatch)
+    argv = argv + ["--out", "out.csv"]
+    if error is None:
+        assert main(argv) == 2
+        full = f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+        assert capsys.readouterr().err == full
+    else:
+        with pytest.raises(error):
+            main(argv)
+    assert (tmp_path / kept).read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 def test_verify_clean_run(tmp_path, capsys):

@@ -13,7 +13,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
-from qsteer import harness, measures, states
+from qsteer import batch, harness, measures, states
 from qsteer.errors import ParameterOutOfRange, ValidationError
 
 from conftest import SIGMA_YY
@@ -129,6 +129,28 @@ def test_region_scan_companion_series():
         assert c == pytest.approx(harness._boundary_concurrence(p), abs=1e-15)
     with pytest.raises(ParameterOutOfRange):
         harness.run_region_scan(1, 5)
+
+
+def test_region_scan_criterion_is_the_squared_steerability():
+    # on p|phi><phi| + (1 - p)I/4 with phi = cos t|00> + sin t|11>, the
+    # criterion's margin x + Q^2 - 1 is u^2 + (p^2 - 1)/2 = (F^2 - 1)/2 for
+    # u = C + (1 - p)/2 = p sin 2t, so where it is positive it is S^2 and
+    # elsewhere S = 0.  Every realizable entangled cell of the default grid,
+    # each state built from factors and measured (max 3.5 eps measured)
+    result = harness.run_region_scan(400, 400)
+    labels = np.array(harness.REGION_LABELS)[result.regions]
+    i, j = np.nonzero((labels == "steerable") | (labels == "entangled-unknown"))
+    pur, conc = result.purities[i], result.concurrences[j]
+    p, _ = measures.isotropic_envelope(pur)
+    t = np.arcsin((conc + (1.0 - p) / 2.0) / p) / 2.0
+    rows = batch.measure_factors(states.werner_factors(p, states.bell_like_amplitudes(t)))
+    s = rows[:, batch.COL_S]
+    margin = measures.wu_steering_margin(conc, pur)
+    assert len(i) == 82560
+    assert np.abs(np.maximum(margin, 0.0) - s * s).max() <= 8.0 * np.finfo(float).eps
+    assert np.array_equal(labels[i, j] == "steerable", s > 0.0)
+    assert np.count_nonzero(labels == "steerable") == 45049
+    assert np.count_nonzero(labels == "entangled-unknown") == 37511
 
 
 def test_werner_family_walks_the_envelope():

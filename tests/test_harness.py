@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,8 +368,49 @@ def test_family_sweep_stack_equals_the_one_channel_builders(family, make, monkey
                           np.ascontiguousarray(expect).view(np.int64))
 
 
-def test_region_scan_classifies_the_grid_at_once(monkeypatch):
+def _one_shot_regions(purities, concs):
+    """The region codes of the whole grid from one margin call and one
+    np.select, as run_region_scan made them before it worked in blocks."""
+    _, cmax = measures.isotropic_envelope(purities)
+    margin = measures.wu_steering_margin(concs[None, :], purities[:, None])
+    return np.select(
+        [concs[None, :] > cmax[:, None] + states.SLACK, margin > 0.0,
+         np.broadcast_to(concs > 0.0, margin.shape)],
+        [0, 1, 2], default=3,
+    ).astype(np.int8)
+
+
+def test_region_scan_makes_one_margin_call_per_block(monkeypatch):
+    # blocks of whole purity rows, never a call per row or per cell: a block
+    # of 2**14 cells is 40 rows of 400
     margins = _counted(monkeypatch, [(measures, "wu_steering_margin")])
     result = harness.run_region_scan(400, 400)
     assert result.regions.shape == (400, 400)
-    assert len(margins) <= 2
+    assert len(margins) == 10
+
+
+# (purity steps, C steps, blocks): purity counts that are no multiple of a
+# block's rows, and rows longer than a block, so one row a block
+@pytest.mark.parametrize("purity_steps, c_steps, blocks",
+                         [(2, 2, 1), (41, 400, 2), (3, 20000, 3)])
+def test_region_scan_blocks_equal_the_one_shot_grid(purity_steps, c_steps, blocks,
+                                                    monkeypatch):
+    margins = _counted(monkeypatch, [(measures, "wu_steering_margin")])
+    result = harness.run_region_scan(purity_steps, c_steps)
+    assert len(margins) == blocks
+    assert result.regions.dtype == np.int8
+    assert np.array_equal(result.regions,
+                          _one_shot_regions(result.purities, result.concurrences))
+
+
+def test_region_scan_memory_does_not_grow_with_the_grid():
+    # the grid's 1 MB of int8 codes, no float64 or int64 grid (23 MB when
+    # the scan made its margin and region choice over the whole grid)
+    harness.run_region_scan(1000, 1000)
+    tracemalloc.start()
+    try:
+        harness.run_region_scan(1000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
