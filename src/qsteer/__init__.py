@@ -34,15 +34,13 @@ from .measures import (
 from .states import (
     STREAM_VERSION,
     DensityMatrix,
-    KrausChannel,
     PureState,
     SamplerConfig,
     apply_channel,
     bell_like,
     bell_like_amplitudes,
+    damping_operators,
     density_from_pure,
-    make_ad_channel,
-    make_pd_channel,
     random_state,
     random_unitary,
     state_from_json,

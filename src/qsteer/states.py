@@ -1,4 +1,4 @@
-"""Two-qubit state types, channel constructors and seeded samplers.
+"""Two-qubit state types, the damping Kraus constructor and seeded samplers.
 
 Sampling is counter-based (stream versions 3 to 9 draw the same values).
 Each (seed, domain) pair keys one Philox4x64 generator; domains keep state
@@ -184,28 +184,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _frozen(m))
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """Single-qubit channel given by Kraus operators, applied to qubit A."""
-
-    operators: tuple
-
-    def __post_init__(self):
-        ops = self.operators if np.iterable(self.operators) else ()  # None or a number: no operators
-        ops = tuple(_complex_array(k, "operators") for k in ops)
-        if not ops or any(k.shape != (2, 2) for k in ops):
-            raise ValidationError("operators must be a non-empty tuple of 2x2 matrices")
-        for i, k in enumerate(ops):
-            if not np.isfinite(k).all():
-                raise ValidationError(f"operators contain non-finite entries at index {i}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
-            total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.abs(total - np.eye(2)).max())
-        if not dev <= KRAUS_TOL:
-            raise ChannelIncomplete(f"Kraus operators violate completeness by {dev:.3e}")
-        object.__setattr__(self, "operators", tuple(_frozen(k) for k in ops))
-
-
 def _is_int(x) -> bool:
     """A Python or numpy integer; a bool is not one."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -325,74 +303,68 @@ def werner_like(p: float, phi: PureState) -> DensityMatrix:
     return DensityMatrix(gram(werner_factors([p], phi.amplitudes[None]))[0])
 
 
+def _check_complete(k: np.ndarray) -> None:
+    """Raise ChannelIncomplete, naming the first bad set "at index i" in a
+    stack of sets, unless sum_k K_k^dag K_k = I to KRAUS_TOL for each Kraus
+    set of the (..., n_ops, 2, 2) stack ``k``; an overflow fails, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # entry (i, l) of sum_k K_k^dag K_k is sum over k and j of conj(K_k[j, i]) K_k[j, l]
+        total = (k.conj()[..., None] * k[..., None, :]).sum(axis=(-4, -3))
+        dev = np.abs(total - np.eye(2)).max(axis=(-2, -1))
+    if not (dev <= KRAUS_TOL).all():
+        i = int(np.argmax(~(dev <= KRAUS_TOL).ravel()))
+        where = f" at index {i}" if dev.ndim else ""
+        raise ChannelIncomplete(
+            f"Kraus operators violate completeness by {dev.ravel()[i]:.3e}{where}")
+
+
 def damping_operators(etas, row: int) -> np.ndarray:
     """The damping Kraus pair K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|row><1|
     of each eta in [0, 1]: an (n, 2, 2, 2) stack for n etas, one (2, 2, 2)
     pair for a number.  Row 0 damps the amplitude, row 1 the phase.
 
-    The etas are range-checked, and sum_k K_k^dag K_k = I checked to
-    KRAUS_TOL, once over the whole stack; the first incomplete pair raises
-    ChannelIncomplete, "at index i" for an array.
+    The etas are range-checked, and completeness checked once over the whole
+    stack; ``row`` must be the integer 0 or 1.
     """
     etas = _check_range("eta", etas, 0.0, 1.0)
+    if not (_is_int(row) and row in (0, 1)):
+        raise ParameterOutOfRange(f"row must be 0 or 1, got {row!r}")
     k = np.zeros(etas.shape + (2, 2, 2), np.complex128)
     k[..., 0, 0, 0] = 1.0
     k[..., 0, 1, 1] = np.sqrt(1.0 - etas)
     k[..., 1, row, 1] = np.sqrt(etas)
-    # entry (i, l) of sum_k K_k^dag K_k is sum over k and j of conj(K_k[j, i]) K_k[j, l]
-    total = (k.conj()[..., None] * k[..., None, :]).sum(axis=(-4, -3))
-    dev = np.abs(total - np.eye(2)).max(axis=(-2, -1))
-    if not (dev <= KRAUS_TOL).all():
-        i = int(np.argmax(~(dev <= KRAUS_TOL).ravel()))
-        where = f" at index {i}" if etas.ndim else ""
-        raise ChannelIncomplete(
-            f"Kraus operators violate completeness by {dev.ravel()[i]:.3e}{where}")
+    _check_complete(k)
     return k
 
 
-def _damping_channel(eta, row: int) -> KrausChannel:
-    ops = damping_operators(eta, row)
-    if ops.ndim != 3:
-        raise ParameterOutOfRange(f"eta must be one number, got shape {np.shape(eta)}")
-    return KrausChannel(tuple(ops))
-
-
-def make_ad_channel(eta: float) -> KrausChannel:
-    """Amplitude damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|0><1|."""
-    return _damping_channel(eta, 0)
-
-
-def make_pd_channel(eta: float) -> KrausChannel:
-    """Phase damping: K0 = diag(1, sqrt(1-eta)), K1 = sqrt(eta)|1><1|."""
-    return _damping_channel(eta, 1)
-
-
-def damped_factors(amps, channels) -> np.ndarray:
-    """(n, len(channels), 4, n_ops) factors: column k of entry (i, j) is
-    (K_k x I) a_i, for the Kraus operators K_k of channels[j] and row a_i of
-    the (n, 4) stack ``amps``, so its state is channels[j] applied to
-    |a_i><a_i|.  A channel with fewer operators than the longest one gets
-    zero columns, which add nothing to the state."""
-    n_ops = max((len(ch.operators) for ch in channels), default=0)
-    k = np.zeros((len(channels), n_ops, 2, 2), np.complex128)
-    for j, ch in enumerate(channels):
-        k[j, : len(ch.operators)] = ch.operators
-    return _kraus_factors(amps, k)
-
-
 def _kraus_factors(amps, k: np.ndarray) -> np.ndarray:
-    """damped_factors for the channels whose Kraus operators are k[j], an
-    (m, n_ops, 2, 2) stack that the caller has checked for completeness,
-    as damping_operators does."""
+    """(n, m, 4, n_ops) factors: column c of entry (i, j) is (K_c x I) a_i,
+    for the Kraus operators K_c = k[j, c] of the (m, n_ops, 2, 2) stack ``k``,
+    which the caller has checked for completeness, and row a_i of the (n, 4)
+    stack ``amps``; its state is channel j applied to |a_i><a_i|."""
     a = validate_amplitudes(amps)
     # K x I for every operator at once: entry (2r + s, 2c + t) is K[r, c] I[s, t]
     ops = (k[:, :, :, None, :, None] * np.eye(2)[:, None, :]).reshape(k.shape[:2] + (4, 4))
     return (ops @ a[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """sum_k (K_k x I) rho (K_k x I)^dag over the channel's operators K_k."""
-    ops = [np.kron(k, np.eye(2)) for k in channel.operators]
+def apply_channel(rho: DensityMatrix, operators) -> DensityMatrix:
+    """sum_k (K_k x I) rho (K_k x I)^dag: the channel of the Kraus operators
+    K_k, an (n_ops, 2, 2) stack such as damping_operators(eta, row) or a
+    tuple of 2x2 matrices, applied to qubit A.
+
+    A stack of another shape, or one with a non-finite operator (named by
+    its index), raises ValidationError; an incomplete one ChannelIncomplete.
+    """
+    k = _complex_array(operators, "operators")
+    if k.ndim != 3 or k.shape[1:] != (2, 2) or not len(k):
+        raise ValidationError(f"operators must be a non-empty (n_ops, 2, 2) stack, got {k.shape}")
+    finite = np.isfinite(k).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"operators contain non-finite entries at index {int(np.argmin(finite))}")
+    _check_complete(k)
+    ops = [np.kron(op, np.eye(2)) for op in k]
     return DensityMatrix(sum(op @ rho.matrix @ op.conj().T for op in ops))
 
 

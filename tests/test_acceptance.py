@@ -41,16 +41,21 @@ def announce(num, ok, detail):
 def damping_grid(family, steps=50):
     thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, steps)
     etas = np.linspace(0.0, 1.0, steps)
-    make = states.make_ad_channel if family == "ad" else states.make_pd_channel
+    row = 0 if family == "ad" else 1
     mats = np.empty((steps * steps, 4, 4), np.complex128)
     params = []
-    k = 0
+    i = 0
     for th in thetas:
-        base = states.density_from_pure(states.bell_like(th))
+        base = states.density_from_pure(states.bell_like(th)).matrix
         for eta in etas:
-            mats[k] = states.apply_channel(base, make(eta)).matrix
+            # K0 = diag(1, sqrt(1 - eta)) and K1 = sqrt(eta)|row><1|, summed as
+            # (K x I) rho (K x I)^dag here, apart from the sweep's Kraus code
+            k1 = np.zeros((2, 2))
+            k1[row, 1] = math.sqrt(eta)
+            ops = [np.kron(k, np.eye(2)) for k in (np.diag([1.0, math.sqrt(1.0 - eta)]), k1)]
+            mats[i] = sum(op @ base @ op.conj().T for op in ops)
             params.append((th, eta))
-            k += 1
+            i += 1
     return params, mats, batch.measure_rows(mats)
 
 

@@ -319,11 +319,11 @@ def _counted(monkeypatch, targets):
 
 @pytest.mark.parametrize("family", ["ad", "pd", "wu"])
 def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
-    # structural guard: one stack of exact factors, measured in one call with
-    # no eigensolver, no matrix validation and no channel object per eta;
+    # structural guard: one stack of exact factors from one Kraus stack,
+    # measured in one call with no eigensolver and no matrix validation;
     # counts calls, no timing
-    built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__"),
-                                   (states.KrausChannel, "__post_init__")])
+    built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__")])
+    kraus = _counted(monkeypatch, [(harness, "damping_operators")])
     matrix_route = _counted(monkeypatch, [
         (batch, "validate_stack"), (states, "validate_stack"), (batch, "measure_rows"),
         (np.linalg, "eigvalsh"), (np.linalg, "eigh")])
@@ -331,6 +331,7 @@ def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     table = harness.run_family_sweep(family, theta_steps=50, eta_steps=50, p_steps=1000)
     assert table.num.shape == table.closed.shape == (1000 if family == "wu" else 2500, 4)
     assert built == []
+    assert len(kraus) == (0 if family == "wu" else 1)
     assert matrix_route == []
     assert len(measured) == 1
 
@@ -347,22 +348,22 @@ def _counted_args(monkeypatch, owner, name):
     return args
 
 
-@pytest.mark.parametrize("family, make", [("ad", states.make_ad_channel),
-                                          ("pd", states.make_pd_channel)], ids=["ad", "pd"])
-def test_family_sweep_stack_equals_the_one_channel_builders(family, make, monkeypatch):
+@pytest.mark.parametrize("family, row", [("ad", 0), ("pd", 1)], ids=["ad", "pd"])
+def test_family_sweep_stack_equals_the_one_channel_builders(family, row, monkeypatch):
     # the sweep's etas run from 0 to 1; bits, through int64 views, so that a
     # zero of the other sign counts as a change
     etas = np.linspace(0.0, 1.0, 50)
     assert etas[0] == 0.0 and etas[-1] == 1.0
-    stack = states.damping_operators(etas, 0 if family == "ad" else 1)
-    one_by_one = np.array([make(eta).operators for eta in etas])
+    stack = states.damping_operators(etas, row)
+    one_by_one = np.array([states.damping_operators(eta, row) for eta in etas])
     assert stack.shape == one_by_one.shape == (50, 2, 2, 2)
     assert np.array_equal(stack.view(np.int64), one_by_one.view(np.int64))
     factors = _counted_args(monkeypatch, batch, "measure_factors")
     harness.run_family_sweep(family, theta_steps=50, eta_steps=50)
-    thetas = np.linspace(0.05, np.pi / 2.0 - 0.05, 50)
-    expect = states.damped_factors(states.bell_like_amplitudes(thetas),
-                                   [make(eta) for eta in etas]).reshape(2500, 4, 2)
+    # column c of factor (i, j) is (K_c x I) a_i, for eta j's operators K_c
+    amps = states.bell_like_amplitudes(np.linspace(0.05, np.pi / 2.0 - 0.05, 50))
+    ops = np.array([[np.kron(k, np.eye(2)) for k in operators] for operators in one_by_one])
+    expect = (ops @ amps[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2).reshape(2500, 4, 2)
     (x,) = factors
     assert np.array_equal(np.ascontiguousarray(x).view(np.int64),
                           np.ascontiguousarray(expect).view(np.int64))

@@ -44,6 +44,9 @@ def test_measure_rows_rejects_bad_shapes():
         batch.measure_rows("not a matrix")
 
 
+# a state for apply_channel, whose Kraus operators are the array entry
+BELL = states.density_from_pure(states.bell_like(np.pi / 4))
+
 # each public array entry and the shape it takes
 ARRAY_ENTRIES = {
     "measure_rows": (batch.measure_rows, (1, 4, 4)),
@@ -54,7 +57,7 @@ ARRAY_ENTRIES = {
     "concurrence_pure": (measures.concurrence_pure, (1, 4)),
     "PureState": (states.PureState, (4,)),
     "DensityMatrix": (states.DensityMatrix, (4, 4)),
-    "KrausChannel": (lambda k: states.KrausChannel((k,)), (2, 2)),
+    "apply_channel": (lambda k: states.apply_channel(BELL, (k,)), (2, 2)),
 }
 
 
@@ -181,9 +184,9 @@ def test_tolerance_edges(entry, invariant, error):
     (measures.concurrence_pure, np.full(4, 1e200), NotNormalized),
     (lambda a: states.werner_factors(0.5, a), np.full((1, 4), 1e200), NotNormalized),
     (batch.measure_factors, np.full((1, 4, 4), 1e200), TraceNotOne),
-    (lambda k: states.KrausChannel((k,)), np.full((2, 2), 1e200), ChannelIncomplete),
+    (lambda k: states.apply_channel(BELL, (k,)), np.full((2, 2), 1e200), ChannelIncomplete),
 ], ids=["validate_amplitudes", "concurrence_pure", "werner_factors", "measure_factors",
-        "KrausChannel"])
+        "apply_channel"])
 def test_huge_finite_entries_fail_their_check_without_a_warning(fn, arg, error):
     # the norm or completeness sum overflows to inf, which the check rejects
     with pytest.raises(error) as err:

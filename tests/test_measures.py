@@ -333,9 +333,9 @@ def test_report_lam_are_flip_product_eigenvalues():
 def test_ad_closed_forms_match_pipeline():
     for theta, eta in ((np.pi / 6, 0.36), (0.3, 0.0), (1.2, 0.8), (np.pi / 4, 1.0)):
         forms = measures.bad_closed_forms(theta, eta)
-        rho = states.apply_channel(
-            states.density_from_pure(states.bell_like(theta)), states.make_ad_channel(eta)
-        )
+        # K0 = diag(1, sqrt(1 - eta)), K1 = sqrt(eta)|0><1|
+        kraus = (np.diag([1.0, np.sqrt(1.0 - eta)]), [[0.0, np.sqrt(eta)], [0.0, 0.0]])
+        rho = states.apply_channel(states.density_from_pure(states.bell_like(theta)), kraus)
         rep = measures.report(rho)
         assert rep.concurrence == pytest.approx(forms.concurrence, abs=1e-10)
         assert rep.steerability == pytest.approx(forms.steerability, abs=1e-10)
@@ -362,9 +362,9 @@ def test_ad_closed_forms_spot_values():
 def test_pd_closed_forms_match_pipeline():
     for theta, eta in ((np.pi / 6, 0.36), (0.3, 0.0), (1.2, 0.8), (np.pi / 4, 1.0)):
         forms = measures.bpd_closed_forms(theta, eta)
-        rho = states.apply_channel(
-            states.density_from_pure(states.bell_like(theta)), states.make_pd_channel(eta)
-        )
+        # K0 = diag(1, sqrt(1 - eta)), K1 = sqrt(eta)|1><1|
+        kraus = (np.diag([1.0, np.sqrt(1.0 - eta)]), np.diag([0.0, np.sqrt(eta)]))
+        rho = states.apply_channel(states.density_from_pure(states.bell_like(theta)), kraus)
         rep = measures.report(rho)
         assert rep.concurrence == pytest.approx(forms.concurrence, abs=1e-10)
         assert rep.steerability == pytest.approx(forms.concurrence, abs=1e-10)
@@ -459,8 +459,8 @@ PHI = [[1.0, 0.0, 0.0, 0.0]]
     (lambda: measures.wu_closed_forms(RAGGED, PHI), "p"),
     (lambda: states.werner_factors(RAGGED, PHI), "p"),
     (lambda: states.bell_like_amplitudes(RAGGED), "theta"),
-    (lambda: states.make_ad_channel(RAGGED), "eta"),
-    (lambda: states.make_pd_channel(RAGGED), "eta"),
+    (lambda: states.damping_operators(RAGGED, 0), "eta"),
+    (lambda: states.damping_operators(RAGGED, 1), "eta"),
 ], ids=["bad-theta", "bad-eta", "bpd-theta", "bpd-eta", "wu-p", "werner-p",
         "bell-like-theta", "ad-eta", "pd-eta"])
 def test_range_checked_entries_reject_a_ragged_nesting(call, named):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from qsteer.errors import (
     TraceNotOne,
     ValidationError,
 )
+
+# a state for the channel tests
+RHO = states.density_from_pure(states.bell_like(np.pi / 4))
 
 
 def test_bell_like_amplitudes():
@@ -112,11 +116,11 @@ def test_batched_builders_match_the_one_row_builders():
             for i, t in enumerate((0.3, 0.7, 1.2))]
     amps = np.stack([phi.amplitudes for phi in phis])
     ps = [0.0, 0.4, 1.0]
-    # the identity channel has one operator and is padded with a zero one
-    channels = [states.make_ad_channel(0.3), states.make_pd_channel(0.6),
-                states.KrausChannel((np.eye(2),))]
+    # the identity channel is one operator padded with a zero one
+    kraus = np.stack([states.damping_operators(0.3, 0), states.damping_operators(0.6, 1),
+                      [np.eye(2), np.zeros((2, 2))]])
     mixtures = states.gram(states.werner_factors(ps, amps))
-    x = states.damped_factors(amps, channels)
+    x = states._kraus_factors(amps, kraus)
     assert x.shape == (3, 3, 4, 2)
     damped = states.gram(x.reshape(9, 4, 2)).reshape(3, 3, 4, 4)
     projectors = states.gram(amps[:, :, None])
@@ -124,14 +128,14 @@ def test_batched_builders_match_the_one_row_builders():
         rho = states.density_from_pure(phi)
         assert np.array_equal(projectors[i], rho.matrix)
         assert np.array_equal(mixtures[i], states.werner_like(ps[i], phi).matrix)
-        for j, channel in enumerate(channels):
+        for j, operators in enumerate(kraus):
             # the wrapper sums (K x I) rho (K x I)^dag: the same state, other roundings
-            assert np.abs(damped[i, j] - states.apply_channel(rho, channel).matrix).max() <= 1e-15
+            assert np.abs(damped[i, j] - states.apply_channel(rho, operators).matrix).max() <= 1e-15
     assert np.array_equal(damped[:, 2], projectors)
     with pytest.raises(ParameterOutOfRange, match="at index 1$"):
         states.werner_factors([0.5, 1.2, -0.1], amps)
     for build in (lambda a: states.werner_factors(0.5, a),
-                  lambda a: states.damped_factors(a, channels)):
+                  lambda a: states._kraus_factors(a, kraus)):
         with pytest.raises(NotNormalized):
             build(2.0 * amps)
 
@@ -146,24 +150,30 @@ def test_werner_like_matrix():
 
 
 def test_channel_constructors_are_complete():
-    for make in (states.make_ad_channel, states.make_pd_channel):
-        for eta in (0.0, 0.3, 1.0):
-            ch = make(eta)
-            total = sum(k.conj().T @ k for k in ch.operators)
+    for row in (0, 1):
+        for operators in states.damping_operators([0.0, 0.3, 1.0], row):
+            total = sum(k.conj().T @ k for k in operators)
             assert np.abs(total - np.eye(2)).max() < 1e-15
         with pytest.raises(ParameterOutOfRange):
-            make(-0.1)
+            states.damping_operators(-0.1, row)
         with pytest.raises(ParameterOutOfRange):
-            make(1.1)
+            states.damping_operators(1.1, row)
 
 
-@pytest.mark.parametrize("make", [states.make_ad_channel, states.make_pd_channel],
-                         ids=["ad", "pd"])
-def test_a_float32_eta_builds_the_channel_of_its_float64_value(make):
+@pytest.mark.parametrize("row", [0, 1], ids=["ad", "pd"])
+def test_a_float32_eta_builds_the_channel_of_its_float64_value(row):
     # sqrt(1 - eta) taken of the float32 itself misses completeness by 2.4e-8
     eta = np.float32(0.3)
-    ops = np.array(make(eta).operators)
-    assert np.array_equal(ops.view(np.int64), np.array(make(float(eta)).operators).view(np.int64))
+    assert np.array_equal(states.damping_operators(eta, row).view(np.int64),
+                          states.damping_operators(float(eta), row).view(np.int64))
+
+
+@pytest.mark.parametrize("row", [-1, True, 2, 0.5, "0"])
+def test_damping_operators_take_row_0_or_1(row):
+    # -1 and True used to build phase damping, the others leaked an IndexError
+    named = re.escape(repr(row))
+    with pytest.raises(ParameterOutOfRange, match=f"^row must be 0 or 1, got {named}$"):
+        states.damping_operators(0.3, row)
 
 
 def test_damping_operators_check_completeness_once_over_the_stack(monkeypatch):
@@ -175,31 +185,28 @@ def test_damping_operators_check_completeness_once_over_the_stack(monkeypatch):
     with pytest.raises(ChannelIncomplete, match=r"completeness by 0\.000e\+00 at index 0$"):
         states.damping_operators([0.0, 0.25, 1.0], 1)
     with pytest.raises(ChannelIncomplete, match=r"completeness by 0\.000e\+00$"):
-        states.make_pd_channel(0.0)
+        states.damping_operators(0.0, 1)
+    # apply_channel checks a channel through the same helper
+    with pytest.raises(ChannelIncomplete, match=r"completeness by 0\.000e\+00$"):
+        states.apply_channel(RHO, stack[0])
 
 
-def test_damped_factors_equal_the_kron_construction_bit_for_bit():
+def test_kraus_factors_equal_the_kron_construction_bit_for_bit():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     # a complex one-operator channel, zero-padded beside two-operator ones
-    channels = [states.make_ad_channel(0.3), states.KrausChannel((u,)),
-                states.make_pd_channel(0.7), states.KrausChannel((-np.eye(2),))]
-    ops = np.zeros((len(channels), 2, 4, 4), np.complex128)
-    for j, ch in enumerate(channels):
-        ops[j, : len(ch.operators)] = [np.kron(k, np.eye(2)) for k in ch.operators]
+    zero = np.zeros((2, 2))
+    kraus = np.stack([states.damping_operators(0.3, 0), [u, zero],
+                      states.damping_operators(0.7, 1), [-np.eye(2), zero]])
+    ops = np.array([[np.kron(k, np.eye(2)) for k in operators] for operators in kraus])
     expect = (ops @ amps[:, None, None, :, None])[..., 0].transpose(0, 1, 3, 2)
-    x = states.damped_factors(amps, channels)
+    x = states._kraus_factors(amps, kraus)
     assert x.shape == expect.shape == (6, 4, 4, 2)
     # bits, not ==, so a zero of the other sign counts as a change
     assert np.array_equal(np.ascontiguousarray(x).view(np.int64),
                           np.ascontiguousarray(expect).view(np.int64))
-
-
-def test_damped_factors_of_no_channels_are_an_empty_stack():
-    amps = np.repeat([[1.0, 0.0, 0.0, 0.0]], 3, axis=0)
-    assert states.damped_factors(amps, []).shape == (3, 0, 4, 0)
 
 
 # a bool, a string or None is not an angle, a damping strength or a weight,
@@ -210,8 +217,8 @@ AMPS = np.array([[np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)]])
 @pytest.mark.parametrize("call, error, named", [
     (lambda: states.bell_like(True), ParameterOutOfRange, "theta .* got True$"),
     (lambda: states.bell_like("0.5"), ParameterOutOfRange, "theta .* got '0.5'$"),
-    (lambda: states.make_ad_channel(True), ParameterOutOfRange, "eta .* got True$"),
-    (lambda: states.make_pd_channel("0.2"), ParameterOutOfRange, "eta .* got '0.2'$"),
+    (lambda: states.damping_operators(True, 0), ParameterOutOfRange, "eta .* got True$"),
+    (lambda: states.damping_operators("0.2", 1), ParameterOutOfRange, "eta .* got '0.2'$"),
     (lambda: measures.bad_closed_forms(0.5, None), ParameterOutOfRange, "eta .* got None$"),
     (lambda: measures.bpd_closed_forms(True, 0.1), ParameterOutOfRange, "theta .* got True$"),
     (lambda: measures.wu_closed_forms(True, AMPS[0]), ParameterOutOfRange, "p .* got True$"),
@@ -267,9 +274,10 @@ def test_bell_like_amplitudes_stack_the_one_row_calls():
 
 
 def test_a_channel_takes_one_eta():
-    for make in (states.make_ad_channel, states.make_pd_channel):
-        with pytest.raises(ParameterOutOfRange, match=r"eta must be one number, got shape \(2,\)$"):
-            make(np.array([0.1, 0.2]))
+    # the pairs of two etas are two channels, not one
+    for row in (0, 1):
+        with pytest.raises(ValidationError, match=r"stack, got \(2, 2, 2, 2\)$"):
+            states.apply_channel(RHO, states.damping_operators([0.1, 0.2], row))
 
 
 def test_werner_factors_take_one_p_or_one_per_row():
@@ -288,48 +296,52 @@ def test_werner_factors_take_one_p_or_one_per_row():
 
 def test_kraus_channel_validation():
     with pytest.raises(ChannelIncomplete):
-        states.KrausChannel((np.eye(2) * 0.9,))
-    with pytest.raises(ValidationError):
-        states.KrausChannel((np.eye(3),))
+        states.apply_channel(RHO, (np.eye(2) * 0.9,))
+    with pytest.raises(ValidationError, match=r"got \(1, 3, 3\)$"):
+        states.apply_channel(RHO, (np.eye(3),))
 
 
 @pytest.mark.parametrize("operators", [None, 5, ()], ids=["none", "number", "empty"])
 def test_kraus_channel_without_operators_names_the_invariant(operators):
     # not numpy's or Python's TypeError for an operand that does not iterate
-    with pytest.raises(ValidationError, match="^operators must be a non-empty tuple of 2x2"):
-        states.KrausChannel(operators)
+    with pytest.raises(ValidationError, match=r"^operators must be a non-empty \(n_ops, 2, 2\)"):
+        states.apply_channel(RHO, operators)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_kraus_channel_rejects_non_finite_operators(bad):
-    # rejected before the completeness sum, which would warn on inf * 0
+    # named by its index, before the completeness sum sees it
     with pytest.raises(ValidationError, match="non-finite entries at index 1$"):
-        states.KrausChannel((np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])))
+        states.apply_channel(RHO, (np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])))
 
 
 def test_amplitude_damping_moves_population():
     # |10><10| decays to |00><00| at rate eta on qubit A
     rho = states.DensityMatrix(np.diag([0.0, 0.0, 1.0, 0.0]))
-    out = states.apply_channel(rho, states.make_ad_channel(0.3))
+    out = states.apply_channel(rho, states.damping_operators(0.3, 0))
     assert out.matrix[2, 2] == pytest.approx(0.7, abs=1e-15)
     assert out.matrix[0, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_phase_damping_kills_coherence_only():
     rho = states.density_from_pure(states.bell_like(np.pi / 4))
-    out = states.apply_channel(rho, states.make_pd_channel(0.5))
+    out = states.apply_channel(rho, states.damping_operators(0.5, 1))
     assert out.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert out.matrix[3, 3] == pytest.approx(0.5, abs=1e-15)
     assert abs(out.matrix[0, 3]) == pytest.approx(0.5 * np.sqrt(0.5), abs=1e-15)
 
 
-@pytest.mark.parametrize("make", [states.make_ad_channel, states.make_pd_channel])
-def test_damping_composes_as_semigroup(make):
+@pytest.mark.parametrize("row", [0, 1], ids=["ad", "pd"])
+def test_damping_composes_as_semigroup(row):
     cfg = states.SamplerConfig("ginibre", "uniform", seed=21, count=1)
     rho = states.random_state(cfg, 0)
     eta1, eta2 = 0.3, 0.45
-    twice = states.apply_channel(states.apply_channel(rho, make(eta1)), make(eta2))
-    once = states.apply_channel(rho, make(1.0 - (1.0 - eta1) * (1.0 - eta2)))
+
+    def damp(state, eta):
+        return states.apply_channel(state, states.damping_operators(eta, row))
+
+    twice = damp(damp(rho, eta1), eta2)
+    once = damp(rho, 1.0 - (1.0 - eta1) * (1.0 - eta2))
     assert np.abs(twice.matrix - once.matrix).max() < 1e-14
 
 
