@@ -17,10 +17,15 @@ as in a chunk.
 measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
 factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
-construction.  measure_rows() is the entry point for density matrices
-given as input: it measures the factors V sqrt(w) that states.validate_stack
-returns from the one eigh of its checks.  F needs only the Frobenius sum
-of T, so the singular values of T are not a column.
+construction.  bound_columns() makes the same checks and returns only the
+S, lower and upper columns, as verify needs them: it takes the flip
+singular values only of the factors whose purity passes states.GATE,
+since both bounds are 0 at purity <= 1/2.  measure_rows() is the entry
+point for density matrices given as input: it measures the factors
+V sqrt(w) that states.validate_stack returns from the one eigh of its
+checks.  Purity, S and the bounds each have one formula, which both
+kernels call.  F needs only the Frobenius sum of T, so the singular values
+of T are not a column.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TraceNotOne, ValidationError
-from .states import TRACE_TOL, _complex_array, _raise_first, gram, validate_stack
+from .states import GATE, TRACE_TOL, _complex_array, _raise_first, gram, validate_stack
 
 # column layout of the measure table
 COL_PURITY = 0
@@ -104,6 +109,32 @@ def measure_factors(x) -> np.ndarray:
         with | ||x||_F^2 - 1 | > TRACE_TOL raises TraceNotOne, each naming
         its index.
     """
+    x = _checked_factors(x)
+    return _measure(x, gram(x))
+
+
+def bound_columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, lower, upper) of the states x x^dag of a stack of factors: the
+    COL_S, COL_LOWER and COL_UPPER columns of measure_factors(x), bit for
+    bit, with the same checks and errors.
+
+    C enters only the bounds, which are +0.0 wherever 2P - 1 <= -GATE (see
+    states.GATE), so only the factors above that gate have their flip
+    singular values taken."""
+    x = _checked_factors(x)
+    rhos = gram(x)
+    pur = _purity(rhos)
+    _, s = _correlation_sums(_float_view(rhos))
+    lower, upper = np.zeros(len(pur)), np.zeros(len(pur))
+    live = np.flatnonzero(2.0 * pur - 1.0 > -GATE)
+    conc = _concurrence(_flip_singular_values(x[live]))
+    lower[live], upper[live] = _bounds(conc, pur[live])
+    return s, lower, upper
+
+
+def _checked_factors(x) -> np.ndarray:
+    """x as a C-contiguous complex128 stack of factors, checked as
+    measure_factors documents."""
     x = _complex_array(x, "factors")
     if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] < 1:
         raise ValidationError(f"factors must have shape (n, 4, m), got {x.shape}")
@@ -120,7 +151,7 @@ def measure_factors(x) -> np.ndarray:
                 f"squared norm of the factor deviates from 1 by {norm_dev[i]:.3e} "
                 f"at index {i}")),
         ))
-    return _measure(x, gram(x))
+    return x
 
 
 def measure_rows(rhos) -> np.ndarray:
@@ -141,21 +172,15 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     (n, 4, m) factors x."""
     n = rhos.shape[0]
     out = np.empty((n, N_COLS))
-    pur = np.einsum("kij,kij->k", rhos, rhos.conj()).real
+    pur = _purity(rhos)
     sig = _flip_singular_values(x)
-    conc = np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
+    conc = _concurrence(sig)
     parts = _float_view(rhos)
-    # running sums of T's squares, each row summed in its own fixed order:
-    # entry 8 is F^2, entry 7 leaves out the (z, z) term
-    t2 = np.cumsum(np.square(_correlations(parts)), axis=1)
-    # F^2 - 1 without the cancellation at F = 1: T_zz^2 - (tr rho)^2 is
-    # -4 (rho00 + rho33)(rho11 + rho22), so the (z, z) term drops out
+    f2, out[:, COL_S] = _correlation_sums(parts)
     d0, d1, d2, d3 = parts[:, 0:32:10].T  # Re rho_ii
-    f2m1 = t2[:, 7] - 4.0 * (d0 + d3) * (d1 + d2)
     out[:, COL_PURITY] = pur
     out[:, COL_C] = conc
-    out[:, COL_F] = np.sqrt(t2[:, 8])
-    out[:, COL_S] = np.sqrt(0.5 * np.maximum(0.0, f2m1))
+    out[:, COL_F] = np.sqrt(f2)
     out[:, COL_Q] = np.sqrt(conc * conc + pur)
     # the coherences are Bloch-vector lengths, exact 0 at a maximally mixed
     # qubit, from the entries of each reduced state: rho_A = tr_B rho has
@@ -163,10 +188,39 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     # rho_B = tr_A rho has (rho00 + rho22, rho11 + rho33) and rho01 + rho23
     out[:, COL_DA] = _bloch_length((d0 + d1) - (d2 + d3), parts[:, 4:6] + parts[:, 14:16])
     out[:, COL_DB] = _bloch_length((d0 + d2) - (d1 + d3), parts[:, 2:4] + parts[:, 22:24])
-    out[:, COL_LOWER] = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
-    out[:, COL_UPPER] = np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0)))
+    out[:, COL_LOWER], out[:, COL_UPPER] = _bounds(conc, pur)
     out[:, COL_L1 : COL_L4 + 1] = sig * sig
     return out
+
+
+def _purity(rhos: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each matrix of an (n, 4, 4) stack."""
+    return np.einsum("kij,kij->k", rhos, rhos.conj()).real
+
+
+def _concurrence(sig: np.ndarray) -> np.ndarray:
+    """C = max(0, s1 - s2 - s3 - s4) of each row of descending flip singular values."""
+    return np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
+
+
+def _correlation_sums(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F^2, S) of each state, from the _float_view parts of its matrix:
+    F^2 = ||T||_F^2 and S = sqrt(max(0, (F^2 - 1) / 2))."""
+    # running sums of T's squares, each row summed in its own fixed order:
+    # entry 8 is F^2, entry 7 leaves out the (z, z) term
+    t2 = np.cumsum(np.square(_correlations(parts)), axis=1)
+    # F^2 - 1 without the cancellation at F = 1: T_zz^2 - (tr rho)^2 is
+    # -4 (rho00 + rho33)(rho11 + rho22), so the (z, z) term drops out
+    d0, d1, d2, d3 = parts[:, 0:32:10].T  # Re rho_ii
+    f2m1 = t2[:, 7] - 4.0 * (d0 + d3) * (d1 + d2)
+    return t2[:, 8], np.sqrt(0.5 * np.maximum(0.0, f2m1))
+
+
+def _bounds(conc: np.ndarray, pur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steerability bounds (lower, upper) of each (C, purity) pair:
+    sqrt(max(0, C^2 + P - 1)) and min(C, sqrt(max(0, 2P - 1)))."""
+    return (np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0)),
+            np.minimum(conc, np.sqrt(np.maximum(0.0, 2.0 * pur - 1.0))))
 
 
 def _flip_singular_values(x: np.ndarray) -> np.ndarray:

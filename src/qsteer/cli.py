@@ -146,10 +146,13 @@ def _wu_scan(args) -> int:
     except ValueError:
         raise QSteerError(f"--grid must look like '400x400', got {args.grid!r}") from None
     result = harness.run_region_scan(purity_steps, c_steps)
-    harness.write_region_csv(args.out, result)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-    harness.write_boundary_csv(stem + "_boundary.csv", result.criterion_boundary)
-    harness.write_boundary_csv(stem + "_werner.csv", result.werner_envelope)
+    # all three files are written whole before any replaces its path, so a
+    # failed write leaves every earlier file as it was
+    with harness._staging([args.out, stem + "_boundary.csv", stem + "_werner.csv"]) as names:
+        harness.write_region_csv(names[0], result)
+        harness.write_boundary_csv(names[1], result.criterion_boundary)
+        harness.write_boundary_csv(names[2], result.werner_envelope)
     return 0
 
 

@@ -9,10 +9,12 @@ bits one shared text (_reprs_from, _reprs_once), which changes no byte: a
 closed form with its pipeline value's bits, an upper bound with C's, and a
 sweep axis value or discrepancy that repeats.
 Scatter runs and falsification runs stream the plan one chunk at a time:
-scatter_table(cfg, start, stop) draws and measures a chunk, and _run_chunks,
-the one place that chooses between the calling thread and forked workers,
-runs it inside each chunk's formatter (sample) or fold into a
-FalsificationSummary (verify), and _merge joins the folds in index order.
+_run_chunks, the one place that chooses between the calling thread and
+forked workers, runs each chunk's formatter (sample), which draws and
+measures the chunk's whole table with scatter_table(cfg, start, stop), or
+its fold into a FalsificationSummary (verify), which draws the chunk and
+takes only its S and bounds with batch.bound_columns; _merge joins the
+folds in index order.
 On more than one worker, _ahead forks them, each with its own pipe and a
 static shard of the chunks (worker w makes chunks w, w + W, ...), and reads
 chunk i from pipe i % W; a worker runs ahead only as far as its pipe buffer
@@ -141,7 +143,7 @@ def scatter_table(cfg: SamplerConfig, start: int, stop: int):
     """Records start..stop-1 of the plan, drawn and measured from their
     factors: (start, ranks, rows).
 
-    sample and verify run it on each CHUNK of the plan through _run_chunks.
+    sample runs it on each CHUNK of the plan through _run_chunks.
     """
     x, ranks = draw_matrices(cfg, start, stop)
     return start, ranks, batch.measure_factors(x)
@@ -291,15 +293,17 @@ def _keep_heap() -> None:
     mallopt(M_TOP_PAD, TOP_PAD)
 
 
-def bound_margins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row signed margins (S - lower, upper - S) of a measure table."""
-    s = rows[:, batch.COL_S]
-    return s - rows[:, batch.COL_LOWER], rows[:, batch.COL_UPPER] - s
+def bound_margins(s: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row signed margins (S - lower, upper - S) of the columns
+    batch.bound_columns returns."""
+    return s - lower, upper - s
 
 
 def bound_violations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row flags of a measure table: each bound's margin below -SLACK."""
-    margin_lower, margin_upper = bound_margins(rows)
+    margin_lower, margin_upper = bound_margins(
+        rows[:, batch.COL_S], rows[:, batch.COL_LOWER], rows[:, batch.COL_UPPER])
     return margin_lower < -SLACK, margin_upper < -SLACK
 
 
@@ -366,40 +370,56 @@ def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A text file for path's new contents: a new file beside path, moved
-    onto it when the block ends and removed if the block raises.  It is
-    made with mode 0o666 less the umask, as open(path, "w") makes a new
-    file, and takes the mode of a regular file it replaces.  A path that
-    is a symlink or exists as something other than a regular file (a FIFO,
-    /dev/stdout) is written in place."""
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", newline="") as fh:
-            yield fh
-        return
-    head, tail = os.path.split(os.fspath(path))
+    """A text file for path's new contents, written under the name that
+    _staging gives it and moved onto path when the block ends, so a block
+    that raises leaves path as it was."""
+    with _staging([path]) as (name,), open(name, "w", newline="") as fh:
+        yield fh
+
+
+@contextlib.contextmanager
+def _staging(paths):
+    """For each of paths, the name to write its new contents to: a new
+    empty file beside it, made with mode 0o666 less the umask, as
+    open(path, "w") makes a new file, or with the mode of the regular file
+    it replaces.  When the block ends, every new file is moved onto its path
+    with os.replace, one after another; if the block raises, all of them are
+    removed and no path is replaced.  A path that is a symlink or exists as
+    something other than a regular file (a FIFO, /dev/stdout) is its own
+    name, written in place."""
+    names, temps = [], []
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    for n in itertools.count():
-        temp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
-        try:
-            fd = os.open(temp, flags, 0o666)
-            break
-        except FileExistsError:
-            pass
-        except OSError as exc:
-            exc.filename = os.fspath(path)  # name path, as open(path, "w") does
-            raise
     try:
-        with open(fd, "w", newline="") as fh:
+        for path in paths:
+            try:
+                mode = os.lstat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                names.append(path)
+                continue
+            head, tail = os.path.split(os.fspath(path))
+            for n in itertools.count():
+                temp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+                try:
+                    os.close(os.open(temp, flags, 0o666))
+                    break
+                except FileExistsError:
+                    pass
+                except OSError as exc:
+                    exc.filename = os.fspath(path)  # name path, as open(path, "w") does
+                    raise
+            temps.append((temp, path))
+            names.append(temp)
             if mode is not None:
                 os.chmod(temp, stat.S_IMODE(mode))
-            yield fh
-        os.replace(temp, path)
+        yield names
+        for temp, path in temps:
+            os.replace(temp, path)
     except BaseException:
-        os.unlink(temp)
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):  # already moved
+                os.unlink(temp)
         raise
 
 
@@ -537,15 +557,16 @@ def write_boundary_csv(path, series) -> None:
 
 
 def _fold_chunk(cfg: SamplerConfig, start: int, stop: int) -> FalsificationSummary:
-    """Records start..stop-1, drawn, measured and folded into their summary;
-    np.nonzero runs row-major, so the violations come in (index, theorem) order."""
-    _, _, rows = scatter_table(cfg, start, stop)
-    margins = bound_margins(rows)
+    """Records start..stop-1, drawn, their S and bounds measured with
+    batch.bound_columns, and folded into their summary; np.nonzero runs
+    row-major, so the violations come in (index, theorem) order."""
+    x, _ = draw_matrices(cfg, start, stop)
+    margins = bound_margins(*batch.bound_columns(x))
     index, theorem = np.nonzero(np.column_stack(margins) < -SLACK)
     violations = [{"index": start + i, "theorem": THEOREMS[t], "margin": float(margins[t][i])}
                   for i, t in zip(index.tolist(), theorem.tolist())]
     least = (float(margin.min(initial=math.inf)) for margin in margins)
-    return FalsificationSummary(len(rows), THEOREMS, *least, violations)
+    return FalsificationSummary(len(x), THEOREMS, *least, violations)
 
 
 def _merge(earlier: FalsificationSummary, later: FalsificationSummary) -> FalsificationSummary:

@@ -34,6 +34,13 @@ NORM_TOL = 1e-12  # | |a| - 1 | of a state vector
 KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
+# how far below 1/2 a purity P may lie and still have its concurrence
+# measured for the bounds.  C <= s1(tau) <= ||tau||_F and ||tau||_F^2 =
+# tr(rho flip(rho)) <= ||rho||_F ||flip(rho)||_F = P (Cauchy-Schwarz), so
+# C^2 + P - 1 <= 2P - 1 and both bounds are 0 at P <= 1/2.  The computed C^2
+# exceeds P by at most about 1e-14, so where the computed 2P - 1 <= -GATE the
+# computed C^2 + P - 1 is <= 0 too, and both bounds come out +0.0 whatever C.
+GATE = 1e-12
 
 STREAM_VERSION = 9
 DOMAIN_STATE = 1

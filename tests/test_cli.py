@@ -305,34 +305,38 @@ def _break_text(monkeypatch):
     monkeypatch.setattr(sys, "stdout", io.StringIO())
 
 
-# (how the write breaks, argv before --out OUT, the file that must be kept,
+# (how the write breaks, argv before --out OUT, the files that must be kept,
 # the exception main raises, or None for exit 2)
+SCAN_FILES = ("out.csv", "out_boundary.csv", "out_werner.csv")
 BROKEN_WRITES = {
     "channel-sweep": (lambda mp: _break_lines(mp, "sweep_csv_lines"),
                       ["channel-sweep", "--family", "ad", "--theta-steps", "3",
-                       "--eta-steps", "3"], "out.csv", None),
+                       "--eta-steps", "3"], ("out.csv",), None),
     "wu-scan": (lambda mp: _break_lines(mp, "region_csv_lines"),
-                ["wu-scan", "--grid", "4x5"], "out.csv", None),
+                ["wu-scan", "--grid", "4x5"], SCAN_FILES, None),
     "wu-scan-boundary": (lambda mp: _break_series(mp, "criterion_boundary"),
-                         ["wu-scan", "--grid", "4x5"], "out_boundary.csv", None),
+                         ["wu-scan", "--grid", "4x5"], SCAN_FILES, None),
     "wu-scan-werner": (lambda mp: _break_series(mp, "werner_envelope"),
-                       ["wu-scan", "--grid", "4x5"], "out_werner.csv", None),
+                       ["wu-scan", "--grid", "4x5"], SCAN_FILES, None),
     "analyze": (_break_text, ["analyze", "--in", "state.json", "--format", "json"],
-                "out.csv", UnicodeEncodeError),
-    "verify": (_break_text, ["verify", "--count", "10"], "out.csv", UnicodeEncodeError),
+                ("out.csv",), UnicodeEncodeError),
+    "verify": (_break_text, ["verify", "--count", "10"], ("out.csv",), UnicodeEncodeError),
 }
 
 
 @pytest.mark.parametrize("case", list(BROKEN_WRITES))
 def test_a_failed_write_leaves_the_earlier_out(case, tmp_path, monkeypatch, capsys):
     # every output file is replaced only once it is written whole: a write
-    # that raises partway leaves the earlier file byte for byte as it was
-    # and no .NAME.PID.N.tmp file beside it
+    # that raises partway leaves the earlier files byte for byte as they
+    # were and no .NAME.PID.N.tmp file beside them.  wu-scan writes all
+    # three of its files before it replaces any, so a failure in any one
+    # keeps all three
     breaks, argv, kept, error = BROKEN_WRITES[case]
     monkeypatch.chdir(tmp_path)
     write_state(tmp_path / "state.json", states.DensityMatrix(np.eye(4) / 4.0))
-    earlier = b"an earlier run\n"
-    (tmp_path / kept).write_bytes(earlier)
+    earlier = {name: f"an earlier {name}\n".encode() for name in kept}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
     breaks(monkeypatch)
     argv = argv + ["--out", "out.csv"]
     if error is None:
@@ -342,7 +346,7 @@ def test_a_failed_write_leaves_the_earlier_out(case, tmp_path, monkeypatch, caps
     else:
         with pytest.raises(error):
             main(argv)
-    assert (tmp_path / kept).read_bytes() == earlier
+    assert {name: (tmp_path / name).read_bytes() for name in kept} == earlier
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 

@@ -55,6 +55,12 @@ SAMPLE_GOLDEN = [
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
      "38c59b4f02bcdf7a4bcd71084403a88fa85efaf91aad18c41a953dcbf27003de"),
+    # most rank-3 and rank-4 draws have purity below 1/2, where the bounds
+    # are 0 and verify takes no SVD
+    (["--count", "20000", "--seed", "7", "--ranks", "3"],
+     "2bf6ab875b73d17794ebbb60480d31b95b4c376749b0d0cf0672feb51e5fdfcb"),
+    (["--count", "20000", "--seed", "7", "--ranks", "4"],
+     "061e9c396801b9221d3b14e219ff70e593bd50e4fe51c3ae835b33a3e2e6dd0b"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering
@@ -91,7 +97,8 @@ def test_sample_golden_digest(argv, digest, tmp_path):
     assert sha256(out) == digest
 
 
-@pytest.mark.parametrize("argv, digest", VERIFY_GOLDEN, ids=["ginibre-20000"])
+@pytest.mark.parametrize("argv, digest", VERIFY_GOLDEN,
+                         ids=["ginibre-20000", "ginibre-rank3-20000", "ginibre-rank4-20000"])
 def test_verify_golden_digest(argv, digest, capsys):
     assert cli.main(["verify", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

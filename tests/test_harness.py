@@ -142,7 +142,8 @@ def test_bound_violations_set_the_csv_flags():
     lower, upper = harness.bound_violations(rows)
     assert lower.tolist() == [True, False, False, False, True, False]
     assert upper.tolist() == [False, False, False, True, False, True]
-    margin_lower, margin_upper = harness.bound_margins(rows)
+    margin_lower, margin_upper = harness.bound_margins(
+        rows[:, batch.COL_S], rows[:, batch.COL_LOWER], rows[:, batch.COL_UPPER])
     assert margin_lower[4] < -harness.SLACK and margin_upper[5] < -harness.SLACK
     lines = list(harness.scatter_csv_lines(0, np.ones(6, np.int64), rows))[1:]
     assert [line.split(",")[11:] for line in lines] == [

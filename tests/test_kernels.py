@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsteer import batch, harness, measures, states
+from qsteer import batch, cli, harness, measures, states
 from qsteer.errors import (
     ChannelIncomplete,
     NotHermitian,
@@ -386,3 +386,96 @@ def test_werner_states_at_the_thresholds_match_the_closed_forms(p):
     num[:, 1], closed[:, 1] = num[:, 1] ** 2, closed[:, 1] ** 2
     assert np.abs(num[:, :3] - closed[:, :3]).max() <= 1e-8
     assert np.abs(num[:, 3] - closed[:, 3]).max() <= 1e-10
+
+
+BOUND_COLS = [batch.COL_S, batch.COL_LOWER, batch.COL_UPPER]
+
+
+def _assert_bound_columns_are_the_table_columns(x):
+    """bound_columns(x) holds the S, lower and upper bits of measure_factors(x):
+    compared through int64 views, so that a zero of the other sign counts."""
+    want = batch.measure_factors(x)[:, BOUND_COLS]
+    got = np.column_stack(batch.bound_columns(x))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _gap(x):
+    """2P - 1 of each factor's state, as the measure table computes P."""
+    return 2.0 * batch.measure_factors(x)[:, batch.COL_PURITY] - 1.0
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("ranks", ["uniform", 1, 2, 3, 4])
+def test_bound_columns_equal_the_measure_table_at_each_rank(ranks, seed):
+    x, _ = states.draw_matrices(states.SamplerConfig(ranks=ranks, seed=seed, count=4096), 0, 4096)
+    _assert_bound_columns_are_the_table_columns(x)
+    # rank-1 and rank-2 draws have purity >= 1/2; about a third of rank-3
+    # and most rank-4 draws lie below the gate
+    below = _gap(x) <= -states.GATE
+    assert below.any() == (ranks not in (1, 2))
+
+
+def test_bound_columns_at_the_werner_threshold():
+    # at p = 1/sqrt(3) a Werner state of a Bell state has P = 1/2 and F = 1:
+    # a few ulps of p either way cross both, inside the gate
+    p = np.array([1.0 / np.sqrt(3.0)])
+    for _ in range(4):
+        p = np.concatenate([[np.nextafter(p[0], 0.0)], p, [np.nextafter(p[-1], 1.0)]])
+    phis = np.vstack([PHI_PLUS, states.random_unitaries(6, 0, 3) @ PHI_PLUS])
+    x = states.werner_factors(np.tile(p, len(phis)), np.repeat(phis, len(p), axis=0))
+    gap = _gap(x)
+    assert (gap < 0.0).any() and (gap > 0.0).any() and (np.abs(gap) < states.GATE).all()
+    s = batch.measure_factors(x)[:, batch.COL_S]
+    assert (s == 0.0).any() and (s > 0.0).any()
+    _assert_bound_columns_are_the_table_columns(x)
+
+
+def test_bound_columns_on_both_sides_of_the_gate():
+    # Werner states of random pure states with 2P - 1 = delta for delta up to
+    # a few GATE either side of 0: P = (1 + 3p^2) / 4
+    deltas = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * states.GATE
+    phis = states.random_unitaries(8, 0, 10) @ PHI_PLUS
+    p = np.sqrt((1.0 + 2.0 * deltas) / 3.0)
+    x = states.werner_factors(np.repeat(p, len(phis)), np.tile(phis, (len(p), 1)))
+    gap = _gap(x)
+    assert (gap <= -states.GATE).any() and (gap > -states.GATE).any()
+    _assert_bound_columns_are_the_table_columns(x)
+
+
+def test_a_chunk_below_the_gate_takes_no_svd(monkeypatch):
+    # stacks of I/4 (P = 1/4) and of Werner states with P = 7/16 have every
+    # row below the gate, so the stack of flip SVDs is empty, as it is for
+    # no rows at all
+    mixed = np.tile(np.eye(4, dtype=complex) / 2.0, (3, 1, 1))
+    werner = states.werner_factors(0.5, np.tile(PHI_PLUS, (3, 1)))
+    for stack in (mixed, werner, mixed[:0]):
+        assert (_gap(stack) <= -states.GATE).all()
+        _assert_bound_columns_are_the_table_columns(stack)
+        assert _solves(monkeypatch, lambda: batch.bound_columns(stack), ("svd",)) == []
+        _, lower, upper = batch.bound_columns(stack)
+        assert not lower.any() and not upper.any()
+
+
+def test_verify_takes_the_4x4_svd_on_the_rows_above_the_gate_only(monkeypatch, capsys):
+    # a --ranks 4 verify pass in this process: each chunk's one 4x4 SVD gets
+    # exactly the rows with 2P - 1 > -GATE
+    cfg = states.SamplerConfig(ranks=4, seed=7, count=2 * harness.CHUNK + 5)
+    want = []
+    for start in range(0, cfg.count, harness.CHUNK):
+        x, _ = states.draw_matrices(cfg, start, min(start + harness.CHUNK, cfg.count))
+        want.append(int((_gap(x) > -states.GATE).sum()))
+    sizes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert cli.main(["verify", "--count", str(cfg.count), "--seed", "7", "--ranks", "4",
+                     "--workers", "1"]) == 0
+    capsys.readouterr()
+    # the last chunk's five rows all lie below the gate: it takes no SVD
+    assert want[-1] == 0 and 0 < sum(want) < cfg.count / 2
+    assert sizes == [(n, 4, 4) for n in want if n]

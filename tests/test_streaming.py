@@ -30,6 +30,9 @@ from qsteer.states import SamplerConfig
 
 CHUNK = harness.CHUNK
 COMMANDS = ("sample", "verify")
+# the batch entry that measures each command's chunks: sample's full table,
+# verify's S and bounds
+MEASURED_BY = {"sample": "measure_factors", "verify": "bound_columns"}
 
 
 def eager_table(cfg):
@@ -88,25 +91,30 @@ def test_streamed_sample_equals_eager_reference(count, workers, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", COUNTS, ids=COUNT_IDS)
 def test_streamed_verify_equals_eager_reference(count, workers, monkeypatch):
-    cfg = SamplerConfig("ginibre", "uniform", seed=12, count=count)
+    # at ranks 3 and 4 the bounds of many draws come from purity alone,
+    # while the eager side measures C on every row
     forks = _counted_forks(monkeypatch)
-    summary = harness.run_falsification(cfg, workers=workers)
-    _assert_forks_fit_the_plan(forks, count, workers)
-    assert summary.as_dict() == eager_summary(cfg, eager_table(cfg)[1])
-    if count == 0:
-        assert (summary.worst_margin_lower, summary.worst_margin_upper) == (0.0, 0.0)
+    for ranks in ("uniform", 3, 4):
+        cfg = SamplerConfig("ginibre", ranks, seed=12, count=count)
+        forks.clear()
+        summary = harness.run_falsification(cfg, workers=workers)
+        _assert_forks_fit_the_plan(forks, count, workers)
+        assert summary.as_dict() == eager_summary(cfg, eager_table(cfg)[1]), ranks
+        if count == 0:
+            assert (summary.worst_margin_lower, summary.worst_margin_upper) == (0.0, 0.0)
 
 
 def test_streamed_violations_carry_plan_indices(monkeypatch):
     # force violating margins in two chunks, with both theorems on one row of
     # the second
-    def flagged(rows):
-        lower, upper = np.ones(len(rows)), np.ones(len(rows))
-        lower[[3, 2]] = -1.0
+    def flagged(x):
+        # S = 0 below lower = 1 (theorem1) or above upper = -1 (theorem2)
+        s, lower, upper = np.zeros(len(x)), np.zeros(len(x)), np.ones(len(x))
+        lower[[3, 2]] = 1.0
         upper[2] = -1.0
-        return lower, upper
+        return s, lower, upper
 
-    monkeypatch.setattr(harness, "bound_margins", flagged)
+    monkeypatch.setattr(batch, "bound_columns", flagged)
     cfg = SamplerConfig("ginibre", "uniform", seed=13, count=CHUNK + 5)
     got = harness.run_falsification(cfg, workers=2).violations
     assert [(v["index"], v["theorem"]) for v in got] == [
@@ -180,7 +188,7 @@ def test_error_in_a_chunk_reaches_the_consumer(workers, monkeypatch):
     def measure(x):
         raise ParameterOutOfRange("bad chunk")
 
-    monkeypatch.setattr(batch, "measure_factors", measure)
+    monkeypatch.setattr(batch, MEASURED_BY["verify"], measure)
     cfg = SamplerConfig("ginibre", "uniform", seed=16, count=3 * CHUNK)
     with pytest.raises(ParameterOutOfRange, match="bad chunk"):
         harness.run_falsification(cfg, workers=workers)
@@ -434,7 +442,7 @@ def test_no_worker_process_outlives_the_run(command, monkeypatch, tmp_path, dead
     def measure(x):
         raise ParameterOutOfRange("bad chunk")
 
-    monkeypatch.setattr(batch, "measure_factors", measure)
+    monkeypatch.setattr(batch, MEASURED_BY[command], measure)
     assert cli.main(argv) == 2
     assert len(forks) == 4
     _assert_reaped(forks)
@@ -464,7 +472,7 @@ def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, 
         raise ParameterOutOfRange(f"bad chunk in process {os.getpid()}")
 
     # patched before the fork, so the children inherit it
-    monkeypatch.setattr(batch, "measure_factors", measure)
+    monkeypatch.setattr(batch, MEASURED_BY[command], measure)
     forks = _counted_forks(monkeypatch)
     out = _earlier_out(tmp_path)
     # one worker raises in this process, two in a forked one
@@ -484,14 +492,14 @@ def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, ca
     # an error of the run, not verify's exit 1 for violations found.  Only
     # forked workers can die so: one worker runs in the calling process
     parent = os.getpid()
-    measure = batch.measure_factors
+    measure = getattr(batch, MEASURED_BY[command])
 
     def dying(x):
         if os.getpid() != parent:
             os._exit(3)
         return measure(x)
 
-    monkeypatch.setattr(batch, "measure_factors", dying)
+    monkeypatch.setattr(batch, MEASURED_BY[command], dying)
     forks = _counted_forks(monkeypatch)
     out = _earlier_out(tmp_path)
     assert cli.main(_argv(command, 3 * CHUNK, 21, 2, out)) == 2
