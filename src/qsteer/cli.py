@@ -4,12 +4,20 @@ Exit codes: 0 success, 1 a verify run found bound violations, 2 input error
 (bad flags, malformed or invalid state files, out-of-range parameters) or
 a failed run (an OSError, such as a worker process of sample or verify
 that ended before it sent its chunk).
+
+Every output file is staged once, by _staging, and replaces its path only
+when its command succeeds; the harness.write_* functions write the path
+they are given.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
+import os
+import stat
 import sys
 
 from . import harness, measures
@@ -74,11 +82,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _staging(path):
+    """The name to write path's new contents to: a new empty file beside
+    it, made with mode 0o666 less the umask, as open(path, "w") makes a new
+    file, or with the mode of the regular file it replaces.  When the block
+    ends the new file is moved onto path with os.replace; if the block
+    raises, it is removed and path is left as it was.  A path that is a
+    symlink or exists as something other than a regular file (a FIFO,
+    /dev/stdout) is its own name, written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        yield path
+        return
+    head, tail = os.path.split(os.fspath(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in itertools.count():
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+        try:
+            os.close(os.open(temp, flags, 0o666))
+            break
+        except FileExistsError:
+            pass
+        except OSError as exc:
+            exc.filename = os.fspath(path)  # name path, as open(path, "w") does
+            raise
+    try:
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        yield temp
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with harness._replacing(path) as fh:
+        with _staging(path) as name, open(name, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -123,7 +169,8 @@ def _analyze(args) -> int:
 
 def _sample(args) -> int:
     cfg = SamplerConfig(ranks=args.ranks, seed=args.seed, count=args.count)
-    harness.write_scatter_csv(args.out, cfg, workers=args.workers)
+    with _staging(args.out) as name:
+        harness.write_scatter_csv(name, cfg, workers=args.workers)
     return 0
 
 
@@ -135,7 +182,8 @@ def _channel_sweep(args) -> int:
         p_steps=args.p_steps,
         seed=args.seed,
     )
-    harness.write_sweep_csv(args.out, table)
+    with _staging(args.out) as name:
+        harness.write_sweep_csv(name, table)
     return 0
 
 
@@ -148,11 +196,14 @@ def _wu_scan(args) -> int:
     result = harness.run_region_scan(purity_steps, c_steps)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     # all three files are written whole before any replaces its path, so a
-    # failed write leaves every earlier file as it was
-    with harness._staging([args.out, stem + "_boundary.csv", stem + "_werner.csv"]) as names:
-        harness.write_region_csv(names[0], result)
-        harness.write_boundary_csv(names[1], result.criterion_boundary)
-        harness.write_boundary_csv(names[2], result.werner_envelope)
+    # failed write leaves every earlier file as it was; the innermost, the
+    # region CSV, is moved first
+    with (_staging(stem + "_werner.csv") as werner,
+          _staging(stem + "_boundary.csv") as boundary,
+          _staging(args.out) as region):
+        harness.write_region_csv(region, result)
+        harness.write_boundary_csv(boundary, result.criterion_boundary)
+        harness.write_boundary_csv(werner, result.werner_envelope)
     return 0
 
 

@@ -30,7 +30,6 @@ import itertools
 import math
 import os
 import pickle
-import stat
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -360,67 +359,13 @@ def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
     _run_chunks makes them in this thread or on its workers, with the same
     bytes either way; the workers are reaped before this returns or raises.
     Nothing is written before the workers fork, so the children inherit no
-    buffered output.  path is replaced only when every chunk is written
-    (see _replacing), so a failed run leaves it as it was.
+    buffered output.  path itself is written, from its first chunk on; the
+    sample command passes a temporary file that replaces its --out only
+    when the run succeeds (see the cli module).
     """
     texts = _run_chunks(_scatter_text, cfg, workers)
-    with contextlib.closing(texts), _replacing(path) as fh:
+    with contextlib.closing(texts), open(path, "w", newline="") as fh:
         fh.writelines(texts)
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file for path's new contents, written under the name that
-    _staging gives it and moved onto path when the block ends, so a block
-    that raises leaves path as it was."""
-    with _staging([path]) as (name,), open(name, "w", newline="") as fh:
-        yield fh
-
-
-@contextlib.contextmanager
-def _staging(paths):
-    """For each of paths, the name to write its new contents to: a new
-    empty file beside it, made with mode 0o666 less the umask, as
-    open(path, "w") makes a new file, or with the mode of the regular file
-    it replaces.  When the block ends, every new file is moved onto its path
-    with os.replace, one after another; if the block raises, all of them are
-    removed and no path is replaced.  A path that is a symlink or exists as
-    something other than a regular file (a FIFO, /dev/stdout) is its own
-    name, written in place."""
-    names, temps = [], []
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    try:
-        for path in paths:
-            try:
-                mode = os.lstat(path).st_mode
-            except FileNotFoundError:
-                mode = None
-            if mode is not None and not stat.S_ISREG(mode):
-                names.append(path)
-                continue
-            head, tail = os.path.split(os.fspath(path))
-            for n in itertools.count():
-                temp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
-                try:
-                    os.close(os.open(temp, flags, 0o666))
-                    break
-                except FileExistsError:
-                    pass
-                except OSError as exc:
-                    exc.filename = os.fspath(path)  # name path, as open(path, "w") does
-                    raise
-            temps.append((temp, path))
-            names.append(temp)
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
-        yield names
-        for temp, path in temps:
-            os.replace(temp, path)
-    except BaseException:
-        for temp, _ in temps:
-            with contextlib.suppress(FileNotFoundError):  # already moved
-                os.unlink(temp)
-        raise
 
 
 # the measure-table columns of (C, S, F, purity): SweepTable's and ClosedForms' order
@@ -490,7 +435,7 @@ def sweep_csv_lines(table: SweepTable):
 
 
 def write_sweep_csv(path, table: SweepTable) -> None:
-    with _replacing(path) as fh:
+    with open(path, "w", newline="") as fh:
         fh.writelines(line + "\n" for line in sweep_csv_lines(table))
 
 
@@ -546,12 +491,12 @@ def region_csv_lines(result: RegionScanResult):
 
 
 def write_region_csv(path, result: RegionScanResult) -> None:
-    with _replacing(path) as fh:
+    with open(path, "w", newline="") as fh:
         fh.writelines(block + "\n" for block in region_csv_lines(result))
 
 
 def write_boundary_csv(path, series) -> None:
-    with _replacing(path) as fh:
+    with open(path, "w", newline="") as fh:
         fh.writelines(itertools.chain(["purity,C\n"],
                                       (f"{float(u)!r},{float(c)!r}\n" for u, c in series)))
 

@@ -350,6 +350,67 @@ def test_a_failed_write_leaves_the_earlier_out(case, tmp_path, monkeypatch, caps
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
+# argv before --out OUT, and the files that OUT names
+STAGED_OUTPUTS = {
+    "sample": (["sample", "--count", "10", "--workers", "1"], ("out.csv",)),
+    "channel-sweep": (["channel-sweep", "--family", "ad", "--theta-steps", "3",
+                       "--eta-steps", "3"], ("out.csv",)),
+    "wu-scan": (["wu-scan", "--grid", "4x5"], SCAN_FILES),
+    "analyze": (["analyze", "--in", "state.json"], ("out.csv",)),
+    "verify": (["verify", "--count", "10", "--workers", "1"], ("out.csv",)),
+}
+
+
+@pytest.mark.parametrize("case", list(STAGED_OUTPUTS))
+def test_each_output_file_is_staged_once(case, tmp_path, monkeypatch, capsys):
+    # one O_EXCL temporary and one os.replace per output file, and no
+    # .NAME.PID.N.tmp file left behind
+    argv, outputs = STAGED_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path / "state.json", states.DensityMatrix(np.eye(4) / 4.0))
+    exclusive, replaced = [], []
+    os_open, os_replace = os.open, os.replace
+
+    def counted_open(path, flags, *args, **kwargs):
+        if flags & os.O_EXCL:
+            exclusive.append(os.path.basename(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    def counted_replace(src, dst, *args, **kwargs):
+        replaced.append(os.fspath(dst))
+        return os_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counted_open)
+    monkeypatch.setattr(os, "replace", counted_replace)
+    assert main(argv + ["--out", "out.csv"]) == 0
+    capsys.readouterr()
+    assert sorted(replaced) == sorted(outputs)
+    assert len(exclusive) == len(outputs)
+    assert all(name.startswith(".") and name.endswith(".tmp") for name in exclusive)
+    assert {p.name for p in tmp_path.iterdir()} == {"state.json", *outputs}
+
+
+def test_wu_scan_writes_through_a_linked_out_and_replaces_the_series(tmp_path):
+    # a symlinked --out stays a link and its target gets the region bytes;
+    # the two series files beside it are regular files, replaced
+    grid = ["wu-scan", "--grid", "4x5", "--out"]
+    assert main(grid + [str(tmp_path / "plain.csv")]) == 0
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"an earlier region\n")
+    link.symlink_to(target)
+    series = (tmp_path / "link_boundary.csv", tmp_path / "link_werner.csv")
+    for path in series:
+        path.write_bytes(b"an earlier series\n")
+    inodes = [path.stat().st_ino for path in series]
+    assert main(grid + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    for path, inode, part in zip(series, inodes, ("_boundary", "_werner")):
+        assert not path.is_symlink() and path.stat().st_ino != inode
+        assert path.read_bytes() == (tmp_path / f"plain{part}.csv").read_bytes()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
 def test_verify_clean_run(tmp_path, capsys):
     out = tmp_path / "summary.json"
     code = main(["verify", "--count", "500", "--seed", "6", "--out", str(out)])

@@ -188,6 +188,8 @@ def test_write_scatter_csv_round_trip(tmp_path):
     cfg = SamplerConfig("ginibre", 1, seed=2, count=12)
     path = tmp_path / "scatter.csv"
     harness.write_scatter_csv(path, cfg)
+    # the writers write the path they are given and nothing beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["scatter.csv"]
     text = path.read_text()
     assert text == "\n".join(harness.scatter_csv_lines(*harness.scatter_table(cfg, 0, 12))) + "\n"
 
@@ -211,6 +213,7 @@ def test_sweep_csv_fields(tmp_path):
     assert values[8] == wu_table.discrepancy[2]
     path = tmp_path / "sweep.csv"
     harness.write_sweep_csv(path, wu_table)
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
     assert path.read_text() == "\n".join(wu) + "\n"
 
 
@@ -227,9 +230,11 @@ def test_region_csv_round_trip(tmp_path):
         assert region == harness.REGION_LABELS[result.regions[i, j]]
     path = tmp_path / "region.csv"
     harness.write_region_csv(path, result)
+    assert [p.name for p in tmp_path.iterdir()] == ["region.csv"]
     assert path.read_text() == "\n".join(lines) + "\n"
     bpath = tmp_path / "boundary.csv"
     harness.write_boundary_csv(bpath, result.criterion_boundary)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boundary.csv", "region.csv"]
     head = bpath.read_text().split("\n")[0]
     assert head == "purity,C"
 
