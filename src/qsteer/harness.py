@@ -177,26 +177,27 @@ def _ahead(fn, cfg: SamplerConfig, starts: range, workers: int):
     the calling thread instead and never calls it.
 
     Worker w is forked with its own pipe and a static shard, starts[w::workers],
-    and sends each result down the pipe as it is made: an 8-byte length,
-    then the pickle of (True, result) or of (False, the exception fn raised),
-    after which it stops.  fn need not pickle, its results must.  The parent
-    reads chunk i from pipe i % workers and raises a worker's exception as its
-    own, or a ChildProcessError if a pipe ends before the chunk it owes.  A
-    worker runs ahead only while its result fits in its pipe: by one pipe
-    buffer of small results, or one chunk when a result outgrows the buffer.
-    When the iterator ends or is closed, the parent closes every pipe and
-    reaps every worker; a worker that writes to a closed pipe gets EPIPE and
-    exits, so each one stops within one chunk.  The parent starts no thread
-    and imports no executor.  fork, not spawn: a spawned child imports numpy
-    and qsteer again, about 0.2 s a run."""
+    and pickles each result down the pipe as it is made: (True, result), or
+    (False, the exception fn raised), after which it stops.  fn need not
+    pickle, its results must.  A pickle ends itself, so the parent reads
+    chunk i with pickle.load from pipe i % workers and raises a worker's
+    exception as its own, or a ChildProcessError if the pipe ends before or
+    inside the chunk it owes.  A worker runs ahead only while its result fits
+    in its pipe: by one pipe buffer of small results, or one chunk when a
+    result outgrows the buffer.  When the iterator ends or is closed, the
+    parent closes every pipe and reaps every worker; a worker that writes to
+    a closed pipe gets EPIPE and exits, so each one stops within one chunk.
+    The parent starts no thread and imports no executor.  fork, not spawn: a
+    spawned child imports numpy and qsteer again, about 0.2 s a run."""
     children = []  # (pid, read end of its pipe)
     try:
         for w in range(workers):
             children.append(_fork_worker(fn, cfg, starts[w::workers], children))
         for i, start in enumerate(starts):
             pid, pipe = children[i % workers]
-            message = _receive(pipe)
-            if message is None:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
                 del children[i % workers]
                 pipe.close()
                 status = os.waitpid(pid, 0)[1]
@@ -204,8 +205,7 @@ def _ahead(fn, cfg: SamplerConfig, starts: range, workers: int):
                 ended = f"signal {-code}" if code < 0 else f"exit code {code}"
                 raise ChildProcessError(
                     f"worker process {pid} ended (wait status {status}, {ended}) "
-                    f"before it sent the chunk at record {start}")
-            ok, value = message
+                    f"before it sent the chunk at record {start}") from None
             if not ok:
                 raise value
             yield value
@@ -242,9 +242,7 @@ def _fork_worker(fn, cfg: SamplerConfig, starts: range, children: list):
                         message = (True, _chunk(fn, cfg, start))
                     except Exception as exc:
                         message = (False, exc)
-                    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-                    out.write(len(payload).to_bytes(8, "little"))
-                    out.write(payload)
+                    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
                     out.flush()
                     if not message[0]:
                         break
@@ -253,18 +251,6 @@ def _fork_worker(fn, cfg: SamplerConfig, starts: range, children: list):
             os._exit(code)
     os.close(write)
     return pid, open(read, "rb")
-
-
-def _receive(pipe):
-    """The next (ok, value) a worker sent down pipe, or None if the pipe
-    ends first."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        payload = pipe.read(size)
-        if len(payload) == size:
-            return pickle.loads(payload)
-    return None
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the pad a pool worker keeps

@@ -89,19 +89,30 @@ def test_criterion_02_bound_falsification():
 
 
 def test_criterion_03_coherence_identity_and_inequality():
-    rows = big_table()["rows"]
+    table = big_table()
+    rows = table["rows"]
     da2 = rows[:, batch.COL_DA] ** 2
     db2 = rows[:, batch.COL_DB] ** 2
     f2 = rows[:, batch.COL_F] ** 2
+    c2 = rows[:, batch.COL_C] ** 2
     pur = rows[:, batch.COL_PURITY]
     identity_dev = float(np.abs((1.0 + da2 + db2 + f2) / 4.0 - pur).max())
-    overshoot = float(((da2 + db2) / 2.0 + rows[:, batch.COL_C] ** 2 - pur).max())
-    ok = identity_dev <= 1e-9 and overshoot <= 1e-9
+    overshoot = float(((da2 + db2) / 2.0 + c2 - pur).max())
+    # complementarity, C^2 + max(D_A, D_B)^2 <= 1: C is a convex roof and
+    # sqrt(1 - |a|^2) is concave; a pure state (rank 1) meets it with equality
+    slack = 1.0 - c2 - np.maximum(da2, db2)
+    excess = float(-slack.min())
+    pure_dev = float(np.abs(slack[table["ranks"] == 1]).max())
+    ok = identity_dev <= 1e-9 and overshoot <= 1e-9 and excess <= 1e-9 and pure_dev <= 3e-15
     announce(3, ok, f"identity |(1 + D_A^2 + D_B^2 + F^2)/4 - purity| max = "
-                    f"{identity_dev:.3e}, inequality overshoot max = {overshoot:.3e} "
-                    f"(limits 1e-9)")
+                    f"{identity_dev:.3e}, inequality overshoot max = {overshoot:.3e}, "
+                    f"C^2 + max(D_A, D_B)^2 - 1 max = {excess:.3e} (limits 1e-9); "
+                    f"rank-1 |1 - C^2 - max(D_A, D_B)^2| max = {pure_dev:.3e} "
+                    f"(limit 3e-15)")
     assert identity_dev <= 1e-9
     assert overshoot <= 1e-9
+    assert excess <= 1e-9
+    assert pure_dev <= 3e-15
 
 
 def test_criterion_04_amplitude_damping_family():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qsteer import cli, harness, measures, states
+from qsteer import batch, cli, harness, measures, states
 from qsteer.errors import (
     ChannelIncomplete,
     IndexOutOfRange,
@@ -492,25 +492,35 @@ def test_slices_match_the_whole_draw(policy):
         assert np.array_equal(u, states.random_unitary(2024, chunk - 2 + j))
 
 
+def _within_5_stderr(sample, expect, floor=0.0):
+    stderr = sample.std(ddof=1) / np.sqrt(sample.size)
+    assert abs(sample.mean() - expect) < 5 * stderr + floor, (sample.mean(), expect)
+
+
 def test_ginibre_rank_and_purity_distribution():
     # Induced measure on C^4 x C^k: E[purity] = (4 + k) / (4 k + 1);
     # ranks under "uniform" are equally likely.  5 standard errors each; rank-1
-    # purities are 1 up to rounding, hence the 1e-12 floor.
+    # purities are 1 up to rounding, hence the 1e-12 floor.  Of C: E[C^2] =
+    # 2/5 for pure states (rank 1), and at rank 4 (Hilbert-Schmidt) the
+    # separable share P(C = 0) is 8/33 (Slater and Dunkl, J. Phys. A 45,
+    # 095305 (2012)).
     n = 200_000
     cfg = states.SamplerConfig("ginibre", "uniform", seed=4242, count=n)
     purity = np.empty(n)
+    conc = np.empty(n)
     ranks = np.empty(n, np.int64)
     for start in range(0, n, 50_000):
         x, ranks[start : start + 50_000] = states.draw_matrices(cfg, start, start + 50_000)
         rhos = states.gram(x)
         purity[start : start + 50_000] = np.einsum("kij,kij->k", rhos, rhos.conj()).real
+        conc[start : start + 50_000] = batch.measure_factors(x)[:, batch.COL_C]
     sigma = np.sqrt(n * 0.25 * 0.75)
     for k in (1, 2, 3, 4):
         sel = purity[ranks == k]
         assert abs(sel.size - n / 4) < 5 * sigma
-        expect = (4 + k) / (4 * k + 1)
-        stderr = sel.std(ddof=1) / np.sqrt(sel.size)
-        assert abs(sel.mean() - expect) < 5 * stderr + 1e-12, (k, sel.mean(), expect)
+        _within_5_stderr(sel, (4 + k) / (4 * k + 1), floor=1e-12)
+    _within_5_stderr(conc[ranks == 1] ** 2, 2 / 5)
+    _within_5_stderr(conc[ranks == 4] == 0.0, 8 / 33)
 
 
 def test_random_state_index_bounds():

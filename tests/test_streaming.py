@@ -485,21 +485,39 @@ def test_error_in_a_forked_chunk_exits_2_with_its_message(command, monkeypatch, 
         _assert_out_kept(tmp_path)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_a_worker_that_dies_exits_2_naming_it(command, monkeypatch, tmp_path, capsys,
-                                              deadline):
+class _ExitsWhenPickled:
+    """An object whose pickling ends the process with exit code 3."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+@pytest.mark.parametrize("command, mid_message", [
+    pytest.param("sample", False, id="sample"),
+    pytest.param("verify", False, id="verify"),
+    pytest.param("sample", True, id="sample-mid-message"),
+])
+def test_a_worker_that_dies_exits_2_naming_it(command, mid_message, monkeypatch, tmp_path,
+                                              capsys, deadline):
     # a worker that ends without sending its chunk (os._exit, an OOM kill) is
     # an error of the run, not verify's exit 1 for violations found.  Only
-    # forked workers can die so: one worker runs in the calling process
-    parent = os.getpid()
-    measure = getattr(batch, MEASURED_BY[command])
+    # forked workers can die so: one worker runs in the calling process.
+    # Mid-message, the worker dies while it pickles its result, after the
+    # chunk's text (about 340 kB, more than a pipe buffer) is in the pipe
+    if mid_message:
+        text = harness._scatter_text
+        monkeypatch.setattr(harness, "_scatter_text",
+                            lambda *chunk: (text(*chunk), _ExitsWhenPickled()))
+    else:
+        parent = os.getpid()
+        measure = getattr(batch, MEASURED_BY[command])
 
-    def dying(x):
-        if os.getpid() != parent:
-            os._exit(3)
-        return measure(x)
+        def dying(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return measure(x)
 
-    monkeypatch.setattr(batch, MEASURED_BY[command], dying)
+        monkeypatch.setattr(batch, MEASURED_BY[command], dying)
     forks = _counted_forks(monkeypatch)
     out = _earlier_out(tmp_path)
     assert cli.main(_argv(command, 3 * CHUNK, 21, 2, out)) == 2
