@@ -29,9 +29,10 @@ TABLE_FIELDS = measures.MeasureReport._fields[:9]
 
 
 def _parse_ranks(text: str):
-    if text == "uniform":
-        return "uniform"
-    return int(text)
+    try:
+        return "uniform" if text == "uniform" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"ranks must be 1..4 or 'uniform', got {text!r}") from None
 
 
 def _add_plan_flags(p) -> None:

@@ -112,72 +112,66 @@ class ClosedForms(NamedTuple):
     purity: float
 
 
-def _closed_forms(*columns) -> ClosedForms:
-    columns = np.broadcast_arrays(*columns)
+def _x_closed_forms(a, b, c, d, z, w) -> ClosedForms:
+    """Closed forms of the X state with diagonal (a, b, c, d) in |00>, |01>,
+    |10>, |11> and corners z = |rho_03|, w = |rho_12| (Yu and Eberly, QIC 7,
+    459 (2007)): T has singular values 2(z + w), 2|z - w| and |a - b - c + d|,
+    and S^2 = (F^2 - 1)/2 is written so that it does not cancel near F = 1.
+    Every square is a product: a one-point call's ``** 2`` would be libm pow.
+    """
+    zw = z * z + w * w
+    t = a - b - c + d
+    conc = 2.0 * np.maximum(0.0, np.maximum(z - np.sqrt(b * c), w - np.sqrt(a * d)))
+    steer = np.sqrt(np.maximum(0.0, 4.0 * zw - 2.0 * (a + d) * (b + c)))
+    fval = np.sqrt(8.0 * zw + t * t)
+    pur = a * a + b * b + c * c + d * d + 2.0 * zw
+    columns = np.broadcast_arrays(conc, steer, fval, pur)
     if columns[0].ndim == 0:
         return ClosedForms(*map(float, columns))
     return ClosedForms(*columns)
 
 
-def _theta_eta(theta, eta):
-    """theta and eta as float64 arrays once each lies in range and the two
-    broadcast together."""
+def _sin_cos_eta(theta, eta):
+    """sin theta, cos theta and eta as float64 arrays once theta and eta each
+    lie in range and broadcast together."""
     theta = _check_range("theta", theta, 0.0, np.pi / 2.0, strict=True)
     eta = _check_range("eta", eta, 0.0, 1.0)
     _check_broadcast(theta=theta.shape, eta=eta.shape)
-    return theta, eta
+    return np.sin(theta), np.cos(theta), eta
 
 
 def bad_closed_forms(theta, eta) -> ClosedForms:
-    """Closed forms for a Bell-like state with qubit A amplitude-damped.
-
-    C scales by sqrt(1-eta); purity is the squared Frobenius norm of the
-    explicit damped matrix (entries cos^2, eta sin^2, (1-eta) sin^2 on the
-    diagonal, sqrt(1-eta) sin cos in the corners); S saturates the lower
-    bound sqrt(max(0, C^2 + purity - 1)), so F = sqrt(2 C^2 + 2 purity - 1).
-    Elementwise over arrays that broadcast together.
+    """Closed forms for a Bell-like state with qubit A amplitude-damped: the
+    X state with diagonal (cos^2, eta sin^2, 0, (1 - eta) sin^2) and corner
+    sqrt(1 - eta) sin cos.  Elementwise over arrays that broadcast together.
     """
-    theta, eta = _theta_eta(theta, eta)
-    s, c, q = np.sin(theta), np.cos(theta), 1.0 - eta
-    s2, c2 = s * s, c * c
-    conc = np.sqrt(q) * np.sin(2.0 * theta)
-    pur = c2 * c2 + s2 * s2 * (q * q + eta * eta) + 2.0 * q * s2 * c2
-    steer = np.sqrt(np.maximum(0.0, conc * conc + pur - 1.0))
-    fval = np.sqrt(2.0 * conc * conc + 2.0 * pur - 1.0)
-    return _closed_forms(conc, steer, fval, pur)
+    s, c, eta = _sin_cos_eta(theta, eta)
+    s2 = s * s
+    return _x_closed_forms(c * c, eta * s2, 0.0, (1.0 - eta) * s2, np.sqrt(1.0 - eta) * s * c, 0.0)
 
 
 def bpd_closed_forms(theta, eta) -> ClosedForms:
-    """Closed forms for a Bell-like state with qubit A phase-damped.
-
-    S equals C exactly; the correlation matrix is diag(C, -C, 1), so
-    F = sqrt(1 + 2 C^2).  Elementwise over arrays that broadcast together.
-    """
-    theta, eta = _theta_eta(theta, eta)
-    s2t = np.sin(2.0 * theta)
-    conc = np.sqrt(1.0 - eta) * s2t
-    pur = 1.0 - 0.5 * eta * (s2t * s2t)
-    fval = np.sqrt(1.0 + 2.0 * conc * conc)
-    return _closed_forms(conc, conc, fval, pur)
+    """bad_closed_forms for qubit A phase-damped: the X state with diagonal
+    (cos^2, 0, 0, sin^2) and corner sqrt(1 - eta) sin cos."""
+    s, c, eta = _sin_cos_eta(theta, eta)
+    return _x_closed_forms(c * c, 0.0, 0.0, s * s, np.sqrt(1.0 - eta) * s * c, 0.0)
 
 
 def wu_closed_forms(p, phi) -> ClosedForms:
-    """Closed forms for p |phi><phi| + (1-p) I/4 with |phi> pure.
-
-    C = max(0, p C(phi) - (1-p)/2), F = p sqrt(1 + 2 C(phi)^2),
-    S = sqrt(max(0, p^2 (1 + 2 C(phi)^2) - 1) / 2), purity = (1 + 3p^2)/4.
-    ``phi`` is a PureState or a (4,) vector, which takes one p, or an (n, 4)
-    stack, which takes one p for all rows or one per row (see
-    concurrence_pure).
+    """Closed forms for p |phi><phi| + (1-p) I/4 with |phi> pure: in phi's
+    Schmidt basis, which no closed form sees, the X state with q = (1 - p)/4,
+    r = sqrt(1 - C(phi)^2), diagonal (p(1 + r)/2 + q, q, q, p(1 - r)/2 + q)
+    and corner p C(phi)/2.  ``phi`` is a PureState or a (4,) vector, which
+    takes one p, or an (n, 4) stack, which takes one p for all rows or one
+    per row (see concurrence_pure).
     """
     p = _check_range("p", p, 0.0, 1.0)
     cphi = concurrence_pure(phi)
     _check_broadcast("vectors", p=p.shape, vectors=np.shape(cphi))
-    conc = np.maximum(0.0, p * cphi - (1.0 - p) / 2.0)
-    fval = p * np.sqrt(1.0 + 2.0 * cphi * cphi)
-    steer = np.sqrt(0.5 * np.maximum(0.0, fval * fval - 1.0))
-    pur = (1.0 + 3.0 * p * p) / 4.0
-    return _closed_forms(conc, steer, fval, pur)
+    q = (1.0 - p) / 4.0
+    r = np.sqrt(np.maximum(0.0, 1.0 - cphi * cphi))
+    return _x_closed_forms(p * (1.0 + r) / 2.0 + q, q, q, p * (1.0 - r) / 2.0 + q,
+                           p * cphi / 2.0, 0.0)
 
 
 def isotropic_envelope(pur):

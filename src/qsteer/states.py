@@ -1,6 +1,6 @@
 """Two-qubit state types, the damping Kraus constructor and seeded samplers.
 
-Sampling is counter-based (stream versions 3 to 9 draw the same values).
+Sampling is counter-based (stream versions 3 to 10 draw the same values).
 Each (seed, domain) pair keys one Philox4x64 generator; domains keep state
 draws, Haar unitaries and sweep parameters apart.  Record i of a domain
 owns a fixed block of 9 counter steps (36 uint64 words) starting at counter
@@ -42,7 +42,7 @@ RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
 # computed C^2 + P - 1 is <= 0 too, and both bounds come out +0.0 whatever C.
 GATE = 1e-12
 
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 DOMAIN_STATE = 1
 DOMAIN_UNITARY = 2
 DOMAIN_SWEEP = 3

@@ -118,6 +118,11 @@ def test_criterion_03_coherence_identity_and_inequality():
 def test_criterion_04_amplitude_damping_family():
     table = harness.run_family_sweep("ad", theta_steps=50, eta_steps=50)
     worst = float(table.discrepancy.max())
+    # the closed S is the X-state formula, not the lower bound, so the
+    # saturation is checked on the pipeline's own columns
+    c_num, s_num, _, p_num = table.num.T
+    lower = np.sqrt(np.maximum(0.0, c_num * c_num + p_num - 1.0))
+    worst_lower = float(np.abs(s_num - lower).max())
     params, _, rows = damping_grid("ad")
     lam = rows[:, batch.COL_L1 : batch.COL_L4 + 1]
     big = (lam > 1e-9).sum(axis=1)
@@ -125,11 +130,13 @@ def test_criterion_04_amplitude_damping_family():
     for k, (_, eta) in enumerate(params):
         want = 0 if eta == 1.0 else 1
         rank_ok = rank_ok and big[k] == want
-    ok = worst <= 1e-8 and rank_ok
+    ok = worst <= 1e-8 and worst_lower <= 1e-8 and rank_ok
     announce(4, ok, f"closed-form discrepancy max = {worst:.3e} on the 50x50 grid "
-                    f"(limit 1e-8); flip-product rank pattern "
+                    f"(limit 1e-8); |S - sqrt(max(0, C^2 + P - 1))| max = "
+                    f"{worst_lower:.3e} (limit 1e-8); flip-product rank pattern "
                     f"{'confirmed' if rank_ok else 'broken'}")
     assert worst <= 1e-8
+    assert worst_lower <= 1e-8
     assert rank_ok
 
 

@@ -237,6 +237,17 @@ def test_sample_rejects_bad_rank(tmp_path, capsys):
         main(["sample", "--count", "5", "--ranks", "two", "--out", str(out)])
 
 
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_ranks_that_are_no_integer_exit_2_naming_the_invariant(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--count", "5", "--ranks", "abc", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ranks: ranks must be 1..4 or 'uniform', got 'abc'" in err
+    assert "_parse_ranks" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_channel_sweep_pd(tmp_path):
     out = tmp_path / "pd.csv"
     code = main(
@@ -422,7 +433,7 @@ def test_verify_clean_run(tmp_path, capsys):
     assert payload["worst_margin_lower"] > -1e-9
     assert payload["worst_margin_upper"] > -1e-9
     assert payload["seed"] == 6
-    assert payload["stream"] == 9
+    assert payload["stream"] == 10
     assert out.read_text() == captured
 
 

@@ -8,15 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
-
 from qsteer import batch, harness, measures, states
 from qsteer.errors import ParameterOutOfRange, ValidationError
 
-from conftest import SIGMA_YY
+from conftest import AVX512_FEATURES, SIGMA_YY, __cpu_features__
 
 
 def test_ad_sweep_small_grid():
@@ -153,6 +148,95 @@ def test_region_scan_criterion_is_the_squared_steerability():
     assert np.count_nonzero(labels == "entangled-unknown") == 37511
 
 
+# at eta = 0 both damping channels are the identity, so each state is the
+# pure cos t|00> + sin t|11>, which meets C^2 + max(D_A, D_B)^2 <= 1 with
+# equality, within criterion 3's rank-1 limit (largest error 4.4e-16)
+@pytest.mark.parametrize("row", [0, 1], ids=["ad", "pd"])
+def test_damped_pure_points_meet_the_coherence_bound_with_equality(row):
+    thetas = np.linspace(0.0, math.pi / 2.0, 202)[1:-1]
+    kraus = states.damping_operators([0.0], row)
+    x = states._kraus_factors(states.bell_like_amplitudes(thetas), kraus)
+    rows = batch.measure_factors(x.reshape(-1, 4, x.shape[-1]))
+    conc = rows[:, batch.COL_C]
+    coherence = np.maximum(rows[:, batch.COL_DA], rows[:, batch.COL_DB])
+    assert len(rows) == 200
+    assert np.abs(1.0 - conc * conc - coherence * coherence).max() <= 3e-15
+
+
+EPS = np.finfo(float).eps
+
+# (columns on span{|00>, |11>}, columns on span{|01>, |10>}) of the X-state
+# factors of each rank; every rank has states on both branches of C
+X_SPLITS = {2: [(2, 0), (1, 1), (0, 2)], 3: [(2, 1), (1, 2)], 4: [(2, 2)]}
+
+
+def _x_states(seed, n, k1, k2):
+    """n random X states of rank k1 + k2 as (n, 4, k1 + k2) factors, with k1
+    complex Gaussian columns on span{|00>, |11>} and k2 on span{|01>, |10>},
+    that block weighted by a uniform factor, and their diagonal (a, b, c, d)
+    and corner moduli z = |rho_03|, w = |rho_12|, summed from the factors."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 4, k1 + k2)) + 1j * rng.standard_normal((n, 4, k1 + k2))
+    g[:, :, k1:] *= rng.random((n, 1, 1))
+    x = np.zeros_like(g)
+    x[:, 0::3, :k1] = g[:, 0::3, :k1]
+    x[:, 1:3, k1:] = g[:, 1:3, k1:]
+    x /= np.sqrt(np.einsum("nij,nij->n", x, x.conj()).real)[:, None, None]
+    diag = [np.einsum("nj,nj->n", x[:, i], x[:, i].conj()).real for i in range(4)]
+    z = np.abs(np.einsum("nj,nj->n", x[:, 0], x[:, 3].conj()))
+    w = np.abs(np.einsum("nj,nj->n", x[:, 1], x[:, 2].conj()))
+    return x, (*diag, z, w)
+
+
+@pytest.mark.parametrize("rank", sorted(X_SPLITS))
+def test_x_closed_forms_match_the_measured_x_states(rank):
+    # S is compared squared: near S = 0 its square root turns a few eps of
+    # S^2 into about 70 eps of S (measured on 20000 states of rank 4)
+    for k1, k2 in X_SPLITS[rank]:
+        x, params = _x_states(10 * k1 + k2, 4000, k1, k2)
+        rows = batch.measure_factors(x)
+        conc, steer, fval, pur = measures._x_closed_forms(*params)
+        s = rows[:, batch.COL_S]
+        assert np.abs(rows[:, batch.COL_C] - conc).max() <= 4.0 * EPS
+        assert np.abs(s * s - steer * steer).max() <= 4.0 * EPS
+        assert np.array_equal(s > 0.0, steer > 0.0)
+        assert np.abs(rows[:, batch.COL_F] - fval).max() <= 4.0 * EPS
+        assert np.abs(rows[:, batch.COL_PURITY] - pur).max() <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("rank", sorted(X_SPLITS))
+def test_x_states_obey_the_bound_identities_on_both_branches(rank):
+    # with s^2 = (F^2 - 1)/2 before the clip, on the z branch
+    # (z - sqrt(bc) >= w - sqrt(ad), C > 0); the w branch swaps (a, d, z)
+    # with (b, c, w).  Every term of the lower margin is >= 0 there, so
+    # S >= sqrt(max(0, C^2 + P - 1)), and so is C^2 - s^2, so S <= C
+    # (largest error 7.2 eps on 20000 states of each split)
+    branches = set()
+    for k1, k2 in X_SPLITS[rank]:
+        x, (a, b, c, d, z, w) = _x_states(10 * k1 + k2, 4000, k1, k2)
+        rows = batch.measure_factors(x)
+        conc, pur, fval = rows[:, batch.COL_C], rows[:, batch.COL_PURITY], rows[:, batch.COL_F]
+        da, db = rows[:, batch.COL_DA], rows[:, batch.COL_DB]
+        s2 = (fval * fval - 1.0) / 2.0
+        assert np.abs(2.0 * pur - 1.0 - s2 - (da * da + db * db) / 2.0).max() <= 8.0 * EPS
+        on_z = z - np.sqrt(b * c) >= w - np.sqrt(a * d)
+        for name, keep, params in (("z", on_z, (a, d, z, b, c, w)),
+                                   ("w", ~on_z, (b, c, w, a, d, z))):
+            keep = keep & (conc > 0.0)
+            if keep.any():
+                branches.add(name)
+            a1, d1, z1, b1, c1, w1 = (v[keep] for v in params)
+            k, s2k, p = conc[keep], s2[keep], pur[keep]
+            root = np.sqrt(b1 * c1)
+            lower = 2.0 * (a1 * d1 - z1 * z1) + 2.0 * w1 * w1 + 2.0 * root * (4.0 * z1 - root)
+            assert np.abs(s2k - (k * k + p - 1.0) - lower).max(initial=0.0) <= 8.0 * EPS
+            assert (s2k - (k * k + p - 1.0)).min(initial=0.0) >= -8.0 * EPS
+            assert (k * k - s2k).min(initial=0.0) >= -8.0 * EPS
+            upper = 2.0 * (b1 + c1) * (a1 + d1) + 4.0 * b1 * c1 - 8.0 * z1 * root - 4.0 * w1 * w1
+            assert np.abs(k * k - s2k - upper).max(initial=0.0) <= 8.0 * EPS
+    assert branches == {"z", "w"}
+
+
 def test_werner_family_walks_the_envelope():
     # werner_like states sit exactly on the envelope C = (3p - 1)/2
     phi = states.bell_like(np.pi / 4)
@@ -181,12 +265,15 @@ def _wu_inputs(seed, n):
 # A one-point call's intermediates are numpy scalars or floats, whose ``** 2``
 # is pow (about 1 input in 1200 misrounds), while an array's ``** 2`` is an
 # exact product; so a square written as ``** 2`` at that site makes the
-# one-point call differ from the array call.  One point per site:
-# (theta, eta) for ad at s, c and q = 1 - eta, for pd at s2t, and
-# (theta of bell_like, p) for wu at C(phi) and F.
-POW_PROBES = {"ad": [(1.258, 0.1021), (0.5944, 0.5946), (1.1556, 0.0523)],
-              "pd": [(0.6926, 0.1739)],
-              "wu": [(0.9577, 0.6502), (1.1259, 0.7615)]}
+# one-point call differ from the array call.  One point per site, as
+# (theta, eta) for ad and pd and (theta of bell_like, p) for wu: for ad at
+# the X-state squares of z, t, a, b and d and at s and c, for pd at s and
+# c, and for wu at C(phi).  No point was found for the square of c, which
+# is 0 on ad and pd and the exact q = (1 - p)/4 on wu.
+POW_PROBES = {"ad": [(1.0318, 0.3889), (1.0613, 0.1887), (0.3964, 0.9968), (1.2672, 0.8164),
+                     (0.6485, 0.5552), (1.258, 0.4725), (0.5443, 0.5413)],
+              "pd": [(1.258, 0.4725), (0.5443, 0.5413)],
+              "wu": [(0.846, 0.4291)]}
 
 
 @pytest.mark.parametrize("family", ["ad", "pd"])
@@ -246,8 +333,7 @@ def test_closed_forms_broadcast_a_scalar_and_reject_a_length_mismatch():
         measures.wu_closed_forms([[0.3], [0.9]], phis[:2])
 
 
-# numpy's AVX-512 kernels, switched off in the child below
-AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# numpy's AVX-512 kernels are switched off in the child below
 NO_AVX512 = pytest.mark.skipif(not any(__cpu_features__.get(f) for f in AVX512_FEATURES),
                                reason="this host has no AVX-512 to switch off")
 OPENBLAS_X86 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),

@@ -5,13 +5,15 @@ The sweeps and the scan are built as arrays, and sample and verify stream
 the plan chunk by chunk; these digests pin their output bytes across
 commits, so a change to how the stacks are drawn, built, validated,
 measured, formatted or reduced that moves a single bit fails here.  The
-closed forms pass through numpy's sin, cos, sqrt and hypot and plain
-products, with no BLAS call; the wu sweep's unitaries (QR), the Gram
-matrices and the SVDs of the measured columns go through OpenBLAS and
-LAPACK.  The digests were taken with numpy 2.4 on x86-64
-(AVX-512, OpenBLAS SkylakeX kernels), and other SIMD or BLAS kernels may
-differ in the last bit.  They are those of stream version 9; CHANGES.md
-records which bytes each stream version moved.
+closed forms of all three sweep families come from one X-state formula
+through numpy's sin, cos, sqrt and hypot and plain products, with no BLAS
+call; the wu sweep's unitaries (QR), the Gram matrices and the SVDs of the
+measured columns go through OpenBLAS and LAPACK.  The digests were taken
+with numpy 2.4 on x86-64 (AVX-512 dispatch, OpenBLAS SkylakeX kernels),
+the host profile that the pytest header prints; other SIMD or BLAS kernels
+may differ in the last bit, while every tolerance check holds on any host.
+They are those of stream version 10; CHANGES.md records which bytes each
+stream version moved.
 """
 
 import hashlib
@@ -23,17 +25,17 @@ from qsteer import cli, harness, states
 
 SWEEP_GOLDEN = [
     (["--family", "ad", "--theta-steps", "8", "--eta-steps", "8"],
-     "31732347dd1515178cd9e4ff3a4d8b965a042c1a3ed8233a8d7f3e306f3b12df"),
+     "b15d779469a2274cfa1a57e67113f45947191391d626ac2e2c202aac8485d655"),
     (["--family", "ad", "--theta-steps", "50", "--eta-steps", "50"],
-     "e3254152a0855e0a40c5b52be57e1d00458adcc8f561a50aebf4d50564857736"),
+     "39881cc4b2e6e2a6fa69c24e14a8363c67eda06fdc4e9c58dc6593b20b34663d"),
     (["--family", "pd", "--theta-steps", "8", "--eta-steps", "8"],
-     "fc8c387736bdbe3f6b5aed7ae5c798c401d782fe6c21155840e1bd9514218e7a"),
+     "6f71c99f48ebd78aa568566b6bdd5deb72a9515a011ae104dd07d678b3e2a2d8"),
     (["--family", "pd", "--theta-steps", "50", "--eta-steps", "50"],
-     "0e6eb9a5b7565dc10a59998bfaa566451a7ddc2792c74032586b136a1acd0fc0"),
+     "89741dab7b6f2e9d02deffa5c7d278c4859df3bfb6b3b932ccc5b268d9245044"),
     (["--family", "wu", "--p-steps", "30", "--seed", "3"],
-     "7a25597da114cf7a546473307bb15a9bcb27843ea4f5a2e2e2381b6beaa60fb0"),
+     "bc361fa1d92c0a2111b796d8bbdaca65f7b75c90dfc61f40cee0639307568bdc"),
     (["--family", "wu", "--p-steps", "1000", "--seed", "0"],
-     "1c284d45f3086e85e165790eea2ca2570d0a24422a5522fc4243d9d3f2de34db"),
+     "44dedc767620f49bd7af07765237dfc071c17b90a7cc9a6e4b9c79d700e4409d"),
 ]
 
 # (grid, digests of region.csv, region_boundary.csv, region_werner.csv)
@@ -54,13 +56,13 @@ SAMPLE_GOLDEN = [
 ]
 VERIFY_GOLDEN = [
     (["--count", "20000", "--seed", "7"],
-     "38c59b4f02bcdf7a4bcd71084403a88fa85efaf91aad18c41a953dcbf27003de"),
+     "61e077c9fd398dab170bc9c3cd5c4b482b3201ac9b15aa6c185b3da519efb501"),
     # most rank-3 and rank-4 draws have purity below 1/2, where the bounds
     # are 0 and verify takes no SVD
     (["--count", "20000", "--seed", "7", "--ranks", "3"],
-     "2bf6ab875b73d17794ebbb60480d31b95b4c376749b0d0cf0672feb51e5fdfcb"),
+     "e320d830340a8d448dc4b714cd154840655640a1a6ffad5c6b1ecfa397d465a2"),
     (["--count", "20000", "--seed", "7", "--ranks", "4"],
-     "061e9c396801b9221d3b14e219ff70e593bd50e4fe51c3ae835b33a3e2e6dd0b"),
+     "4be390326e6dea838aa79565585162ce570b72ddb72aac82b8840552fcf8c892"),
 ]
 
 # analyze on record 10 of a rank-2 plan, a state on which both steering

@@ -421,7 +421,7 @@ STREAM_GOLDEN = [
 @pytest.mark.parametrize("plan, digest", STREAM_GOLDEN,
                          ids=["ginibre-uniform", "ginibre-rank3-max-seed"])
 def test_stream_golden_digests(plan, digest):
-    assert states.STREAM_VERSION == 9
+    assert states.STREAM_VERSION == 10
     measure, ranks, seed, start, stop = plan
     cfg = states.SamplerConfig(measure, ranks, seed=seed, count=stop)
     x, ks = states.draw_matrices(cfg, start, stop)
