@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("channel-sweep", help="closed forms vs pipeline for one family")
-    p.add_argument("--family", choices=("ad", "pd", "wu"), required=True)
+    p.add_argument("--family", choices=harness.FAMILIES, required=True)
     p.add_argument("--theta-steps", type=int, default=50)
     p.add_argument("--eta-steps", type=int, default=50)
     p.add_argument("--p-steps", type=int, default=1000)

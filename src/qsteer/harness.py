@@ -1,5 +1,5 @@
-"""Monte Carlo scatter runs, channel-family sweeps, region scans and the
-bound-falsification harness.
+"""Monte Carlo scatter runs, sweeps of the families in FAMILIES, region scans
+and the bound-falsification harness.
 
 Output formatting is byte-stable: floats are written with repr() (shortest
 round-trip), workers own disjoint index chunks and chunks are consumed in
@@ -95,9 +95,9 @@ REGION_BLOCK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """One channel sweep as columns: point i is (theta[i], eta_or_p[i]), and
-    num[i] and closed[i] hold its pipeline and closed-form (C, S, F, purity).
-    The unitary of a 'wu' point is record i of the sweep seed's unitaries."""
+    """One family's sweep as columns: point i is (theta[i], eta_or_p[i]), as
+    the family's FAMILIES builder says, and num[i] and closed[i] hold its
+    pipeline and closed-form (C, S, F, purity)."""
 
     family: str
     theta: np.ndarray
@@ -358,6 +358,46 @@ def write_scatter_csv(path, cfg: SamplerConfig, workers: int = WORKERS) -> None:
 SWEEP_COLS = [batch.COL_C, batch.COL_S, batch.COL_F, batch.COL_PURITY]
 
 
+def _damped(row: int, forms, theta_steps: int, eta_steps: int, p_steps: int, seed: int):
+    """'ad' (row 0) and 'pd' (row 1): cos theta|00> + sin theta|11> damped on
+    qubit A by K1 = sqrt(eta)|row><1|, on a theta x eta grid, theta-major.
+    theta and eta_or_p hold each point's theta and eta; unitary_seed is empty."""
+    if not (_is_int(theta_steps) and _is_int(eta_steps)
+            and theta_steps >= 2 and eta_steps >= 2):
+        raise ParameterOutOfRange("theta-steps and eta-steps must both be integers >= 2")
+    thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
+    etas = np.linspace(0.0, 1.0, eta_steps)
+    # every eta's Kraus pair, checked once as one stack
+    x = _kraus_factors(bell_like_amplitudes(thetas), damping_operators(etas, row))
+    grid_thetas, grid_etas = np.repeat(thetas, eta_steps), np.tile(etas, theta_steps)
+    return grid_thetas, grid_etas, x.reshape(-1, 4, x.shape[-1]), forms(grid_thetas, grid_etas)
+
+
+def _werner(theta_steps: int, eta_steps: int, p_steps: int, seed: int):
+    """'wu': p|phi><phi| + (1 - p)I/4, phi = U(cos theta|00> + sin theta|11>), at
+    p_steps (p, theta, U) drawn from the seed's streams.  theta and eta_or_p hold
+    each point's theta and p; unitary_seed is i, as U is random_unitaries' record i."""
+    if not (_is_int(p_steps) and p_steps >= 2):
+        raise ParameterOutOfRange("p-steps must be an integer >= 2")
+    u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
+    ps = u01[:, 0]
+    thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
+    amps = bell_like_amplitudes(thetas)
+    phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
+    # werner_factors checks the phis' norms before the closed forms take them
+    return thetas, ps, werner_factors(ps, phis), measures.wu_closed_forms(ps, phis)
+
+
+# each family's builder of the flags (theta_steps, eta_steps, p_steps, seed):
+# (theta, eta_or_p, factors, closed forms).  Each function is looked up when
+# called, so that a tracer's or a test's rebinding of a module attribute runs.
+FAMILIES = {
+    "ad": lambda *flags: _damped(0, measures.bad_closed_forms, *flags),
+    "pd": lambda *flags: _damped(1, measures.bpd_closed_forms, *flags),
+    "wu": lambda *flags: _werner(*flags),
+}
+
+
 def run_family_sweep(
     family: str,
     theta_steps: int = 50,
@@ -365,38 +405,13 @@ def run_family_sweep(
     p_steps: int = 1000,
     seed: int = 0,
 ) -> SweepTable:
-    """Numerical pipeline vs closed forms for one channel family.
-
-    'ad'/'pd' sweep a theta x eta grid, theta-major; 'wu' draws p_steps
-    random (p, theta, unitary) triples from the seeded counter-based stream.
-    """
-    if family in ("ad", "pd"):
-        if not (_is_int(theta_steps) and _is_int(eta_steps)
-                and theta_steps >= 2 and eta_steps >= 2):
-            raise ParameterOutOfRange("theta-steps and eta-steps must both be integers >= 2")
-        thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, theta_steps)
-        etas = np.linspace(0.0, 1.0, eta_steps)
-        # every eta's Kraus pair, checked once as one stack; K1 = sqrt(eta)|row><1|
-        # damps the amplitude at row 0 and the phase at row 1
-        kraus = damping_operators(etas, 0 if family == "ad" else 1)
-        x = _kraus_factors(bell_like_amplitudes(thetas), kraus)
-        rows = batch.measure_factors(x.reshape(-1, 4, x.shape[-1]))
-        forms = measures.bad_closed_forms if family == "ad" else measures.bpd_closed_forms
-        grid_thetas, grid_etas = np.repeat(thetas, eta_steps), np.tile(etas, theta_steps)
-        return SweepTable(family, grid_thetas, grid_etas, rows[:, SWEEP_COLS],
-                          np.column_stack(forms(grid_thetas, grid_etas)))
-    if family == "wu":
-        if not (_is_int(p_steps) and p_steps >= 2):
-            raise ParameterOutOfRange("p-steps must be an integer >= 2")
-        u01 = open_uniforms(stream_block(seed, DOMAIN_SWEEP, 0, p_steps)[:, :2])
-        ps = u01[:, 0]
-        thetas = 0.05 + (math.pi / 2.0 - 0.1) * u01[:, 1]
-        amps = bell_like_amplitudes(thetas)
-        phis = (random_unitaries(seed, 0, p_steps) @ amps[:, :, None])[:, :, 0]
-        rows = batch.measure_factors(werner_factors(ps, phis))  # checks the phis' norms
-        return SweepTable("wu", thetas, ps, rows[:, SWEEP_COLS],
-                          np.column_stack(measures.wu_closed_forms(ps, phis)))
-    raise ParameterOutOfRange(f"family must be 'ad', 'pd' or 'wu', got {family!r}")
+    """Numerical pipeline vs closed forms for one family of FAMILIES: its
+    builder's factors, measured in one measure_factors call."""
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise ParameterOutOfRange(f"family must be one of {list(FAMILIES)}, got {family!r}")
+    theta, eta_or_p, x, closed = FAMILIES[family](theta_steps, eta_steps, p_steps, seed)
+    rows = batch.measure_factors(x)
+    return SweepTable(family, theta, eta_or_p, rows[:, SWEEP_COLS], np.column_stack(closed))
 
 
 def sweep_csv_lines(table: SweepTable):

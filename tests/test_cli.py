@@ -260,6 +260,12 @@ def test_channel_sweep_pd(tmp_path):
     assert all(line.startswith("pd,") for line in lines[1:])
 
 
+def test_channel_sweep_family_choices_are_the_family_table():
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    (family,) = [a for a in commands.choices["channel-sweep"]._actions if a.dest == "family"]
+    assert tuple(family.choices) == tuple(harness.FAMILIES)
+
+
 def test_channel_sweep_wu(tmp_path):
     out = tmp_path / "wu.csv"
     code = main(["channel-sweep", "--family", "wu", "--p-steps", "8", "--out", str(out)])

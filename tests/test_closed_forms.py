@@ -70,8 +70,11 @@ def test_wu_sweep_is_deterministic():
 
 
 def test_sweep_argument_validation():
-    with pytest.raises(ParameterOutOfRange):
-        harness.run_family_sweep("xy")
+    # an unknown or unhashable family names every family of the table
+    for family in ("xy", ["ad"]):
+        with pytest.raises(ParameterOutOfRange) as info:
+            harness.run_family_sweep(family)
+        assert all(repr(name) in str(info.value) for name in harness.FAMILIES)
     with pytest.raises(ParameterOutOfRange):
         harness.run_family_sweep("ad", theta_steps=1)
     with pytest.raises(ParameterOutOfRange):

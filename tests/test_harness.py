@@ -323,11 +323,18 @@ def _counted(monkeypatch, targets):
     return calls
 
 
-@pytest.mark.parametrize("family", ["ad", "pd", "wu"])
+# the public closed form each family's sweep compares its pipeline against
+FAMILY_CLOSED_FORMS = {"ad": "bad_closed_forms", "pd": "bpd_closed_forms", "wu": "wu_closed_forms"}
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES)
 def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     # structural guard: one stack of exact factors from one Kraus stack,
-    # measured in one call with no eigensolver and no matrix validation;
+    # measured in one call with no eigensolver and no matrix validation, and
+    # one call of the family's closed form, looked up on measures when the
+    # sweep runs (a table entry bound at import would miss the patch);
     # counts calls, no timing
+    forms = _counted(monkeypatch, [(measures, name) for name in FAMILY_CLOSED_FORMS.values()])
     built = _counted(monkeypatch, [(states.DensityMatrix, "__post_init__")])
     kraus = _counted(monkeypatch, [(harness, "damping_operators")])
     matrix_route = _counted(monkeypatch, [
@@ -340,6 +347,7 @@ def test_family_sweep_builds_and_checks_one_stack(family, monkeypatch):
     assert len(kraus) == (0 if family == "wu" else 1)
     assert matrix_route == []
     assert len(measured) == 1
+    assert forms == [FAMILY_CLOSED_FORMS[family]]
 
 
 def _counted_args(monkeypatch, owner, name):
