@@ -20,12 +20,15 @@ factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
 construction.  bound_columns() makes the same checks and returns only the
 S, lower and upper columns, as verify needs them: it takes the flip
 singular values only of the factors whose purity passes states.GATE,
-since both bounds are 0 at purity <= 1/2.  measure_rows() is the entry
-point for density matrices given as input: it measures the factors
-V sqrt(w) that states.validate_stack returns from the one eigh of its
-checks.  Purity, S and the bounds each have one formula, which both
-kernels call.  F needs only the Frobenius sum of T, so the singular values
-of T are not a column.
+since both bounds are 0 at purity <= 1/2, and, in a stack that holds a
+factor below that gate, only of those whose F^2 - 1 passes it too, since
+S and lower are 0 at F <= 1; there the others read upper = 0, which
+leaves every least margin and violation of the stack as it was.
+measure_rows() is the entry point for density matrices given as input: it
+measures the factors V sqrt(w) that states.validate_stack returns from
+the one eigh of its checks.  Purity, S and the bounds each have one
+formula, which both kernels call.  F needs only the Frobenius sum of T,
+so the singular values of T are not a column.
 """
 
 from __future__ import annotations
@@ -114,19 +117,28 @@ def measure_factors(x) -> np.ndarray:
 
 
 def bound_columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, lower, upper) of the states x x^dag of a stack of factors: the
-    COL_S, COL_LOWER and COL_UPPER columns of measure_factors(x), bit for
-    bit, with the same checks and errors.
+    """(S, lower, upper) of the states x x^dag of a stack of factors, with
+    the checks and errors of measure_factors(x).  S and lower are its COL_S
+    and COL_LOWER columns, bit for bit; upper is its COL_UPPER column, bit
+    for bit, except where the stack holds a row below the purity gate, as
+    below.
 
-    C enters only the bounds, which are +0.0 wherever 2P - 1 <= -GATE (see
-    states.GATE), so only the factors above that gate have their flip
-    singular values taken."""
+    C enters only the bounds.  Both are +0.0 wherever 2P - 1 <= -GATE, and
+    S and lower are +0.0 wherever F^2 - 1 <= -GATE (see states.GATE): such
+    an F-gated row has both margins >= +0.0, and a row below the purity
+    gate, F-gated too, has upper - S = +0.0.  So the flip singular values
+    are never taken below the purity gate, and, in a stack that holds such
+    a row, not on the F-gated rows either: their upper reads +0.0, which
+    changes neither the stack's least margins nor its violations."""
     x = _checked_factors(x)
     rhos = gram(x)
     pur = _purity(rhos)
-    _, s = _correlation_sums(_float_view(rhos))
+    _, f2m1, s = _correlation_sums(_float_view(rhos))
     lower, upper = np.zeros(len(pur)), np.zeros(len(pur))
-    live = np.flatnonzero(2.0 * pur - 1.0 > -GATE)
+    live = 2.0 * pur - 1.0 > -GATE
+    if not live.all():
+        live &= f2m1 > -GATE
+    live = np.flatnonzero(live)
     conc = _concurrence(_flip_singular_values(x[live]))
     lower[live], upper[live] = _bounds(conc, pur[live])
     return s, lower, upper
@@ -176,7 +188,7 @@ def _measure(x: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     sig = _flip_singular_values(x)
     conc = _concurrence(sig)
     parts = _float_view(rhos)
-    f2, out[:, COL_S] = _correlation_sums(parts)
+    f2, _, out[:, COL_S] = _correlation_sums(parts)
     d0, d1, d2, d3 = parts[:, 0:32:10].T  # Re rho_ii
     out[:, COL_PURITY] = pur
     out[:, COL_C] = conc
@@ -203,9 +215,9 @@ def _concurrence(sig: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 2.0 * sig[:, 0] - sig.sum(axis=1))
 
 
-def _correlation_sums(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F^2, S) of each state, from the _float_view parts of its matrix:
-    F^2 = ||T||_F^2 and S = sqrt(max(0, (F^2 - 1) / 2))."""
+def _correlation_sums(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F^2, F^2 - 1, S) of each state, from the _float_view parts of its
+    matrix: F^2 = ||T||_F^2 and S = sqrt(max(0, (F^2 - 1) / 2))."""
     # running sums of T's squares, each row summed in its own fixed order:
     # entry 8 is F^2, entry 7 leaves out the (z, z) term
     t2 = np.cumsum(np.square(_correlations(parts)), axis=1)
@@ -213,7 +225,7 @@ def _correlation_sums(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # -4 (rho00 + rho33)(rho11 + rho22), so the (z, z) term drops out
     d0, d1, d2, d3 = parts[:, 0:32:10].T  # Re rho_ii
     f2m1 = t2[:, 7] - 4.0 * (d0 + d3) * (d1 + d2)
-    return t2[:, 8], np.sqrt(0.5 * np.maximum(0.0, f2m1))
+    return t2[:, 8], f2m1, np.sqrt(0.5 * np.maximum(0.0, f2m1))
 
 
 def _bounds(conc: np.ndarray, pur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

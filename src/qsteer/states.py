@@ -34,12 +34,21 @@ NORM_TOL = 1e-12  # | |a| - 1 | of a state vector
 KRAUS_TOL = 1e-12  # max entry of sum_k K_k^dag K_k - I of a channel
 SLACK = 1e-9  # how far S may pass a bound, or C the isotropic family's C_max
 RANGE_TOL = 1e-12  # how far a (C, purity) pair may leave [0, 1] x [1/4, 1]
-# how far below 1/2 a purity P may lie and still have its concurrence
-# measured for the bounds.  C <= s1(tau) <= ||tau||_F and ||tau||_F^2 =
-# tr(rho flip(rho)) <= ||rho||_F ||flip(rho)||_F = P (Cauchy-Schwarz), so
-# C^2 + P - 1 <= 2P - 1 and both bounds are 0 at P <= 1/2.  The computed C^2
-# exceeds P by at most about 1e-14, so where the computed 2P - 1 <= -GATE the
-# computed C^2 + P - 1 is <= 0 too, and both bounds come out +0.0 whatever C.
+# how far below 0 the computed 2P - 1 (the purity gate) or F^2 - 1 (the F
+# gate) of a state may lie and still have its concurrence measured for the
+# bounds.  Wootters' tau (PRL 80, 2245 (1998)) has ||tau||_F^2 =
+# tr(rho flip(rho)) = l1 + ... + l4, the flip eigenvalues, and the Pauli
+# expansion rho = (I + a.sigma x I + I x b.sigma + sum T_ml sigma_m x
+# sigma_l) / 4 gives tr(rho flip(rho)) = (1 - |a|^2 - |b|^2 + F^2) / 4 and
+# P = (1 + |a|^2 + |b|^2 + F^2) / 4, so ||tau||_F^2 + P - 1 = (F^2 - 1) / 2.
+# C <= s1(tau) <= ||tau||_F, so C^2 + P - 1 <= (F^2 - 1) / 2: S and the
+# lower bound are 0 at F <= 1, and S^2 >= C^2 + P - 1 holds for every state.
+# And 2P - 1 - (F^2 - 1) / 2 = (D_A^2 + D_B^2) / 2 >= 0, so a state at
+# P <= 1/2 has F <= 1 and both bounds 0.  The computed C^2 and F^2 - 1 are
+# within about 1e-14 of exact, so where the computed F^2 - 1 <= -GATE the
+# computed C^2 + P - 1 is <= 0 too, and S and the lower bound come out +0.0
+# whatever C; where the computed 2P - 1 <= -GATE the upper bound comes out
+# +0.0 as well.
 GATE = 1e-12
 
 STREAM_VERSION = 10

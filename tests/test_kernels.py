@@ -391,13 +391,36 @@ def test_werner_states_at_the_thresholds_match_the_closed_forms(p):
 BOUND_COLS = [batch.COL_S, batch.COL_LOWER, batch.COL_UPPER]
 
 
+def _fold(columns):
+    """The least margin of each bound and the (row, theorem, margin) of each
+    violation of a stack's (S, lower, upper) columns, as verify folds them,
+    every float as its int64 bits, so that a zero of the other sign counts."""
+    margins = harness.bound_margins(*columns.T)
+    least = [np.float64(m.min(initial=np.inf)).view(np.int64) for m in margins]
+    row, theorem = np.nonzero(np.column_stack(margins) < -states.SLACK)
+    return least, [(i, t, margins[t][i].view(np.int64)) for i, t in zip(row, theorem)]
+
+
+def _f2m1(x):
+    """F^2 - 1 of each factor's state, as the kernel computes it for the F gate."""
+    return batch._correlation_sums(batch._float_view(states.gram(x)))[1]
+
+
 def _assert_bound_columns_are_the_table_columns(x):
-    """bound_columns(x) holds the S, lower and upper bits of measure_factors(x):
-    compared through int64 views, so that a zero of the other sign counts."""
-    want = batch.measure_factors(x)[:, BOUND_COLS]
+    """bound_columns(x) holds the S and lower bits of measure_factors(x), and
+    its upper bits but on the F-gated rows (F^2 - 1 <= -GATE) of a stack that
+    holds a row below the purity gate (2P - 1 <= -GATE), where upper is +0.0;
+    and the stack folds to the table's least margins and violations.  Bits
+    are compared through int64 views, so that a zero of the other sign
+    counts."""
+    table = batch.measure_factors(x)[:, BOUND_COLS]
+    want = table.copy()
+    if (_gap(x) <= -states.GATE).any():
+        want[_f2m1(x) <= -states.GATE, 2] = 0.0
     got = np.column_stack(batch.bound_columns(x))
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert _fold(got) == _fold(table)
 
 
 def _gap(x):
@@ -411,9 +434,15 @@ def test_bound_columns_equal_the_measure_table_at_each_rank(ranks, seed):
     x, _ = states.draw_matrices(states.SamplerConfig(ranks=ranks, seed=seed, count=4096), 0, 4096)
     _assert_bound_columns_are_the_table_columns(x)
     # rank-1 and rank-2 draws have purity >= 1/2; about a third of rank-3
-    # and most rank-4 draws lie below the gate
+    # and most rank-4 draws lie below the gate.  Pure states have F >= 1,
+    # but some draws above the gate at ranks 2 to 4 are F-gated with
+    # upper > 0, which they keep at rank 2 and read as 0 beside the draws
+    # below the gate
     below = _gap(x) <= -states.GATE
     assert below.any() == (ranks not in (1, 2))
+    f_gated = ~below & (_f2m1(x) <= -states.GATE)
+    upper = batch.measure_factors(x)[:, batch.COL_UPPER]
+    assert (f_gated & (upper > 0.0)).any() == (ranks != 1)
 
 
 def test_bound_columns_at_the_werner_threshold():
@@ -432,15 +461,41 @@ def test_bound_columns_at_the_werner_threshold():
 
 
 def test_bound_columns_on_both_sides_of_the_gate():
-    # Werner states of random pure states with 2P - 1 = delta for delta up to
-    # a few GATE either side of 0: P = (1 + 3p^2) / 4
+    # Werner states of a Bell state and of random pure states with
+    # 2P - 1 = delta for delta up to a few GATE either side of 0:
+    # P = (1 + 3p^2) / 4; the Bell state's have F^2 - 1 = 2 delta
     deltas = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * states.GATE
-    phis = states.random_unitaries(8, 0, 10) @ PHI_PLUS
+    phis = np.vstack([PHI_PLUS, states.random_unitaries(8, 0, 10) @ PHI_PLUS])
     p = np.sqrt((1.0 + 2.0 * deltas) / 3.0)
     x = states.werner_factors(np.repeat(p, len(phis)), np.tile(phis, (len(p), 1)))
     gap = _gap(x)
     assert (gap <= -states.GATE).any() and (gap > -states.GATE).any()
+    # the stack holds a row below the purity gate, and rows above it on both
+    # sides of the F gate, the F-gated ones with upper > 0 in the table
+    f_gated = _f2m1(x) <= -states.GATE
+    upper = batch.measure_factors(x)[:, batch.COL_UPPER]
+    assert (f_gated & (upper > 0.0)).any() and (~f_gated & (gap > -states.GATE)).any()
     _assert_bound_columns_are_the_table_columns(x)
+
+
+def test_a_stack_with_no_row_below_the_purity_gate_keeps_every_upper():
+    # the amplitude-damped cos(pi/4)|00> + sin(pi/4)|11> at eta = 0.6 has
+    # P = 0.58, F^2 - 1 = -0.04 (S = 0) and upper = sqrt(2P - 1) = 0.4: it is
+    # F-gated, but beside rank-1 and rank-2 draws, which all lie above the
+    # purity gate, it keeps its exact upper; with I/4 beside it, it reads 0
+    ad = states._kraus_factors(states.bell_like_amplitudes([np.pi / 4.0]),
+                               states.damping_operators([0.6], 0)).reshape(1, 4, 2)
+    ad = np.concatenate([ad, np.zeros((1, 4, 2))], axis=2)
+    draws = [states.draw_matrices(states.SamplerConfig(ranks=r, seed=7, count=64), 0, 64)[0]
+             for r in (1, 2)]
+    x = np.concatenate([ad, *draws])
+    assert (_gap(x) > -states.GATE).all() and _f2m1(ad)[0] <= -states.GATE
+    _assert_bound_columns_are_the_table_columns(x)
+    s, lower, upper = batch.bound_columns(x)
+    assert s[0] == lower[0] == 0.0 and upper[0] == pytest.approx(0.4, abs=1e-15)
+    mixed = np.eye(4, dtype=complex)[None] / 2.0
+    _assert_bound_columns_are_the_table_columns(np.concatenate([x, mixed]))
+    assert batch.bound_columns(np.concatenate([x, mixed]))[2][0] == 0.0
 
 
 def test_a_chunk_below_the_gate_takes_no_svd(monkeypatch):
@@ -459,12 +514,15 @@ def test_a_chunk_below_the_gate_takes_no_svd(monkeypatch):
 
 def test_verify_takes_the_4x4_svd_on_the_rows_above_the_gate_only(monkeypatch, capsys):
     # a --ranks 4 verify pass in this process: each chunk's one 4x4 SVD gets
-    # exactly the rows with 2P - 1 > -GATE
+    # exactly the rows with 2P - 1 > -GATE and, as every chunk holds a row
+    # below that gate, F^2 - 1 > -GATE
     cfg = states.SamplerConfig(ranks=4, seed=7, count=2 * harness.CHUNK + 5)
     want = []
     for start in range(0, cfg.count, harness.CHUNK):
         x, _ = states.draw_matrices(cfg, start, min(start + harness.CHUNK, cfg.count))
-        want.append(int((_gap(x) > -states.GATE).sum()))
+        gap = _gap(x)
+        assert (gap <= -states.GATE).any()
+        want.append(int(((gap > -states.GATE) & (_f2m1(x) > -states.GATE)).sum()))
     sizes = []
     svd = np.linalg.svd
 

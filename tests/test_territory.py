@@ -9,9 +9,17 @@
   012316 (2001)).
 - t1^2 + t2^2 >= 2C^2 for T's two largest singular values (Verstraete and
   Wolf, PRL 89, 170401 (2002)): C > 1/sqrt(2) violates CHSH.
+- The identity behind the lower bound: the flip eigenvalues l1..l4 sum to
+  ||tau||_F^2 = tr(rho flip(rho)), and (F^2 - 1) / 2 = l1 + ... + l4 + P - 1.
+  With C <= s1(tau) <= ||tau||_F it gives S^2 >= C^2 + P - 1 for every
+  state, short by exactly sum l - C^2 where F > 1 and the bound is positive.
+  At rank >= 3 that gap is strict: the range of rho holds at most
+  min(2, 4 - k) dimensions on which the form u^T (sigma_y x sigma_y) v
+  vanishes, so tau has rank >= 2 and C <= s1 - s2 < ||tau||_F.
 
 The plan, fixed before any run: the first 20000 records of seed 7 at each
-rank policy.  Every check has the one tolerance SLACK.  The eigenvalues and
+rank policy.  Every inequality has the one tolerance SLACK; the identities,
+sums of terms of size at most 1, hold to IDENTITY_TOL.  The eigenvalues and
 T's singular values are taken here, not in the measure kernel.
 """
 
@@ -22,6 +30,7 @@ from qsteer import batch, states
 from qsteer.states import SLACK, SamplerConfig
 
 COUNT = 20000
+IDENTITY_TOL = 16 * np.finfo(float).eps  # 7 eps measured on the plans
 
 
 @pytest.fixture(scope="module", params=["uniform", 1, 2, 3, 4], ids=str)
@@ -68,3 +77,36 @@ def test_two_largest_correlations_bound_concurrence(plan):
     t = np.linalg.svd(batch.correlation_matrices(states.gram(x)), compute_uv=False)
     c = rows[:, batch.COL_C]
     assert (t[:, 0] ** 2 + t[:, 1] ** 2 >= 2.0 * c * c - SLACK).all()
+
+
+def _flip_sum_gap(rows):
+    """sum l - C^2 = ||tau||_F^2 - C^2 of each state, >= 0 since C <= ||tau||_F."""
+    c = rows[:, batch.COL_C]
+    return rows[:, batch.COL_L1 : batch.COL_L4 + 1].sum(axis=1) - c * c
+
+
+def test_half_the_correlation_excess_is_the_flip_sum_plus_purity_less_one(plan):
+    _, rows = plan
+    f, p = rows[:, batch.COL_F], rows[:, batch.COL_PURITY]
+    flip_sum = rows[:, batch.COL_L1 : batch.COL_L4 + 1].sum(axis=1)
+    assert (np.abs((f * f - 1.0) / 2.0 - (flip_sum + p - 1.0)) <= IDENTITY_TOL).all()
+
+
+def test_the_lower_bound_falls_short_of_s_by_the_flip_sum_less_c_squared(plan):
+    # where F > 1, S^2 = sum l + P - 1, so S^2 - lower^2 is the least of S^2
+    # and sum l - C^2: the second where the lower bound is positive
+    _, rows = plan
+    gap = _flip_sum_gap(rows)
+    assert (gap >= -IDENTITY_TOL).all()
+    s, lower = rows[:, batch.COL_S], rows[:, batch.COL_LOWER]
+    correlated = rows[:, batch.COL_F] > 1.0
+    assert (correlated & (lower > 0.0)).any()
+    short = (s * s - lower * lower)[correlated]
+    assert (np.abs(short - np.minimum(s * s, gap)[correlated]) <= IDENTITY_TOL).all()
+
+
+def test_the_lower_bound_is_strict_at_rank_three_and_four(plan):
+    # a drawn factor's width is its rank
+    x, rows = plan
+    deep = batch._widths(x) >= 3
+    assert (_flip_sum_gap(rows)[deep] > SLACK).all()
