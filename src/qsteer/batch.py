@@ -18,12 +18,8 @@ measure_factors() is the entry point for every state the program makes,
 drawn or built, which comes with its factor: it checks only that each
 factor is finite with ||x||_F^2 = 1, since x x^dag is Hermitian and PSD by
 construction.  bound_columns() makes the same checks and returns only the
-S, lower and upper columns, as verify needs them: it takes the flip
-singular values only of the factors whose purity passes states.GATE,
-since both bounds are 0 at purity <= 1/2, and, in a stack that holds a
-factor below that gate, only of those whose F^2 - 1 passes it too, since
-S and lower are 0 at F <= 1; there the others read upper = 0, which
-leaves every least margin and violation of the stack as it was.
+S, lower and upper columns, as verify needs them; its docstring states
+where its upper differs from the table's.
 measure_rows() is the entry point for density matrices given as input: it
 measures the factors V sqrt(w) that states.validate_stack returns from
 the one eigh of its checks.  Purity, S and the bounds each have one

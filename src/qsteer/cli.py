@@ -67,10 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel-sweep", help="closed forms vs pipeline for one family")
     p.add_argument("--family", choices=harness.FAMILIES, required=True)
-    p.add_argument("--theta-steps", type=int, default=50)
-    p.add_argument("--eta-steps", type=int, default=50)
-    p.add_argument("--p-steps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--theta-steps", type=int, default=50,
+                   help="theta grid points of ad and pd; wu ignores it")
+    p.add_argument("--eta-steps", type=int, default=50,
+                   help="damping-strength grid points of ad and pd; wu ignores it")
+    p.add_argument("--p-steps", type=int, default=1000,
+                   help="points wu draws; ad and pd ignore it")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of wu's draws of (p, theta, U); ad and pd ignore it")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("wu-scan", help="classify the (purity, C) plane")

@@ -13,9 +13,8 @@ _run_chunks, the one place that chooses between the calling thread and
 forked workers, runs each chunk's formatter (sample), which draws and
 measures the chunk's whole table with scatter_table(cfg, start, stop), or
 its fold into a FalsificationSummary (verify), which draws the chunk and
-takes only its S and bounds with batch.bound_columns, whose upper bound
-reads 0 on rows that cannot change the chunk's least margins or
-violations; _merge joins the folds in index order.
+takes only its S and bounds with batch.bound_columns (see its docstring);
+_merge joins the folds in index order.
 On more than one worker, _ahead forks them, each with its own pipe and a
 static shard of the chunks (worker w makes chunks w, w + W, ...), and reads
 chunk i from pipe i % W; a worker runs ahead only as far as its pipe buffer
@@ -282,9 +281,7 @@ def _keep_heap() -> None:
 def bound_margins(s: np.ndarray, lower: np.ndarray,
                   upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row signed margins (S - lower, upper - S) of the columns
-    batch.bound_columns returns: a stack's least margins and violations are
-    those of its measure table, though an upper margin of a row may read
-    +0.0 where the table's is larger."""
+    batch.bound_columns returns (see its docstring)."""
     return s - lower, upper - s
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import importlib
 import io
 import json
 import os
@@ -465,3 +466,13 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
     assert len(out.read_text().splitlines()) == 21
     for name in ("region_boundary.csv", "region_werner.csv"):
         assert (tmp_path / name).read_text().startswith("purity,C\n")
+
+
+def test_the_console_script_is_cli_main():
+    # an install makes the qsteer script from this [project.scripts] entry
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qsteer": "qsteer.cli:main"}
+    module, _, name = scripts["qsteer"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main

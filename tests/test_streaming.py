@@ -72,6 +72,9 @@ def eager_summary(cfg, rows):
     }
 
 
+# every rank plan: |tau| at rank 1, the closed form at rank 2, one k x k SVD
+# a chunk at ranks 3 and 4
+RANKS = ("uniform", 1, 2, 3, 4)
 COUNTS = [0, 100, 2 * CHUNK + 7]
 COUNT_IDS = ["empty", "under-one-chunk", "two-chunks-and-a-bit"]
 
@@ -89,12 +92,14 @@ def test_streamed_sample_equals_eager_reference(count, workers, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("count", COUNTS, ids=COUNT_IDS)
+# CHUNK + 1 ends in a chunk of one record, whose upper bound is exact
+@pytest.mark.parametrize("count", COUNTS + [CHUNK + 1],
+                         ids=COUNT_IDS + ["one-record-last-chunk"])
 def test_streamed_verify_equals_eager_reference(count, workers, monkeypatch):
     # at ranks 3 and 4 the bounds of many draws come from purity alone,
     # while the eager side measures C on every row
     forks = _counted_forks(monkeypatch)
-    for ranks in ("uniform", 3, 4):
+    for ranks in RANKS:
         cfg = SamplerConfig("ginibre", ranks, seed=12, count=count)
         forks.clear()
         summary = harness.run_falsification(cfg, workers=workers)
@@ -324,17 +329,21 @@ def _argv(command, count, seed, workers, out):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-# CHUNK + 1 has fewer chunks than 3 workers; 7 * CHUNK + 3 gives each
-# worker a shard of more than two chunks
-@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 7 * CHUNK + 3])
+# CHUNK + 1 has fewer chunks than 3 workers and a last chunk of one record;
+# 6000 makes three chunks, shards of 2 and 1 at two workers; 7 * CHUNK + 3
+# gives each worker a shard of more than two chunks.  The first two also
+# run every rank plan
+@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 6000, 7 * CHUNK + 3])
 def test_forked_sample_writes_the_in_process_bytes(count, workers, monkeypatch, tmp_path):
-    base = ["sample", "--count", str(count), "--seed", "17"]
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert cli.main(base + ["--workers", "1", "--out", str(serial)]) == 0
     forks = _counted_forks(monkeypatch)
-    assert cli.main(base + ["--workers", str(workers), "--out", str(pooled)]) == 0
-    assert pooled.read_bytes() == serial.read_bytes()
-    _assert_forks_fit_the_plan(forks, count, workers)
+    for ranks in RANKS if count in (CHUNK + 1, 6000) else ("uniform",):
+        base = ["sample", "--count", str(count), "--seed", "17", "--ranks", str(ranks)]
+        assert cli.main(base + ["--workers", "1", "--out", str(serial)]) == 0
+        forks.clear()
+        assert cli.main(base + ["--workers", str(workers), "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes(), ranks
+        _assert_forks_fit_the_plan(forks, count, workers)
 
 
 def test_without_fork_the_chunks_run_in_the_calling_thread(tmp_path):
